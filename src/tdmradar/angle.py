@@ -4,7 +4,6 @@ polar and Cartesian coordinates."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -18,6 +17,7 @@ from .config import (
     InvalidParameterError,
     RadarParams,
     VirtualArray,
+    range_resolution,
 )
 from .dsp import RangeDopplerCube, tdm_demux
 from .simulate import DataCube
@@ -25,8 +25,7 @@ from .unfold import VirtualSnapshot
 
 FLOOR_DB = -120.0
 
-# Fixed work-unit size for the Doppler loop so that results are bit-identical
-# for any worker count (partials are combined in block order).
+# Doppler bins per step of the map loop; bounds the per-step temporaries.
 _DOPPLER_BLOCK = 8
 
 
@@ -99,8 +98,6 @@ def estimate_calibration(cube: DataCube, plan: FramePlan, truth_range_m: float,
     if snr_db < min_snr_db:
         raise CalibrationError(
             f"reference peak SNR {snr_db:.1f} dB below the {min_snr_db:.1f} dB threshold")
-
-    from .config import range_resolution
 
     expected_bin = int(round(truth_range_m / range_resolution(params)))
     if abs(peak_bin - expected_bin) > 2:
@@ -222,53 +219,46 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
     migration-compensated with that bin's velocity (resolved if available,
     otherwise the folded bin-center velocity), collapsed onto the virtual
     ULA and transformed to an angle spectrum; Doppler is then reduced per
-    (range, azimuth) cell by ``max`` (default) or ``sum``.
+    (range, azimuth) cell by ``max`` (default) or ``sum``.  ``workers`` is
+    the angle FFT's thread count; the map is bit-identical for any value.
     """
     if doppler_reduce not in ("max", "sum"):
         raise InvalidParameterError("doppler_reduce must be 'max' or 'sum'")
-    n_tx, n_rx, n_doppler, n_range = rd.values.shape
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be at least 1, got {workers}")
+    values = rd.values
+    n_tx, n_rx, n_doppler, n_range = values.shape
     if velocities is None:
         velocities = rd.velocity_axis
     velocities = np.asarray(velocities, dtype=float)
     if velocities.size != n_doppler:
         raise InvalidParameterError("need one velocity per Doppler bin")
 
-    collapse = _collapse_matrix(varray)
+    collapse = _collapse_matrix(varray).astype(values.dtype)
     dense_length = collapse.shape[0]
     if grid_size < dense_length:
         raise InvalidParameterError(
             f"grid_size {grid_size} smaller than the {dense_length}-slot aperture")
-    values = rd.values
-    if cal is not None:
-        values = values / cal.gains[:n_tx, :n_rx, None, None]
 
+    # Per-(tx, rx, Doppler) factor: migration compensation, divided by the
+    # channel gain when calibrating.
     rate = 4.0 * np.pi / rd.params.wavelength_m * rd.plan.slot_interval_s
-    tx_idx = np.arange(n_tx, dtype=float)
+    scale = np.exp(-1j * rate * velocities[None, :] * np.arange(n_tx)[:, None])[:, None, :]
+    if cal is not None:
+        scale = scale / cal.gains[:n_tx, :n_rx, None]
+    scale = np.broadcast_to(scale, (n_tx, n_rx, n_doppler)).astype(values.dtype)
 
-    def block(start: int) -> np.ndarray:
+    reduce = np.maximum if doppler_reduce == "max" else np.add
+    total = 0.0
+    for start in range(0, n_doppler, _DOPPLER_BLOCK):
         stop = min(start + _DOPPLER_BLOCK, n_doppler)
-        chunk = values[:, :, start:stop, :]
-        rot = np.exp(-1j * rate * velocities[start:stop][None, :] * tx_idx[:, None])
-        chunk = chunk * rot[:, None, :, None]
+        chunk = values[:, :, start:stop, :] * scale[:, :, start:stop, None]
         flat = chunk.transpose(2, 0, 1, 3).reshape(stop - start, n_tx * n_rx, n_range)
-        grid = collapse @ flat
-        spec = np.fft.fftshift(scipy.fft.fft(grid, n=grid_size, axis=1), axes=1)
-        power = np.abs(spec) ** 2
-        if doppler_reduce == "max":
-            return power.max(axis=0)
-        return power.sum(axis=0)
+        spec = scipy.fft.fft(collapse @ flat, n=grid_size, axis=1, workers=workers)
+        total = reduce(total, reduce.reduce(np.abs(spec) ** 2, axis=0))
 
-    starts = range(0, n_doppler, _DOPPLER_BLOCK)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(block, starts))
-    else:
-        partials = [block(s) for s in starts]
-
-    total = partials[0]
-    for part in partials[1:]:
-        total = np.maximum(total, part) if doppler_reduce == "max" else total + part
-
+    # dB in float64 whatever the cube's precision, so floor cells read FLOOR_DB
+    total = np.fft.fftshift(total.astype(float), axes=0)
     power_db = 10.0 * np.log10(np.maximum(total, 10.0 ** (FLOOR_DB / 10.0)))
     return RangeAzimuthMap(
         power_db=power_db.T,

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import fileio
-from .angle import CalibrationError
+from .angle import CalibrationError, estimate_calibration
 from .config import (
     ArrayGeometry,
     InvalidParameterError,
@@ -74,7 +74,7 @@ def _cmd_process(args) -> int:
     cube_a = fileio.read_cube(args.in_a, params)
     cube_b = fileio.read_cube(args.in_b, params)
     cal = fileio.read_calibration_json(args.cal) if args.cal else None
-    cfar = CfarConfig(pfa=args.pfa) if args.pfa else CfarConfig()
+    cfar = CfarConfig(pfa=args.pfa) if args.pfa is not None else CfarConfig()
 
     result = run_pipeline(cube_a, cube_b, params, geometry, cal=cal, cfar=cfar,
                           cartesian=args.cartesian, workers=args.workers)
@@ -96,8 +96,6 @@ def _cmd_calibrate(args) -> int:
     geometry = _load_geometry(args.geometry)
     cube = fileio.read_cube(args.infile, params)
     plan = build_frame_plan(params, cube.plan.frame_index)
-    from .angle import estimate_calibration
-
     cal = estimate_calibration(cube, plan, args.range, args.azimuth, params, geometry)
     fileio.write_calibration_json(cal, args.out)
     print(f"wrote {args.out}")
@@ -147,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-det", required=True)
     p.add_argument("--cartesian", action="store_true")
     p.add_argument("--pfa", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="FFT threads for the range-azimuth maps (output is identical)")
     p.set_defaults(func=_cmd_process)
 
     p = sub.add_parser("calibrate", help="estimate channel gains from a corner reflector")

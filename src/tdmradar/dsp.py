@@ -11,7 +11,13 @@ import scipy.fft
 from scipy import ndimage
 from scipy.signal import get_window
 
-from .config import FramePlan, InvalidParameterError, RadarParams, folded_vmax
+from .config import (
+    FramePlan,
+    InvalidParameterError,
+    RadarParams,
+    folded_vmax,
+    range_resolution,
+)
 from .simulate import DataCube
 
 
@@ -95,7 +101,8 @@ class RangeDopplerCube:
 
 def range_doppler_map(sub: TxSubCubes, window_fast: str = "hann",
                       window_slow: str = "hann") -> RangeDopplerCube:
-    """Fast-time FFT then slow-time FFT over each per-TX stack."""
+    """Fast-time FFT then slow-time FFT over each per-TX stack, computed in
+    the precision of ``sub.values`` (complex64 cubes stay complex64)."""
     params = sub.params
     n_fast = sub.values.shape[-1]
     n_slow = sub.values.shape[-2]
@@ -105,12 +112,10 @@ def range_doppler_map(sub: TxSubCubes, window_fast: str = "hann",
     # Both windows are applied up front (the FFTs are linear, so windowing
     # slow time before the fast-time FFT is equivalent) to save a full-cube
     # multiply; overwrite_x recycles the intermediate buffer.
-    x = sub.values * (ws[:, None] * wf[None, :])
+    x = sub.values * (ws[:, None] * wf[None, :]).astype(sub.values.real.dtype)
     x = scipy.fft.fft(x, axis=-1, overwrite_x=True)
     x = scipy.fft.fft(x, axis=-2, overwrite_x=True)
     x = np.fft.fftshift(x, axes=-2)
-
-    from .config import range_resolution  # local import avoids cycle at module load
 
     vmax = folded_vmax(params, sub.plan.frame_index)
     return RangeDopplerCube(

@@ -14,6 +14,7 @@ followed by float32 dB values, row-major.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -59,12 +60,9 @@ def write_cube(cube: DataCube, path) -> None:
         cube.params.adc_samples_per_chirp, cube.plan.frame_index,
         cube.plan.slot_interval_s, cube.params.digest(),
     )
-    payload = np.empty(cube.samples.shape + (2,), dtype="<f4")
-    payload[..., 0] = cube.samples.real
-    payload[..., 1] = cube.samples.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(np.ascontiguousarray(cube.samples, dtype="<c8"))
 
 
 def read_cube_header(path) -> CubeFileHeader:
@@ -85,7 +83,8 @@ def read_cube_header(path) -> CubeFileHeader:
 
 def read_cube(path, params: RadarParams) -> DataCube:
     """Read a cube and bind it to the given parameters (exact inverse of
-    ``write_cube`` up to the float32 storage width)."""
+    ``write_cube`` up to the float32 storage width).  The samples come back
+    as a writable complex64 array, the width they are stored in."""
     header = read_cube_header(path)
     plan = build_frame_plan(params, header.frame_index)
     if (header.n_rx, header.n_chirps, header.n_fast) != (
@@ -98,18 +97,18 @@ def read_cube(path, params: RadarParams) -> DataCube:
             f"cube PRI {header.pri_s} differs from the parameter set's "
             f"{plan.slot_interval_s} for frame {header.frame_index}")
 
+    shape = (header.n_rx, header.n_chirps, header.n_fast)
     expected = header.n_rx * header.n_chirps * header.n_fast * 8
     with open(path, "rb") as fh:
+        # Check the size first: a wrong-sized file is rejected unread.
+        size = os.fstat(fh.fileno()).st_size - _CUBE_HEADER.size
+        if size != expected:
+            raise CubeFormatError(
+                f"payload is {size} bytes, expected {expected} "
+                f"at offset {_CUBE_HEADER.size}")
         fh.seek(_CUBE_HEADER.size)
-        raw = fh.read()
-    if len(raw) != expected:
-        raise CubeFormatError(
-            f"payload is {len(raw)} bytes, expected {expected} "
-            f"at offset {_CUBE_HEADER.size}")
-    flat = np.frombuffer(raw, dtype="<f4").reshape(-1, 2)
-    samples = (flat[:, 0] + 1j * flat[:, 1]).astype(np.complex128)
-    samples = samples.reshape(header.n_rx, header.n_chirps, header.n_fast)
-    return DataCube(samples=samples, plan=plan, params=params)
+        samples = np.fromfile(fh, dtype="<c8", count=expected // 8)
+    return DataCube(samples=samples.reshape(shape), plan=plan, params=params)
 
 
 def digest_matches(path, params: RadarParams) -> bool:

@@ -4,7 +4,7 @@ phase compensation, angle estimation and range-azimuth map generation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .dsp import (
     CfarConfig,
     cfar_ca2d,
     noncoherent_integrate,
+    parabolic_offset,
     range_doppler_map,
     tdm_demux,
 )
@@ -69,8 +70,6 @@ class PipelineResult:
 
 def _refined_range_m(power_map, detection, range_bin_m: float) -> float:
     """Range with sub-bin parabolic refinement along the range axis."""
-    from .dsp import parabolic_offset
-
     r = detection.range_bin
     offset = 0.0
     if 0 < r < power_map.shape[1] - 1:
@@ -141,6 +140,8 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
         cfar = CfarConfig()
     if {cube_a.plan.frame_index % 2, cube_b.plan.frame_index % 2} != {0, 1}:
         raise InvalidParameterError("need one even and one odd frame of a staggered pair")
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be at least 1, got {workers}")
 
     varray = build_virtual_array(geometry)
     if not varray.overlapped_pairs:
@@ -151,8 +152,13 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
     detections = {}
     powers = {}
     for tag, cube in (("a", cube_a), ("b", cube_b)):
-        sub = tdm_demux(cube, cube.plan)
-        rd[tag] = range_doppler_map(sub, window_fast, window_slow)
+        full = range_doppler_map(tdm_demux(cube, cube.plan), window_fast, window_slow)
+        # Keep the one-sided beat spectrum: bins from n_fast/2 on are the
+        # negative-beat mirror, beyond max_unambiguous_range_m.  Copying
+        # the kept half lets the two-sided cube be freed at once.
+        rd[tag] = replace(full, values=np.ascontiguousarray(
+            full.values[..., :full.n_range // 2]))
+        del full
         powers[tag] = noncoherent_integrate(rd[tag])
         detections[tag] = cfar_ca2d(powers[tag], cfar,
                                     velocity_axis=rd[tag].velocity_axis,

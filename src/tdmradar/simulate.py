@@ -157,7 +157,8 @@ def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
         rng = _noise_rng(scene.rng_seed, frame_index)
         sigma = _noise_sigma(params, scene.snr_db)
         noise = rng.normal(scale=sigma / np.sqrt(2.0), size=(2,) + cube.shape)
-        cube += noise[0] + 1j * noise[1]
+        cube.real += noise[0]
+        cube.imag += noise[1]
 
     return DataCube(samples=cube, plan=plan, params=params)
 

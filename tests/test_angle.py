@@ -218,6 +218,19 @@ class TestRangeAzimuthMap:
         m_sum = range_azimuth_map(rd, varray, doppler_reduce="sum")
         assert (m_sum.power_db >= m_max.power_db - 1e-9).all()
 
+    def test_calibration_undoes_channel_gains(self, small_params, geometry, varray):
+        rng = np.random.default_rng(17)
+        gains = (rng.uniform(0.5, 2.0, (9, 16))
+                 * np.exp(1j * rng.uniform(-np.pi, np.pi, (9, 16))))
+        scene = single_target_scene(range_m=20.0, azimuth_deg=9.0, velocity_mps=2.0)
+        cube, rd = process_frame(scene, small_params, geometry)
+        rd_err = range_doppler_map(tdm_demux(inject_channel_errors(cube, gains), cube.plan))
+        clean = range_azimuth_map(rd, varray)
+        restored = range_azimuth_map(rd_err, varray, cal=CalibrationVector(gains, 5.0, 0.0))
+        above_floor = clean.power_db > clean.power_db.max() - 100.0
+        np.testing.assert_allclose(restored.power_db[above_floor],
+                                   clean.power_db[above_floor], atol=1e-6)
+
     def test_workers_bit_identical(self, small_params, geometry, varray):
         scene = single_target_scene(range_m=20.0, azimuth_deg=-12.0, velocity_mps=3.0,
                                     snr_db=20.0, seed=3)

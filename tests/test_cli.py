@@ -163,3 +163,17 @@ def test_corrupt_magic_exit_2(workdir, tmp_path):
                    "--out-det", str(tmp_path / "d.json"))
     assert proc.returncode == 2
     assert "magic" in proc.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"),
+                                         ("--pfa", "0")])
+def test_invalid_process_option_exit_2(workdir, tmp_path, flag, value):
+    proc = run_cli("process", "--in-a", str(workdir / "f0.rdc"),
+                   "--in-b", str(workdir / "f1.rdc"),
+                   "--params", str(workdir / "params.json"),
+                   "--geometry", str(workdir / "geometry.json"),
+                   "--out-map", str(tmp_path / "m.ram"),
+                   "--out-det", str(tmp_path / "d.json"), flag, value)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "m.ram").exists()

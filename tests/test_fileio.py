@@ -43,6 +43,14 @@ class TestCubeFormat:
         assert path.read_bytes() == path2.read_bytes()
         np.testing.assert_allclose(loaded.samples, cube.samples, rtol=1e-6, atol=1e-5)
 
+    def test_read_returns_writable_complex64(self, cube, small_params, tmp_path):
+        path = tmp_path / "frame.rdc"
+        write_cube(cube, path)
+        loaded = read_cube(path, small_params)
+        assert loaded.samples.dtype == np.complex64
+        assert loaded.samples.flags.writeable
+        loaded.samples[0, 0, 0] = 0.0
+
     def test_payload_size_arithmetic(self, cube, tmp_path):
         path = tmp_path / "frame.rdc"
         write_cube(cube, path)

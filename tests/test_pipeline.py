@@ -73,7 +73,37 @@ def test_empty_scene_pipeline_runs(pipeline_params, geometry):
     scene = Scene(targets=(), snr_db=20.0, rng_seed=0)
     a, b = simulate_frame_pair(scene, pipeline_params, geometry)
     result = run_pipeline(a, b, pipeline_params, geometry)
-    assert result.map_a.power_db.shape == (128, 256)
+    # one-sided range axis: n_fast/2 rows, all below max_unambiguous_range_m
+    assert result.map_a.power_db.shape == (64, 256)
+
+
+def test_file_cubes_match_in_memory_cubes(pipeline_params, geometry, tmp_path):
+    # complex64 cubes read from files give the detections of the complex128
+    # cubes they were written from
+    from tdmradar.fileio import read_cube, write_cube
+
+    scene = Scene(targets=(
+        PointTarget(range_m=12.0, velocity_mps=7.0, azimuth_deg=-15.0),
+        PointTarget(range_m=31.0, velocity_mps=-3.0, azimuth_deg=8.0, amplitude=0.6),
+    ), snr_db=20.0, rng_seed=21)
+    a, b = simulate_frame_pair(scene, pipeline_params, geometry)
+    loaded = []
+    for tag, cube in (("a", a), ("b", b)):
+        write_cube(cube, tmp_path / f"{tag}.rdc")
+        loaded.append(read_cube(tmp_path / f"{tag}.rdc", pipeline_params))
+    in_memory = run_pipeline(a, b, pipeline_params, geometry)
+    from_files = run_pipeline(*loaded, pipeline_params, geometry)
+
+    from tdmradar import folded_vmax
+
+    half_bin = folded_vmax(pipeline_params, 0) / 64
+    assert len(in_memory.detections) >= 2
+    assert len(from_files.detections) == len(in_memory.detections)
+    for mem, fil in zip(in_memory.detections, from_files.detections):
+        assert (fil.range_bin, fil.doppler_bin_a, fil.doppler_bin_b) == (
+            mem.range_bin, mem.doppler_bin_a, mem.doppler_bin_b)
+        assert fil.velocity_mps == pytest.approx(mem.velocity_mps, abs=half_bin)
+        assert fil.azimuth_deg == pytest.approx(mem.azimuth_deg, abs=0.5)
 
 
 def test_frame_parity_validated(pipeline_params, geometry):
