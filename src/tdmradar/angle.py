@@ -19,11 +19,14 @@ from .config import (
     VirtualArray,
     range_resolution,
 )
-from .dsp import RangeDopplerCube, tdm_demux
+from .dsp import RangeDopplerCube, noncoherent_integrate, range_doppler_map, tdm_demux
 from .simulate import DataCube
-from .unfold import VirtualSnapshot
+from .unfold import VirtualSnapshot, migration_rotation
 
 FLOOR_DB = -120.0
+
+# Angle FFT length: bins uniform in sin(azimuth) over [-1, 1).
+ANGLE_GRID_SIZE = 256
 
 # Doppler bins per step of the map loop; bounds the per-step temporaries.
 _DOPPLER_BLOCK = 8
@@ -48,6 +51,12 @@ class CalibrationVector:
         if np.any(self.gains == 0):
             raise InvalidParameterError("calibration gains may not contain zeros")
 
+    def check_shape(self, n_tx: int, n_rx: int) -> None:
+        """Raise unless the gains cover exactly an ``n_tx`` x ``n_rx`` array."""
+        if self.gains.shape != (n_tx, n_rx):
+            raise InvalidParameterError(
+                f"calibration {self.gains.shape} does not match the {(n_tx, n_rx)} array")
+
     def to_dict(self) -> dict:
         return {
             "reference": {"range_m": self.reference_range_m,
@@ -59,10 +68,13 @@ class CalibrationVector:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationVector":
-        flat = np.array([complex(re, im) for re, im in data["gains"]])
-        gains = flat.reshape(data["n_tx"], data["n_rx"])
+        gains = np.array([complex(re, im) for re, im in data["gains"]])
+        shape = (data["n_tx"], data["n_rx"])
+        if gains.size != shape[0] * shape[1]:
+            raise InvalidParameterError(
+                f"calibration lists {gains.size} gains for a {shape} array")
         ref = data.get("reference", {})
-        return cls(gains, ref.get("range_m", 0.0), ref.get("azimuth_deg", 0.0))
+        return cls(gains.reshape(shape), ref.get("range_m", 0.0), ref.get("azimuth_deg", 0.0))
 
 
 def steering_vector(geometry: ArrayGeometry, azimuth_deg: float) -> np.ndarray:
@@ -85,9 +97,8 @@ def estimate_calibration(cube: DataCube, plan: FramePlan, truth_range_m: float,
     response of the truth angle, and the result is normalized so the first
     element is 1+0j.
     """
-    sub = tdm_demux(cube, plan)
-    spectra = np.fft.fft(sub.values, axis=-1)
-    profile = np.mean(np.abs(spectra) ** 2, axis=(0, 1, 2))
+    rd = range_doppler_map(tdm_demux(cube, plan), "rect", "rect")
+    profile = noncoherent_integrate(rd).sum(axis=0)
 
     peak_bin = int(np.argmax(profile))
     keep = np.ones(profile.size, dtype=bool)
@@ -105,7 +116,8 @@ def estimate_calibration(cube: DataCube, plan: FramePlan, truth_range_m: float,
             f"dominant return at bin {peak_bin}, expected bin {expected_bin} "
             f"for the stated {truth_range_m} m reference")
 
-    response = np.mean(spectra[:, :, :, peak_bin], axis=2)
+    # The reflector is static, so its response sits in the zero-Doppler bin.
+    response = rd.values[:, :, rd.n_doppler // 2, peak_bin]
     gains = response / steering_vector(geometry, truth_azimuth_deg)
     gains = gains / gains[0, 0]
     return CalibrationVector(gains=gains, reference_range_m=truth_range_m,
@@ -115,10 +127,7 @@ def estimate_calibration(cube: DataCube, plan: FramePlan, truth_range_m: float,
 def apply_calibration(snapshot: VirtualSnapshot,
                       cal: CalibrationVector) -> VirtualSnapshot:
     """Divide each snapshot source by its channel's calibration gain."""
-    if (snapshot.source_tx.max() >= cal.gains.shape[0]
-            or snapshot.source_rx.max() >= cal.gains.shape[1]):
-        raise InvalidParameterError(
-            f"calibration matrix {cal.gains.shape} does not cover the snapshot's channels")
+    cal.check_shape(int(snapshot.source_tx.max()) + 1, int(snapshot.source_rx.max()) + 1)
     corrected = snapshot.values / cal.gains[snapshot.source_tx, snapshot.source_rx]
     return replace(snapshot, values=corrected)
 
@@ -157,20 +166,27 @@ class AngleSpectrum:
         return float(self.azimuth_deg[int(np.argmax(self.power_db))])
 
 
+def _angle_power(dense: np.ndarray, grid_size: int, axis: int = 0,
+                 workers: int = 1) -> np.ndarray:
+    """|FFT|^2 along ``axis``, zero-padded to ``grid_size``; bins unshifted."""
+    if grid_size < dense.shape[axis]:
+        raise InvalidParameterError(
+            f"grid_size {grid_size} smaller than the {dense.shape[axis]}-slot aperture")
+    return np.abs(scipy.fft.fft(dense, n=grid_size, axis=axis, workers=workers)) ** 2
+
+
+def _to_db(power: np.ndarray) -> np.ndarray:
+    return 10.0 * np.log10(np.maximum(power, 10.0 ** (FLOOR_DB / 10.0)))
+
+
 def angle_spectrum(positions: np.ndarray, values: np.ndarray,
-                   grid_size: int = 256) -> AngleSpectrum:
+                   grid_size: int = ANGLE_GRID_SIZE) -> AngleSpectrum:
     """Zero-padded spatial FFT over the half-wavelength ULA grid, with bins
     uniform in sin(azimuth) over [-1, 1); gaps in the ULA are zero-filled."""
     positions = np.asarray(positions, dtype=np.intp)
-    dense_length = int(positions.max()) + 1
-    if grid_size < dense_length:
-        raise InvalidParameterError(
-            f"grid_size {grid_size} smaller than the {dense_length}-slot aperture")
-    dense = np.zeros(dense_length, dtype=np.complex128)
+    dense = np.zeros(int(positions.max()) + 1, dtype=np.complex128)
     dense[positions] = values
-    spectrum = np.fft.fftshift(np.fft.fft(dense, n=grid_size))
-    power = np.abs(spectrum) ** 2
-    power_db = 10.0 * np.log10(np.maximum(power, 10.0 ** (FLOOR_DB / 10.0)))
+    power_db = _to_db(np.fft.fftshift(_angle_power(dense, grid_size)))
     sin_axis = 2.0 * (np.arange(grid_size) - grid_size // 2) / grid_size
     return AngleSpectrum(power_db=power_db, sin_axis=sin_axis,
                          azimuth_deg=np.degrees(np.arcsin(sin_axis)))
@@ -211,61 +227,54 @@ def _collapse_matrix(varray: VirtualArray) -> np.ndarray:
 def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
                       cal: CalibrationVector | None = None,
                       velocities: np.ndarray | None = None,
-                      grid_size: int = 256, doppler_reduce: str = "max",
                       workers: int = 1) -> RangeAzimuthMap:
     """Polar range-azimuth power map of one frame.
 
     For every Doppler bin the per-channel responses are calibrated,
     migration-compensated with that bin's velocity (resolved if available,
     otherwise the folded bin-center velocity), collapsed onto the virtual
-    ULA and transformed to an angle spectrum; Doppler is then reduced per
-    (range, azimuth) cell by ``max`` (default) or ``sum``.  ``workers`` is
-    the angle FFT's thread count; the map is bit-identical for any value.
+    ULA and transformed to an angle spectrum; each (range, azimuth) cell
+    keeps its strongest Doppler bin.  ``workers`` is the angle FFT's thread
+    count; the map is bit-identical for any value.
     """
-    if doppler_reduce not in ("max", "sum"):
-        raise InvalidParameterError("doppler_reduce must be 'max' or 'sum'")
     if workers < 1:
         raise InvalidParameterError(f"workers must be at least 1, got {workers}")
     values = rd.values
     n_tx, n_rx, n_doppler, n_range = values.shape
-    if velocities is None:
-        velocities = rd.velocity_axis
-    velocities = np.asarray(velocities, dtype=float)
+    if cal is not None:
+        cal.check_shape(n_tx, n_rx)
+    velocities = np.asarray(rd.velocity_axis if velocities is None else velocities,
+                            dtype=float)
     if velocities.size != n_doppler:
         raise InvalidParameterError("need one velocity per Doppler bin")
 
     collapse = _collapse_matrix(varray).astype(values.dtype)
-    dense_length = collapse.shape[0]
-    if grid_size < dense_length:
-        raise InvalidParameterError(
-            f"grid_size {grid_size} smaller than the {dense_length}-slot aperture")
 
     # Per-(tx, rx, Doppler) factor: migration compensation, divided by the
     # channel gain when calibrating.
-    rate = 4.0 * np.pi / rd.params.wavelength_m * rd.plan.slot_interval_s
-    scale = np.exp(-1j * rate * velocities[None, :] * np.arange(n_tx)[:, None])[:, None, :]
+    scale = migration_rotation(velocities[None, :], np.arange(n_tx)[:, None],
+                               rd.plan, rd.params.wavelength_m)[:, None, :]
     if cal is not None:
-        scale = scale / cal.gains[:n_tx, :n_rx, None]
+        scale = scale / cal.gains[:, :, None]
     scale = np.broadcast_to(scale, (n_tx, n_rx, n_doppler)).astype(values.dtype)
 
-    reduce = np.maximum if doppler_reduce == "max" else np.add
     total = 0.0
     for start in range(0, n_doppler, _DOPPLER_BLOCK):
         stop = min(start + _DOPPLER_BLOCK, n_doppler)
         chunk = values[:, :, start:stop, :] * scale[:, :, start:stop, None]
         flat = chunk.transpose(2, 0, 1, 3).reshape(stop - start, n_tx * n_rx, n_range)
-        spec = scipy.fft.fft(collapse @ flat, n=grid_size, axis=1, workers=workers)
-        total = reduce(total, reduce.reduce(np.abs(spec) ** 2, axis=0))
+        power = _angle_power(collapse @ flat, ANGLE_GRID_SIZE, axis=1, workers=workers)
+        total = np.maximum(total, power.max(axis=0))
 
-    # dB in float64 whatever the cube's precision, so floor cells read FLOOR_DB
-    total = np.fft.fftshift(total.astype(float), axes=0)
-    power_db = 10.0 * np.log10(np.maximum(total, 10.0 ** (FLOOR_DB / 10.0)))
+    # Shift once, after the Doppler reduction; dB in float64 whatever the
+    # cube's precision, so floor cells read FLOOR_DB.
+    power_db = _to_db(np.fft.fftshift(total.astype(float), axes=0))
     return RangeAzimuthMap(
         power_db=power_db.T,
         kind="polar",
         axis0_bin_width=rd.range_bin_m,
         axis0_origin=0.0,
-        axis1_bin_width=2.0 / grid_size,
+        axis1_bin_width=2.0 / ANGLE_GRID_SIZE,
         axis1_origin=-1.0,
     )
 

@@ -18,7 +18,6 @@ from .config import (
     ArrayGeometry,
     InvalidParameterError,
     RadarParams,
-    build_frame_plan,
 )
 from .demos import ALL_DEMOS
 from .dsp import CfarConfig
@@ -38,22 +37,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _load_params(path) -> RadarParams:
-    return RadarParams.from_json(path)
-
-
-def _load_geometry(path) -> ArrayGeometry:
-    return ArrayGeometry.from_json(path)
-
-
 def _sibling_path(path: str, suffix: str) -> str:
     p = Path(path)
     return str(p.with_name(p.stem + suffix + p.suffix))
 
 
 def _cmd_simulate(args) -> int:
-    params = _load_params(args.params)
-    geometry = _load_geometry(args.geometry)
+    params = RadarParams.from_json(args.params)
+    geometry = ArrayGeometry.from_json(args.geometry)
     scene = Scene.from_json(args.scene)
     if args.seed is not None:
         scene = Scene(targets=scene.targets, snr_db=scene.snr_db, rng_seed=args.seed)
@@ -65,8 +56,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_process(args) -> int:
-    params = _load_params(args.params)
-    geometry = _load_geometry(args.geometry)
+    params = RadarParams.from_json(args.params)
+    geometry = ArrayGeometry.from_json(args.geometry)
     for path in (args.in_a, args.in_b):
         if not fileio.digest_matches(path, params):
             print(f"warning: {path} was simulated with different parameters "
@@ -92,11 +83,10 @@ def _cmd_process(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    params = _load_params(args.params)
-    geometry = _load_geometry(args.geometry)
+    params = RadarParams.from_json(args.params)
+    geometry = ArrayGeometry.from_json(args.geometry)
     cube = fileio.read_cube(args.infile, params)
-    plan = build_frame_plan(params, cube.plan.frame_index)
-    cal = estimate_calibration(cube, plan, args.range, args.azimuth, params, geometry)
+    cal = estimate_calibration(cube, cube.plan, args.range, args.azimuth, params, geometry)
     fileio.write_calibration_json(cal, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -38,8 +38,8 @@ def _is_power_of_two(n: int) -> bool:
 class RadarParams:
     """FMCW waveform and frame timing for one staggered frame pair.
 
-    ``noise_snr_reference_db`` is the default post-range-FFT SNR for a
-    unit-amplitude target, used when a scene does not set its own level.
+    ``noise_snr_reference_db`` is read by nothing (a scene's ``snr_db`` sets
+    the noise, ``None`` is noiseless); it stays because the digest covers it.
     """
 
     carrier_frequency_hz: float
@@ -166,7 +166,7 @@ def azimuth_resolution_3db(aperture_halfwavelengths: float) -> float:
 
 
 def phase_migration(velocity_mps: float, delay_s: float, wavelength_m: float) -> float:
-    """Unwrapped phase (4*pi/lambda)*v*dt accumulated over a scheduling delay."""
+    """Unwrapped phase (4*pi/lambda)*v*dt over a scheduling delay; broadcasts."""
     _require(wavelength_m > 0, "wavelength must be positive")
     return 4.0 * math.pi / wavelength_m * velocity_mps * delay_s
 

@@ -12,6 +12,7 @@ from scipy.signal import find_peaks
 
 from .angle import angle_spectrum, assemble_snapshot, collapse_snapshot
 from .config import (
+    SPEED_OF_LIGHT,
     RadarParams,
     azimuth_resolution_3db,
     build_virtual_array,
@@ -44,22 +45,14 @@ class DemoResult:
         self.lines.append("     " + message)
 
 
-def _params_for_vmax(vmax_a: float, vmax_b: float, *, n_tx: int = 9, n_rx: int = 16,
-                     chirps: int = 32, n_fast: int = 128,
-                     chirp_duration: float = 25e-6) -> RadarParams:
-    """Radar parameters whose folded vmax per frame equals the given values."""
-    base = RadarParams(
-        carrier_frequency_hz=77e9, bandwidth_hz=250e6,
-        chirp_duration_s=chirp_duration, adc_samples_per_chirp=n_fast,
-        chirps_per_tx_per_frame=chirps, n_tx=n_tx, n_rx=n_rx,
-        pri_frame_a_s=chirp_duration, pri_frame_b_s=2 * chirp_duration)
-    wavelength = base.wavelength_m
+def _params_for_vmax(vmax_a: float, vmax_b: float) -> RadarParams:
+    """9 x 16 radar parameters whose folded vmax per frame equals the given values."""
+    wavelength = SPEED_OF_LIGHT / 77e9
     return RadarParams(
-        carrier_frequency_hz=77e9, bandwidth_hz=250e6,
-        chirp_duration_s=chirp_duration, adc_samples_per_chirp=n_fast,
-        chirps_per_tx_per_frame=chirps, n_tx=n_tx, n_rx=n_rx,
-        pri_frame_a_s=wavelength / (4.0 * n_tx * vmax_a),
-        pri_frame_b_s=wavelength / (4.0 * n_tx * vmax_b))
+        carrier_frequency_hz=77e9, bandwidth_hz=250e6, chirp_duration_s=25e-6,
+        adc_samples_per_chirp=128, chirps_per_tx_per_frame=32, n_tx=9, n_rx=16,
+        pri_frame_a_s=wavelength / (4.0 * 9 * vmax_a),
+        pri_frame_b_s=wavelength / (4.0 * 9 * vmax_b))
 
 
 def _strongest_cell(rd) -> tuple:

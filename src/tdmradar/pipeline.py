@@ -132,12 +132,13 @@ def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params,
 
 def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
                  geometry: ArrayGeometry, cal: CalibrationVector | None = None,
-                 cfar: CfarConfig | None = None, *, grid_size: int = 256,
-                 window_fast: str = "hann", window_slow: str = "hann",
-                 cartesian: bool = False, workers: int = 1,
-                 doppler_reduce: str = "max") -> PipelineResult:
-    if cfar is None:
-        cfar = CfarConfig()
+                 cfar: CfarConfig | None = None, *, cartesian: bool = False,
+                 workers: int = 1) -> PipelineResult:
+    """Process one staggered frame pair (Hann range/Doppler windows, default
+    angle grid); a mismatched calibration or non-finite samples raise."""
+    if cal is not None:
+        cal.check_shape(params.n_tx, params.n_rx)
+    cfar = CfarConfig() if cfar is None else cfar
     if {cube_a.plan.frame_index % 2, cube_b.plan.frame_index % 2} != {0, 1}:
         raise InvalidParameterError("need one even and one odd frame of a staggered pair")
     if workers < 1:
@@ -152,7 +153,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
     detections = {}
     powers = {}
     for tag, cube in (("a", cube_a), ("b", cube_b)):
-        full = range_doppler_map(tdm_demux(cube, cube.plan), window_fast, window_slow)
+        full = range_doppler_map(tdm_demux(cube, cube.plan))
         # Keep the one-sided beat spectrum: bins from n_fast/2 on are the
         # negative-beat mirror, beyond max_unambiguous_range_m.  Copying
         # the kept half lets the two-sided cube be freed at once.
@@ -160,6 +161,9 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
             full.values[..., :full.n_range // 2]))
         del full
         powers[tag] = noncoherent_integrate(rd[tag])
+        # A NaN or inf sample spreads through both FFTs into this small map.
+        if not np.isfinite(powers[tag]).all():
+            raise InvalidParameterError(f"frame {cube.plan.frame_index} has non-finite samples")
         detections[tag] = cfar_ca2d(powers[tag], cfar,
                                     velocity_axis=rd[tag].velocity_axis,
                                     frame_index=cube.plan.frame_index)
@@ -174,7 +178,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
         velocity, compensated = unfold_detection(det_a, det_b, rd_a, rd_b,
                                                  varray, params, cal=cal)
         positions, collapsed = collapse_snapshot(compensated)
-        spectrum = angle_spectrum(positions, collapsed, grid_size)
+        spectrum = angle_spectrum(positions, collapsed)
 
         velocities_a[det_a.doppler_bin] = velocity
         if det_b is not None:
@@ -189,12 +193,8 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
             doppler_bin_b=det_b.doppler_bin if det_b is not None else None,
         ))
 
-    map_a = range_azimuth_map(rd_a, varray, cal=cal, velocities=velocities_a,
-                              grid_size=grid_size, doppler_reduce=doppler_reduce,
-                              workers=workers)
-    map_b = range_azimuth_map(rd_b, varray, cal=cal, velocities=velocities_b,
-                              grid_size=grid_size, doppler_reduce=doppler_reduce,
-                              workers=workers)
+    map_a, map_b = (range_azimuth_map(rd_x, varray, cal=cal, velocities=v, workers=workers)
+                    for rd_x, v in ((rd_a, velocities_a), (rd_b, velocities_b)))
 
     result = PipelineResult(map_a=map_a, map_b=map_b, detections=resolved,
                             detections_a=detections["a"], detections_b=detections["b"])

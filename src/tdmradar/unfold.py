@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import FramePlan, InvalidParameterError, VirtualArray
+from .config import FramePlan, InvalidParameterError, VirtualArray, phase_migration
 
 
 class UnsupportedGeometryError(ValueError):
@@ -81,14 +81,21 @@ class VirtualSnapshot:
             raise InvalidParameterError("snapshot values must be finite")
 
 
+def migration_rotation(velocity_mps, tx, plan: FramePlan,
+                       wavelength_m: float) -> np.ndarray:
+    """exp(-j*phase_migration(v, k*slot_interval)) for TX index k, broadcast
+    over array-valued velocities and TX indices; TX 0 is the phase reference."""
+    return np.exp(-1j * phase_migration(velocity_mps, tx * plan.slot_interval_s, wavelength_m))
+
+
 def compensate_tdm_phase(snapshot: VirtualSnapshot, velocity_mps: float,
                          plan: FramePlan, wavelength_m: float) -> VirtualSnapshot:
     """Remove the scheduling-delay migration: the value from TX k is rotated
-    by exp(-j*(4*pi/lambda)*v*k*slot_interval); TX 0 is the phase reference."""
+    by ``migration_rotation(v, k)``."""
     if not np.isfinite(velocity_mps):
         raise InvalidParameterError("velocity must be finite")
-    rate = 4.0 * np.pi / wavelength_m * velocity_mps * plan.slot_interval_s
-    rotated = snapshot.values * np.exp(-1j * rate * snapshot.source_tx)
+    rotated = snapshot.values * migration_rotation(velocity_mps, snapshot.source_tx,
+                                                   plan, wavelength_m)
     return replace(snapshot, values=rotated)
 
 
@@ -124,9 +131,9 @@ def resolve_velocity(snapshot: VirtualSnapshot, candidates, varray: VirtualArray
             "geometry has no overlapped elements from distinct TXs")
 
     side_a, side_b = _overlap_groups(snapshot, varray)
-    rate = 4.0 * np.pi / wavelength_m * plan.slot_interval_s
     # (n_candidates, n_sources) compensated snapshots in one shot
-    rotations = np.exp(-1j * rate * np.outer(candidates, snapshot.source_tx))
+    rotations = migration_rotation(candidates[:, None], snapshot.source_tx[None, :],
+                                   plan, wavelength_m)
     compensated = rotations * snapshot.values[None, :]
     mean_a = compensated @ side_a.T
     mean_b = compensated @ side_b.T

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from tdmradar import (
+    CalibrationVector,
     RadarParams,
     default_geometry,
     run_pipeline,
 )
-from tdmradar.fileio import read_cube, read_map, write_map
+from tdmradar.fileio import read_cube, read_map, write_calibration_json, write_cube, write_map
 
 CLI = [sys.executable, "-m", "tdmradar.cli"]
 
@@ -177,3 +178,51 @@ def test_invalid_process_option_exit_2(workdir, tmp_path, flag, value):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "m.ram").exists()
+
+
+def _process_data_error(workdir, tmp_path, in_a, in_b, *extra):
+    """Run ``process`` and check it ends in one clean data-error line."""
+    proc = run_cli("process", "--in-a", str(in_a), "--in-b", str(in_b),
+                   "--params", str(workdir / "params.json"),
+                   "--geometry", str(workdir / "geometry.json"),
+                   "--out-map", str(tmp_path / "m.ram"),
+                   "--out-det", str(tmp_path / "d.json"), *extra)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("tdmradar: error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "m.ram").exists()
+    return proc
+
+
+def test_non_finite_cube_exit_2(workdir, tmp_path):
+    params = RadarParams.from_json(workdir / "params.json")
+    cube = read_cube(workdir / "f0.rdc", params)
+    cube.samples[2, 5, 9] = np.nan
+    write_cube(cube, tmp_path / "nan.rdc")
+    proc = _process_data_error(workdir, tmp_path, tmp_path / "nan.rdc", workdir / "f1.rdc")
+    assert "non-finite" in proc.stderr
+
+
+def test_malformed_calibration_json_exit_2(workdir, tmp_path):
+    cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
+    cal["gains"] = cal["gains"][:100]
+    (tmp_path / "cal.json").write_text(json.dumps(cal))
+    _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
+                        "--cal", str(tmp_path / "cal.json"))
+
+
+@pytest.mark.parametrize("shape, scene", [((10, 17), "scene.json"),
+                                          ((2, 3), "empty_scene.json")])
+def test_calibration_shape_mismatch_exit_2(workdir, tmp_path, shape, scene):
+    (workdir / "empty_scene.json").write_text(
+        json.dumps({"targets": [], "snr_db": 20.0, "rng_seed": 1}))
+    run_cli("simulate", "--scene", str(workdir / scene),
+            "--params", str(workdir / "params.json"),
+            "--geometry", str(workdir / "geometry.json"),
+            "--out-a", str(tmp_path / "a.rdc"), "--out-b", str(tmp_path / "b.rdc"),
+            check=True)
+    write_calibration_json(CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0),
+                           tmp_path / "cal.json")
+    proc = _process_data_error(workdir, tmp_path, tmp_path / "a.rdc", tmp_path / "b.rdc",
+                               "--cal", str(tmp_path / "cal.json"))
+    assert "calibration" in proc.stderr

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from tdmradar import (
+    CalibrationVector,
     CfarConfig,
+    InvalidParameterError,
     PointTarget,
     RadarParams,
     Scene,
     cfar_ca2d,
     noncoherent_integrate,
     range_doppler_map,
+    pipeline,
     run_pipeline,
     simulate_frame_pair,
     tdm_demux,
@@ -143,3 +146,48 @@ def test_unfolds_beyond_single_frame_vmax(pipeline_params, geometry):
 
         half_bin = folded_vmax(pipeline_params, 0) / 64
         assert det.velocity_mps == pytest.approx(v_true, abs=half_bin + 1e-9)
+
+
+def test_detection_azimuth_matches_map_peak(pipeline_params, geometry):
+    # the per-detection and the per-map beamformer agree on every detection
+    rng = np.random.default_rng(4)
+    for seed in range(20):
+        scene = single_target_scene(range_m=rng.uniform(5.0, 35.0),
+                                    velocity_mps=rng.uniform(-20.0, 20.0),
+                                    azimuth_deg=rng.uniform(-30.0, 30.0),
+                                    snr_db=20.0, seed=seed)
+        a, b = simulate_frame_pair(scene, pipeline_params, geometry)
+        result = run_pipeline(a, b, pipeline_params, geometry)
+        assert result.detections, f"no detection for seed {seed}"
+        sin_axis = result.map_a.axis1()
+        for det in result.detections:
+            peak = np.argmax(result.map_a.power_db[det.range_bin])
+            assert det.azimuth_deg == np.degrees(np.arcsin(sin_axis[peak])), seed
+
+
+@pytest.mark.parametrize("shape", [(10, 17), (2, 3)])
+def test_calibration_shape_checked_before_any_fft(pipeline_params, geometry,
+                                                  monkeypatch, shape):
+    a, b = simulate_frame_pair(single_target_scene(range_m=20.0), pipeline_params, geometry)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("range_doppler_map ran before the calibration check")
+
+    monkeypatch.setattr(pipeline, "range_doppler_map", no_fft)
+    cal = CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0)
+    with pytest.raises(InvalidParameterError, match="calibration"):
+        run_pipeline(a, b, pipeline_params, geometry, cal=cal)
+
+
+@pytest.mark.parametrize("bad", [
+    np.nan,
+    # the complex window multiply turns inf into NaN parts, and numpy warns
+    pytest.param(np.inf, marks=pytest.mark.filterwarnings(
+        "ignore:invalid value encountered in multiply:RuntimeWarning")),
+])
+def test_non_finite_samples_rejected(pipeline_params, geometry, bad):
+    scene = single_target_scene(range_m=20.0, azimuth_deg=5.0, snr_db=20.0)
+    a, b = simulate_frame_pair(scene, pipeline_params, geometry)
+    a.samples[0, 0, 0] = bad
+    with pytest.raises(InvalidParameterError, match=r"frame 0 has non-finite"):
+        run_pipeline(a, b, pipeline_params, geometry)
