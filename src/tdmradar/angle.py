@@ -5,7 +5,6 @@ polar and Cartesian coordinates."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -17,6 +16,7 @@ from .config import (
     InvalidParameterError,
     RadarParams,
     VirtualArray,
+    _averaging_matrix,
     range_resolution,
 )
 from .dsp import RangeDopplerCube, noncoherent_integrate, range_doppler_map, tdm_demux
@@ -68,7 +68,10 @@ class CalibrationVector:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationVector":
-        gains = np.array([complex(re, im) for re, im in data["gains"]])
+        try:
+            gains = np.array([complex(re, im) for re, im in data["gains"]])
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"calibration gain is not an [re, im] pair: {exc}") from None
         shape = (data["n_tx"], data["n_rx"])
         if gains.size != shape[0] * shape[1]:
             raise InvalidParameterError(
@@ -149,10 +152,7 @@ def assemble_snapshot(rd: RangeDopplerCube, cell: tuple,
 def collapse_snapshot(snapshot: VirtualSnapshot):
     """Average co-located sources: returns (unique positions, mean values)."""
     positions, inverse = np.unique(snapshot.source_position, return_inverse=True)
-    sums = np.zeros(positions.size, dtype=np.complex128)
-    np.add.at(sums, inverse, snapshot.values)
-    counts = np.bincount(inverse, minlength=positions.size)
-    return positions, sums / counts
+    return positions, _averaging_matrix(inverse, positions.size) @ snapshot.values
 
 
 @dataclass
@@ -212,18 +212,6 @@ class RangeAzimuthMap:
         return self.axis1_origin + np.arange(self.power_db.shape[1]) * self.axis1_bin_width
 
 
-@lru_cache(maxsize=8)
-def _collapse_matrix(varray: VirtualArray) -> np.ndarray:
-    """(dense ULA slots, n_tx*n_rx) averaging matrix mapping flattened
-    channel responses onto the zero-filled position grid."""
-    tx, rx, pos = varray.source_table()
-    dense_length = int(max(varray.virtual_positions)) + 1
-    matrix = np.zeros((dense_length, varray.n_tx * varray.n_rx))
-    counts = np.bincount(pos, minlength=dense_length).astype(float)
-    matrix[pos, tx * varray.n_rx + rx] = 1.0 / counts[pos]
-    return matrix
-
-
 def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
                       cal: CalibrationVector | None = None,
                       velocities: np.ndarray | None = None,
@@ -248,7 +236,11 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
     if velocities.size != n_doppler:
         raise InvalidParameterError("need one velocity per Doppler bin")
 
-    collapse = _collapse_matrix(varray).astype(values.dtype)
+    # Averages co-located channels onto the zero-filled ULA grid, with the
+    # columns put in the cube's tx * n_rx + rx channel order.
+    tx, rx, pos = varray.source_table()
+    collapse = _averaging_matrix(pos, int(pos.max()) + 1)[:, np.argsort(tx * n_rx + rx)]
+    collapse = collapse.astype(values.dtype)
 
     # Per-(tx, rx, Doppler) factor: migration compensation, divided by the
     # channel gain when calibrating.

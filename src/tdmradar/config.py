@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -94,6 +94,11 @@ class RadarParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RadarParams":
+        _require(isinstance(data, dict), "params must be a JSON object")
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        _require(not unknown and not missing,
+                 f"params: unknown fields {unknown}, missing fields {missing}")
         return cls(**data)
 
     @classmethod
@@ -217,13 +222,12 @@ class ArrayGeometry:
         _require(len(self.tx_positions) > 0, "tx_positions may not be empty")
         _require(len(self.rx_positions) > 0, "rx_positions may not be empty")
         for p in tuple(self.tx_positions) + tuple(self.rx_positions):
-            _require(isinstance(p, (int, np.integer)) and p >= 0,
-                     "positions must be non-negative integers on the half-wavelength grid")
+            _require(isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 0,
+                     f"position {p!r} is not a non-negative half-wavelength grid index")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArrayGeometry":
-        return cls(tuple(int(p) for p in data["tx_positions"]),
-                   tuple(int(p) for p in data["rx_positions"]))
+        return cls(tuple(data["tx_positions"]), tuple(data["rx_positions"]))
 
     @classmethod
     def from_json(cls, path) -> "ArrayGeometry":
@@ -278,6 +282,14 @@ class VirtualArray:
         return (np.asarray(tx, dtype=np.intp),
                 np.asarray(rx, dtype=np.intp),
                 np.asarray(pos, dtype=np.intp))
+
+
+def _averaging_matrix(labels: np.ndarray, n_groups: int) -> np.ndarray:
+    """(n_groups, labels.size) matrix whose row g holds 1/count at the
+    entries labelled g: a product with it averages each group."""
+    matrix = np.zeros((n_groups, labels.size))
+    matrix[labels, np.arange(labels.size)] = 1.0 / np.bincount(labels, minlength=n_groups)[labels]
+    return matrix
 
 
 def build_virtual_array(geometry: ArrayGeometry) -> VirtualArray:

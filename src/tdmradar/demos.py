@@ -19,7 +19,7 @@ from .config import (
     default_geometry,
     range_resolution,
 )
-from .dsp import make_window, noncoherent_integrate, range_doppler_map, tdm_demux
+from .dsp import noncoherent_integrate, range_doppler_map, tdm_demux
 from .simulate import PointTarget, Scene, simulate_frame, simulate_frame_pair
 from .unfold import (
     CandidateSet,
@@ -226,7 +226,7 @@ def demo_resolution_range() -> DemoResult:
     # spectrum (the 0.6 m spacing is exactly one bin, so the dip between the
     # two returns lies between grid points of the unpadded FFT).
     pad = 8
-    beat = cube.samples.mean(axis=(0, 1)) * make_window("rect", params.adc_samples_per_chirp)
+    beat = cube.samples.mean(axis=(0, 1))
     profile = np.abs(np.fft.fft(beat, n=pad * params.adc_samples_per_chirp)) ** 2
     profile = profile[:profile.size // 2]
     profile_db = 10.0 * np.log10(np.maximum(profile, profile.max() * 1e-12))

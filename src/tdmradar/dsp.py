@@ -21,52 +21,34 @@ from .config import (
 from .simulate import DataCube
 
 
-def make_window(name: str, length: int) -> np.ndarray:
-    """Periodic window by name; 'rect' keeps Parseval bookkeeping exact."""
-    if name in ("rect", "rectangular", "boxcar"):
-        return np.ones(length)
-    return get_window(name, length, fftbins=True)
-
-
 @dataclass
 class TxSubCubes:
     """Demultiplexed per-TX chirp stacks.  ``values`` is indexed
-    (tx, rx, chirp-of-this-tx, fast time); ``slot_offsets_s[k]`` is TX k's
-    scheduling delay within one revisit interval."""
+    (tx, rx, chirp-of-this-tx, fast time); TX k fires k slots
+    (``k * plan.slot_interval_s``) into each revisit interval."""
 
     values: np.ndarray
-    slot_offsets_s: np.ndarray
     plan: FramePlan
     params: RadarParams
 
 
 def tdm_demux(cube: DataCube, plan: FramePlan) -> TxSubCubes:
-    """Split a raw cube into one chirp stack per TX, order preserved."""
+    """Split a raw cube into one chirp stack per TX, order preserved.  Only
+    the round-robin schedule that ``build_frame_plan`` makes is accepted."""
     params = cube.params
     order = np.asarray(plan.tx_order)
     if cube.samples.shape[1] != order.size:
         raise InvalidParameterError(
             f"cube has {cube.samples.shape[1]} chirps but plan schedules {order.size}")
+    if not np.array_equal(order, np.tile(np.arange(params.n_tx),
+                                         params.chirps_per_tx_per_frame)):
+        raise InvalidParameterError("TX schedule is not round-robin")
 
-    canonical = np.tile(np.arange(params.n_tx), params.chirps_per_tx_per_frame)
-    if np.array_equal(order, canonical):
-        # Round-robin order reduces to a reshape (no per-TX gather copies).
-        n_rx, _, n_fast = cube.samples.shape
-        values = cube.samples.reshape(
-            n_rx, params.chirps_per_tx_per_frame, params.n_tx, n_fast
-        ).transpose(2, 0, 1, 3)
-    else:
-        stacks = []
-        for k in range(params.n_tx):
-            idx = np.nonzero(order == k)[0]
-            if idx.size != params.chirps_per_tx_per_frame:
-                raise InvalidParameterError(
-                    f"TX {k} appears {idx.size} times, expected "
-                    f"{params.chirps_per_tx_per_frame}")
-            stacks.append(cube.samples[:, idx, :])
-        values = np.stack(stacks, axis=0)
-    offsets = np.arange(params.n_tx) * plan.slot_interval_s
-    return TxSubCubes(values=values, slot_offsets_s=offsets, plan=plan, params=params)
+    n_rx, _, n_fast = cube.samples.shape
+    values = cube.samples.reshape(
+        n_rx, params.chirps_per_tx_per_frame, params.n_tx, n_fast
+    ).transpose(2, 0, 1, 3)
+    return TxSubCubes(values=values, plan=plan, params=params)
 
 
 @dataclass
@@ -106,8 +88,8 @@ def range_doppler_map(sub: TxSubCubes, window_fast: str = "hann",
     params = sub.params
     n_fast = sub.values.shape[-1]
     n_slow = sub.values.shape[-2]
-    wf = make_window(window_fast, n_fast)
-    ws = make_window(window_slow, n_slow)
+    wf = get_window(window_fast, n_fast, fftbins=True)
+    ws = get_window(window_slow, n_slow, fftbins=True)
 
     # Both windows are applied up front (the FFTs are linear, so windowing
     # slow time before the fast-time FFT is equivalent) to save a full-cube
@@ -159,9 +141,10 @@ class Detection:
     frame_index: int
 
 
-def parabolic_offset(left: float, center: float, right: float) -> float:
-    """Sub-bin peak offset from a 3-point quadratic fit of dB values,
-    clamped to half a bin."""
+def parabolic_offset(powers: np.ndarray) -> float:
+    """Sub-bin peak offset from a 3-point quadratic fit to the dB values of
+    three linear powers (left, center, right), clamped to half a bin."""
+    left, center, right = 10.0 * np.log10(np.maximum(powers, 1e-300))
     denom = left - 2.0 * center + right
     if denom >= 0:
         return 0.0
@@ -224,12 +207,9 @@ def cfar_ca2d(power_map: np.ndarray, config: CfarConfig,
         vel = 0.0
         if velocity_axis is not None:
             # refine the folded velocity below bin quantization (Doppler wraps)
-            db = 10.0 * np.log10(np.maximum(
-                power_map[[(d_bin - 1) % n_dop, d_bin, (d_bin + 1) % n_dop], r_bin],
-                1e-300))
+            around = power_map[[(d_bin - 1) % n_dop, d_bin, (d_bin + 1) % n_dop], r_bin]
             step = velocity_axis[1] - velocity_axis[0] if velocity_axis.size > 1 else 0.0
-            vel = float(velocity_axis[d_bin]
-                        + parabolic_offset(db[0], db[1], db[2]) * step)
+            vel = float(velocity_axis[d_bin] + parabolic_offset(around) * step)
         detections.append(Detection(
             range_bin=int(r_bin),
             doppler_bin=int(d_bin),

@@ -71,12 +71,9 @@ class PipelineResult:
 def _refined_range_m(power_map, detection, range_bin_m: float) -> float:
     """Range with sub-bin parabolic refinement along the range axis."""
     r = detection.range_bin
-    offset = 0.0
-    if 0 < r < power_map.shape[1] - 1:
-        db = 10.0 * np.log10(np.maximum(
-            power_map[detection.doppler_bin, r - 1:r + 2], 1e-300))
-        offset = parabolic_offset(db[0], db[1], db[2])
-    return (r + offset) * range_bin_m
+    if not 0 < r < power_map.shape[1] - 1:
+        return r * range_bin_m
+    return (r + parabolic_offset(power_map[detection.doppler_bin, r - 1:r + 2])) * range_bin_m
 
 
 def _match_across_frames(dets_a, dets_b):
@@ -98,20 +95,20 @@ def _match_across_frames(dets_a, dets_b):
 
 
 def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params,
-                     cal: CalibrationVector | None = None,
-                     use_crt: bool = True):
+                     cal: CalibrationVector | None = None):
     """Resolve one detection's true velocity from a frame pair.
 
-    Candidate aliases come from frame a (and, with ``use_crt``, are narrowed
-    by intersecting with frame b's aliases; an empty intersection falls back
-    to the union of both sets).  The final pick compares overlapped-element
-    phases on frame a's snapshot.  Returns (velocity, compensated snapshot).
+    Candidate aliases come from frame a; when frame b has a matching
+    detection they are narrowed to the CRT intersection with frame b's
+    aliases (an empty intersection falls back to the union of both sets).
+    The final pick compares overlapped-element phases on frame a's
+    snapshot.  Returns (velocity, compensated snapshot).
     """
     wavelength = params.wavelength_m
     set_a = crt_candidates(det_a.folded_velocity_mps, rd_a.folded_vmax_mps,
                            params.n_tx, frame_index=rd_a.plan.frame_index)
     candidates = set_a.candidates
-    if use_crt and det_b is not None:
+    if det_b is not None:
         set_b = crt_candidates(det_b.folded_velocity_mps, rd_b.folded_vmax_mps,
                                params.n_tx, frame_index=rd_b.plan.frame_index)
         tolerance = max(rd_a.velocity_bin_mps, rd_b.velocity_bin_mps) / 2.0

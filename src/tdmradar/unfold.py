@@ -9,7 +9,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import FramePlan, InvalidParameterError, VirtualArray, phase_migration
+from .config import (FramePlan, InvalidParameterError, VirtualArray, _averaging_matrix,
+                     phase_migration)
 
 
 class UnsupportedGeometryError(ValueError):
@@ -101,19 +102,17 @@ def compensate_tdm_phase(snapshot: VirtualSnapshot, velocity_mps: float,
 
 def _overlap_groups(snapshot: VirtualSnapshot, varray: VirtualArray):
     """Averaging matrices for the two TX groups of every overlapped pair."""
-    n_src = snapshot.values.size
     n_pairs = len(varray.overlapped_pairs)
-    side_a = np.zeros((n_pairs, n_src))
-    side_b = np.zeros((n_pairs, n_src))
+    labels = np.full(snapshot.values.size, 2 * n_pairs)  # sources in no pair
     for row, (pos, (tx_a, _), (tx_b, _)) in enumerate(varray.overlapped_pairs):
-        for side, tx in ((side_a, tx_a), (side_b, tx_b)):
-            members = (snapshot.source_position == pos) & (snapshot.source_tx == tx)
-            count = int(members.sum())
-            if count == 0:
-                raise InvalidParameterError(
-                    "snapshot does not cover the virtual array's overlapped pairs")
-            side[row, members] = 1.0 / count
-    return side_a, side_b
+        at_pos = snapshot.source_position == pos
+        labels[at_pos & (snapshot.source_tx == tx_a)] = 2 * row
+        labels[at_pos & (snapshot.source_tx == tx_b)] = 2 * row + 1
+    groups = _averaging_matrix(labels, 2 * n_pairs + 1)[:-1]
+    if not groups.any(axis=1).all():
+        raise InvalidParameterError(
+            "snapshot does not cover the virtual array's overlapped pairs")
+    return groups[0::2], groups[1::2]
 
 
 def resolve_velocity(snapshot: VirtualSnapshot, candidates, varray: VirtualArray,

@@ -65,8 +65,7 @@ _MC_PARAMS = tr.RadarParams(77e9, 250e6, 20e-6, 64, 32, 9, 16, 21.0e-6, 27.2e-6)
 _MC_CFAR = tr.CfarConfig(training=(6, 4), guard=(3, 2), pfa=1e-3)
 
 
-def _unfold_trial(v_true, range_m, azimuth_deg, seed, snr_db, geometry, varray,
-                  use_crt=True):
+def _unfold_trial(v_true, range_m, azimuth_deg, seed, snr_db, geometry, varray):
     scene = tr.Scene(targets=(tr.PointTarget(range_m, v_true, azimuth_deg),),
                      snr_db=snr_db, rng_seed=seed)
     frame_a, frame_b = tr.simulate_frame_pair(scene, _MC_PARAMS, geometry)
@@ -81,8 +80,7 @@ def _unfold_trial(v_true, range_m, azimuth_deg, seed, snr_db, geometry, varray,
     det_a = max(dets["a"], key=lambda d: d.power_db)
     pair = _match_across_frames([det_a], dets["b"])[0]
     det_b = dets["b"][pair[1]] if pair[1] is not None else None
-    velocity, _ = unfold_detection(det_a, det_b, rds["a"], rds["b"], varray,
-                                   _MC_PARAMS, use_crt=use_crt)
+    velocity, _ = unfold_detection(det_a, det_b, rds["a"], rds["b"], varray, _MC_PARAMS)
     return velocity
 
 

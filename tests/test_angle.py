@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from tdmradar import (
     CalibrationVector,
     InvalidParameterError,
     RadarParams,
+    VirtualSnapshot,
     angle_spectrum,
     apply_calibration,
     assemble_snapshot,
     build_virtual_array,
     collapse_snapshot,
+    compensate_tdm_phase,
     estimate_calibration,
     inject_channel_errors,
     noncoherent_integrate,
@@ -159,6 +163,23 @@ class TestAssembleSnapshot:
             assemble_snapshot(rd, (rd.n_range, 0), varray)
 
 
+class TestCollapseSnapshot:
+    @pytest.mark.parametrize("tx_positions, means", [
+        # source (tx, rx) carries 1 + 10*tx + rx
+        ((0, 1), [1.0, (2 + 11) / 2, (3 + 12) / 2, 13.0]),
+        ((0, 1, 2), [1.0, (2 + 11) / 2, (3 + 12 + 21) / 3, (13 + 22) / 2, 23.0]),
+    ])
+    def test_unequal_multiplicity_means(self, tx_positions, means):
+        va = build_virtual_array(ArrayGeometry(tx_positions, (0, 1, 2)))
+        tx, rx, pos = va.source_table()
+        values = (1.0 + 10.0 * tx + rx) * (1.0 - 2.0j)
+        snapshot = VirtualSnapshot(values=values, source_tx=tx, source_rx=rx,
+                                   source_position=pos, cell=(0, 0), frame_index=0)
+        positions, collapsed = collapse_snapshot(snapshot)
+        np.testing.assert_array_equal(positions, np.arange(len(means)))
+        np.testing.assert_allclose(collapsed, np.asarray(means) * (1.0 - 2.0j), rtol=1e-15)
+
+
 class TestAngleSpectrum:
     def test_boresight_peak(self, small_params, geometry, varray):
         scene = single_target_scene(range_m=15.0, azimuth_deg=0.0)
@@ -237,6 +258,28 @@ class TestRangeAzimuthMap:
         m1 = range_azimuth_map(rd, varray, workers=1)
         m4 = range_azimuth_map(rd, varray, workers=4)
         assert np.array_equal(m1.power_db, m4.power_db)
+
+    def test_rows_match_detection_beamforming(self, small_params, geometry, varray):
+        # With one Doppler bin left, each map row is that bin's spectrum, so it
+        # must equal the per-detection chain (assemble, compensate, collapse,
+        # angle FFT) at the same cell and velocity.
+        scene = single_target_scene(range_m=20.0, azimuth_deg=-12.0, velocity_mps=3.0,
+                                    snr_db=20.0, seed=5)
+        _, rd = process_frame(scene, small_params, geometry)
+        r0, d = peak_cell(noncoherent_integrate(rd))
+        values = np.zeros_like(rd.values)
+        values[:, :, d, :] = rd.values[:, :, d, :]
+        rd = replace(rd, values=values)
+        pmap = range_azimuth_map(rd, varray)
+        for r in (r0 - 1, r0, r0 + 1):
+            snapshot = compensate_tdm_phase(assemble_snapshot(rd, (r, d), varray),
+                                            rd.velocity_axis[d], rd.plan,
+                                            small_params.wavelength_m)
+            spectrum = angle_spectrum(*collapse_snapshot(snapshot))
+            above = (spectrum.power_db > FLOOR_DB) & (pmap.power_db[r] > FLOOR_DB)
+            assert above.sum() > 200
+            np.testing.assert_allclose(pmap.power_db[r, above], spectrum.power_db[above],
+                                       rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("shape", [(10, 17), (2, 3)])
     def test_calibration_shape_mismatch(self, small_params, geometry, varray, shape):

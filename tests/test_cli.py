@@ -180,6 +180,15 @@ def test_invalid_process_option_exit_2(workdir, tmp_path, flag, value):
     assert not (tmp_path / "m.ram").exists()
 
 
+def _check_data_error(proc, output):
+    """Check a CLI run ended in one clean data-error line and wrote nothing."""
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("tdmradar: error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not output.exists()
+    return proc
+
+
 def _process_data_error(workdir, tmp_path, in_a, in_b, *extra):
     """Run ``process`` and check it ends in one clean data-error line."""
     proc = run_cli("process", "--in-a", str(in_a), "--in-b", str(in_b),
@@ -187,11 +196,7 @@ def _process_data_error(workdir, tmp_path, in_a, in_b, *extra):
                    "--geometry", str(workdir / "geometry.json"),
                    "--out-map", str(tmp_path / "m.ram"),
                    "--out-det", str(tmp_path / "d.json"), *extra)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("tdmradar: error:")
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert not (tmp_path / "m.ram").exists()
-    return proc
+    return _check_data_error(proc, tmp_path / "m.ram")
 
 
 def test_non_finite_cube_exit_2(workdir, tmp_path):
@@ -226,3 +231,45 @@ def test_calibration_shape_mismatch_exit_2(workdir, tmp_path, shape, scene):
     proc = _process_data_error(workdir, tmp_path, tmp_path / "a.rdc", tmp_path / "b.rdc",
                                "--cal", str(tmp_path / "cal.json"))
     assert "calibration" in proc.stderr
+
+
+@pytest.mark.parametrize("gain", [[1, 0, 0], ["a", 0]])
+def test_malformed_calibration_gain_exit_2(workdir, tmp_path, gain):
+    cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
+    cal["gains"][7] = gain
+    (tmp_path / "cal.json").write_text(json.dumps(cal))
+    proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
+                               "--cal", str(tmp_path / "cal.json"))
+    assert "calibration gain" in proc.stderr
+
+
+def _simulate_data_error(workdir, tmp_path, params_path, geometry_path):
+    """Run ``simulate`` and check it ends in one clean data-error line."""
+    proc = run_cli("simulate", "--scene", str(workdir / "scene.json"),
+                   "--params", str(params_path), "--geometry", str(geometry_path),
+                   "--out-a", str(tmp_path / "a.rdc"), "--out-b", str(tmp_path / "b.rdc"))
+    return _check_data_error(proc, tmp_path / "a.rdc")
+
+
+@pytest.mark.parametrize("key, value", [("n_chirps", 64), ("n_tx", None)])
+def test_malformed_params_json_exit_2(workdir, tmp_path, key, value):
+    # an unknown field, and a required field left out (value None)
+    params = json.loads((workdir / "params.json").read_text())
+    if value is None:
+        del params[key]
+    else:
+        params[key] = value
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    proc = _simulate_data_error(workdir, tmp_path, tmp_path / "params.json",
+                                workdir / "geometry.json")
+    assert key in proc.stderr
+
+
+@pytest.mark.parametrize("position", [0.5, "a"])
+def test_malformed_geometry_json_exit_2(workdir, tmp_path, position):
+    geometry = default_geometry().to_dict()
+    geometry["rx_positions"][3] = position
+    (tmp_path / "geometry.json").write_text(json.dumps(geometry))
+    proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
+                                tmp_path / "geometry.json")
+    assert repr(position) in proc.stderr

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,3 +220,8 @@ class TestParamsValidation:
     def test_digest_tracks_content(self):
         assert params_with().digest() == params_with().digest()
         assert params_with().digest() != params_with(bandwidth_hz=300e6).digest()
+
+    def test_shipped_configs_load_as_defaults(self):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        assert RadarParams.from_json(configs / "params.json") == default_params()
+        assert ArrayGeometry.from_json(configs / "geometry.json") == default_geometry()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,11 +54,11 @@ class TestDemux:
             rebuilt[:, order == k, :] = sub.values[k].transpose(0, 1, 2)
         np.testing.assert_array_equal(rebuilt, cube.samples)
 
-    def test_slot_offsets(self, small_params):
+    def test_non_round_robin_plan_rejected(self, small_params):
         cube = synthetic_cube(small_params)
-        sub = tdm_demux(cube, cube.plan)
-        np.testing.assert_allclose(
-            sub.slot_offsets_s, np.arange(9) * small_params.pri_frame_a_s)
+        reversed_plan = replace(cube.plan, tx_order=cube.plan.tx_order[::-1])
+        with pytest.raises(InvalidParameterError, match="round-robin"):
+            tdm_demux(cube, reversed_plan)
 
     def test_dimension_mismatch(self, small_params):
         cube = synthetic_cube(small_params)
