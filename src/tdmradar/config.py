@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -28,6 +29,13 @@ class InvalidParameterError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidParameterError(message)
+
+
+def _is_number(value, integral: bool = False) -> bool:
+    """A finite int or float (only an int when ``integral``), never a bool."""
+    return (isinstance(value, numbers.Integral if integral else numbers.Real)
+            and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -54,6 +62,9 @@ class RadarParams:
     noise_snr_reference_db: float = 20.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            _require(_is_number(getattr(self, f.name), integral=f.type == "int"),
+                     f"{f.name} must be a finite {f.type}, got {getattr(self, f.name)!r}")
         _require(self.carrier_frequency_hz > 0, "carrier frequency must be positive")
         _require(self.bandwidth_hz > 0, "bandwidth must be positive")
         _require(self.chirp_duration_s > 0, "chirp duration must be positive")
@@ -222,11 +233,14 @@ class ArrayGeometry:
         _require(len(self.tx_positions) > 0, "tx_positions may not be empty")
         _require(len(self.rx_positions) > 0, "rx_positions may not be empty")
         for p in tuple(self.tx_positions) + tuple(self.rx_positions):
-            _require(isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 0,
+            _require(_is_number(p, integral=True) and p >= 0,
                      f"position {p!r} is not a non-negative half-wavelength grid index")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArrayGeometry":
+        _require(isinstance(data, dict) and all(
+            isinstance(data.get(k), list) for k in ("tx_positions", "rx_positions")),
+            "geometry must be a JSON object with tx_positions and rx_positions lists")
         return cls(tuple(data["tx_positions"]), tuple(data["rx_positions"]))
 
     @classmethod

@@ -17,7 +17,8 @@ injected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,8 +28,13 @@ from .config import (
     FramePlan,
     InvalidParameterError,
     RadarParams,
+    _is_number,
+    _require,
     build_frame_plan,
 )
+
+_SLOT_BLOCK = 64        # slots per matrix product: the rows hold T * 64 * n_fast samples
+_NOISE_BLOCK = 1 << 16  # noise samples per draw: a 512 KB float64 buffer
 
 
 @dataclass(frozen=True)
@@ -41,12 +47,11 @@ class PointTarget:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.range_m <= 0:
-            raise InvalidParameterError("target range must be positive")
-        if not -90.0 < self.azimuth_deg < 90.0:
-            raise InvalidParameterError("azimuth must lie in (-90, 90) degrees")
-        if self.amplitude <= 0:
-            raise InvalidParameterError("amplitude must be positive")
+        _require(all(_is_number(v) for v in vars(self).values()),
+                 f"target values must be finite numbers, got {self!r}")
+        _require(self.range_m > 0, "target range must be positive")
+        _require(-90.0 < self.azimuth_deg < 90.0, "azimuth must lie in (-90, 90) degrees")
+        _require(self.amplitude > 0, "amplitude must be positive")
 
 
 @dataclass(frozen=True)
@@ -58,19 +63,23 @@ class Scene:
     snr_db: float | None = None
     rng_seed: int = 0
 
+    def __post_init__(self) -> None:
+        _require(self.snr_db is None or _is_number(self.snr_db),
+                 f"snr_db must be a finite number or null, got {self.snr_db!r}")
+        _require(_is_number(self.rng_seed, integral=True) and self.rng_seed >= 0,
+                 f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "Scene":
-        targets = tuple(
-            PointTarget(
-                range_m=t["range_m"],
-                velocity_mps=t.get("velocity_mps", 0.0),
-                azimuth_deg=t.get("azimuth_deg", 0.0),
-                amplitude=t.get("amplitude", 1.0),
-            )
-            for t in data.get("targets", [])
-        )
-        return cls(targets=targets, snr_db=data.get("snr_db"),
-                   rng_seed=int(data.get("rng_seed", 0)))
+        _require(isinstance(data, dict) and isinstance(data.get("targets", []), list),
+                 "scene must be a JSON object with a list of targets")
+        known = {f.name for f in fields(PointTarget)}
+        for t in data.get("targets", []):
+            _require(isinstance(t, dict) and "range_m" in t and t.keys() <= known,
+                     f"scene target {t!r} needs range_m and takes only {sorted(known)}")
+        targets = tuple(PointTarget(**{"velocity_mps": 0.0, "azimuth_deg": 0.0, **t})
+                        for t in data.get("targets", []))
+        return cls(targets=targets, snr_db=data.get("snr_db"), rng_seed=data.get("rng_seed", 0))
 
     @classmethod
     def from_json(cls, path) -> "Scene":
@@ -78,15 +87,7 @@ class Scene:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "targets": [
-                {"range_m": t.range_m, "velocity_mps": t.velocity_mps,
-                 "azimuth_deg": t.azimuth_deg, "amplitude": t.amplitude}
-                for t in self.targets
-            ],
-            "snr_db": self.snr_db,
-            "rng_seed": self.rng_seed,
-        }
+        return {**asdict(self), "targets": [asdict(t) for t in self.targets]}
 
 
 @dataclass
@@ -100,29 +101,26 @@ class DataCube:
     def __post_init__(self) -> None:
         expected = (self.params.n_rx, self.plan.chirp_count_total,
                     self.params.adc_samples_per_chirp)
-        if self.samples.shape != expected:
-            raise InvalidParameterError(
-                f"cube shape {self.samples.shape} does not match plan {expected}")
+        _require(self.samples.shape == expected,
+                 f"cube shape {self.samples.shape} does not match plan {expected}")
 
 
-def _noise_rng(seed: int, frame_index: int) -> np.random.Generator:
-    # Counter-style seeding: each frame draws from its own reproducible stream.
-    return np.random.default_rng([int(seed), int(frame_index)])
-
-
-def _noise_sigma(params: RadarParams, snr_db: float) -> float:
-    # Post-range-FFT SNR for unit amplitude: amp^2 * N_fast / sigma^2.
-    return float(np.sqrt(params.adc_samples_per_chirp / 10.0 ** (snr_db / 10.0)))
-
-
-def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
-                   frame_index: int, start_time_s: float = 0.0) -> DataCube:
-    """Synthesize one frame; ``start_time_s`` keeps the target state
-    continuous when frames are chained."""
+def _synthesize(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
+                frame_index: int, start_time_s: float) -> DataCube:
+    """Noiseless frame: per block of slots, one product of the (n_rx, T)
+    receive gains with the (T, slots * n_fast) transmit-phased chirp rows."""
     plan = build_frame_plan(params, frame_index)
-    n_rx = params.n_rx
     n_fast = params.adc_samples_per_chirp
     n_slots = plan.chirp_count_total
+
+    frame_end = start_time_s + (n_slots - 1) * plan.slot_interval_s + params.chirp_duration_s
+    r_max = params.max_unambiguous_range_m
+    for target in scene.targets:
+        for t_edge in (start_time_s, frame_end):
+            r_edge = target.range_m + target.velocity_mps * t_edge
+            _require(0.0 < r_edge < r_max,
+                     f"target at {target.range_m} m, {target.velocity_mps} m/s leaves "
+                     f"(0, {r_max:.1f}) m during the frame and would alias")
 
     slot_times = start_time_s + np.arange(n_slots) * plan.slot_interval_s
     fast_times = np.arange(n_fast) / params.sample_rate_hz
@@ -130,45 +128,65 @@ def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
     rx_pos = np.asarray(geometry.rx_positions, dtype=float)
     tx_of_slot = np.asarray(plan.tx_order)
 
-    frame_end = start_time_s + (n_slots - 1) * plan.slot_interval_s + params.chirp_duration_s
-    r_max = params.max_unambiguous_range_m
+    ranges, velocities, azimuths, amplitudes = np.array(
+        [(t.range_m, t.velocity_mps, t.azimuth_deg, t.amplitude) for t in scene.targets]
+    ).reshape(-1, 4).T[:, :, None]
+    u = np.sin(np.radians(azimuths))                                          # (T, 1)
+    tx_phasor = np.exp(1j * np.pi * tx_pos * u)                               # (T, n_tx)
+    rx_gain = amplitudes.T * np.exp(1j * np.pi * rx_pos[:, None] * u.T)       # (n_rx, T)
 
-    cube = np.zeros((n_rx, n_slots, n_fast), dtype=np.complex128)
-    for target in scene.targets:
-        for t_edge in (start_time_s, frame_end):
-            r_edge = target.range_m + target.velocity_mps * t_edge
-            if not 0.0 < r_edge < r_max:
-                raise InvalidParameterError(
-                    f"target at {target.range_m} m, {target.velocity_mps} m/s leaves "
-                    f"(0, {r_max:.1f}) m during the frame and would alias")
-
-        r_slot = target.range_m + target.velocity_mps * slot_times
+    cube = np.empty((params.n_rx, n_slots, n_fast), dtype=np.complex128)
+    for s0 in range(0, n_slots, _SLOT_BLOCK):
+        s1 = min(s0 + _SLOT_BLOCK, n_slots)
+        r_slot = ranges + velocities * slot_times[s0:s1]
         carrier_phase = 2.0 * np.pi * 2.0 * params.carrier_frequency_hz * r_slot / SPEED_OF_LIGHT
         beat_hz = 2.0 * params.bandwidth_hz * r_slot / (params.chirp_duration_s * SPEED_OF_LIGHT)
-        slow_fast = np.exp(1j * (carrier_phase[:, None]
-                                 + 2.0 * np.pi * beat_hz[:, None] * fast_times[None, :]))
-
-        u = np.sin(np.radians(target.azimuth_deg))
-        tx_phasor = np.exp(1j * np.pi * tx_pos * u)[tx_of_slot]
-        rx_phasor = np.exp(1j * np.pi * rx_pos * u)
-        cube += target.amplitude * rx_phasor[:, None, None] * (tx_phasor[:, None] * slow_fast)[None, :, :]
-
-    if scene.snr_db is not None:
-        rng = _noise_rng(scene.rng_seed, frame_index)
-        sigma = _noise_sigma(params, scene.snr_db)
-        noise = rng.normal(scale=sigma / np.sqrt(2.0), size=(2,) + cube.shape)
-        cube.real += noise[0]
-        cube.imag += noise[1]
-
+        rows = np.exp(1j * (carrier_phase[..., None]
+                            + 2.0 * np.pi * beat_hz[..., None] * fast_times))
+        rows *= tx_phasor[:, tx_of_slot[s0:s1], None]
+        # With no targets the product has an empty inner dimension and writes zeros.
+        np.matmul(rx_gain, rows.reshape(len(u), (s1 - s0) * n_fast),
+                  out=cube.reshape(params.n_rx, -1)[:, s0 * n_fast:s1 * n_fast])
     return DataCube(samples=cube, plan=plan, params=params)
+
+
+def _add_noise(cube: DataCube, scene: Scene) -> None:
+    """Add the frame's noise in place through one reused buffer, in the draw order
+    of ``normal(scale=sigma/sqrt(2), size=(2,) + shape)``: real parts, then imaginary."""
+    if scene.snr_db is None:
+        return
+    # Counter-style seeding: each frame draws from its own reproducible stream.
+    rng = np.random.default_rng([int(scene.rng_seed), int(cube.plan.frame_index)])
+    # Post-range-FFT SNR for unit amplitude: amp^2 * N_fast / sigma^2.
+    sigma = float(np.sqrt(cube.params.adc_samples_per_chirp / 10.0 ** (scene.snr_db / 10.0)))
+    scale = sigma / np.sqrt(2.0)
+    buf, flat = np.empty(_NOISE_BLOCK), cube.samples.reshape(-1)
+    for part in (flat.real, flat.imag):
+        for i in range(0, part.size, _NOISE_BLOCK):
+            draw = rng.standard_normal(out=buf[:part.size - i])
+            part[i:i + draw.size] += np.multiply(draw, scale, out=draw)
+
+
+def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
+                   frame_index: int, start_time_s: float = 0.0) -> DataCube:
+    """Synthesize one frame; ``start_time_s`` keeps the target state
+    continuous when frames are chained."""
+    cube = _synthesize(scene, params, geometry, frame_index, start_time_s)
+    _add_noise(cube, scene)
+    return cube
 
 
 def simulate_frame_pair(scene: Scene, params: RadarParams,
                         geometry: ArrayGeometry) -> tuple:
-    """Two back-to-back frames with staggered PRIs (frame 0 then frame 1)."""
-    frame_a = simulate_frame(scene, params, geometry, frame_index=0, start_time_s=0.0)
+    """Two back-to-back frames with staggered PRIs (frame 0 then frame 1).
+    Frame b's own noise stream is drawn on a second thread, with the same result."""
+    frame_a = _synthesize(scene, params, geometry, 0, 0.0)
     offset = frame_a.plan.chirp_count_total * frame_a.plan.slot_interval_s
-    frame_b = simulate_frame(scene, params, geometry, frame_index=1, start_time_s=offset)
+    frame_b = _synthesize(scene, params, geometry, 1, offset)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        noise_b = pool.submit(_add_noise, frame_b, scene)
+        _add_noise(frame_a, scene)
+        noise_b.result()
     return frame_a, frame_b
 
 

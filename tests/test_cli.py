@@ -243,17 +243,19 @@ def test_malformed_calibration_gain_exit_2(workdir, tmp_path, gain):
     assert "calibration gain" in proc.stderr
 
 
-def _simulate_data_error(workdir, tmp_path, params_path, geometry_path):
+def _simulate_data_error(workdir, tmp_path, params_path, geometry_path, scene_path=None,
+                         *extra):
     """Run ``simulate`` and check it ends in one clean data-error line."""
-    proc = run_cli("simulate", "--scene", str(workdir / "scene.json"),
+    proc = run_cli("simulate", "--scene", str(scene_path or workdir / "scene.json"),
                    "--params", str(params_path), "--geometry", str(geometry_path),
-                   "--out-a", str(tmp_path / "a.rdc"), "--out-b", str(tmp_path / "b.rdc"))
+                   "--out-a", str(tmp_path / "a.rdc"), "--out-b", str(tmp_path / "b.rdc"),
+                   *extra)
     return _check_data_error(proc, tmp_path / "a.rdc")
 
 
-@pytest.mark.parametrize("key, value", [("n_chirps", 64), ("n_tx", None)])
+@pytest.mark.parametrize("key, value", [("n_chirps", 64), ("n_tx", None), ("n_tx", "9")])
 def test_malformed_params_json_exit_2(workdir, tmp_path, key, value):
-    # an unknown field, and a required field left out (value None)
+    # an unknown field, a required field left out (value None), a wrong-typed value
     params = json.loads((workdir / "params.json").read_text())
     if value is None:
         del params[key]
@@ -273,3 +275,34 @@ def test_malformed_geometry_json_exit_2(workdir, tmp_path, position):
     proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
                                 tmp_path / "geometry.json")
     assert repr(position) in proc.stderr
+
+
+def test_geometry_positions_not_a_list_exit_2(workdir, tmp_path):
+    geometry = default_geometry().to_dict()
+    geometry["tx_positions"] = 5
+    (tmp_path / "geometry.json").write_text(json.dumps(geometry))
+    proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
+                                tmp_path / "geometry.json")
+    assert "tx_positions" in proc.stderr
+
+
+@pytest.mark.parametrize("key, value, word", [
+    ("targets", [{"range_m": "a"}], "range_m"),
+    ("targets", [{"range_m": 20.0, "speed": 5.0}], "speed"),
+    ("snr_db", "x", "snr_db"),
+    ("rng_seed", 1.7, "rng_seed"),
+    ("rng_seed", -1, "rng_seed"),
+])
+def test_malformed_scene_json_exit_2(workdir, tmp_path, key, value, word):
+    scene = json.loads((workdir / "scene.json").read_text())
+    scene[key] = value
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
+                                workdir / "geometry.json", tmp_path / "scene.json")
+    assert word in proc.stderr
+
+
+def test_negative_seed_exit_2(workdir, tmp_path):
+    proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
+                                workdir / "geometry.json", None, "--seed", "-1")
+    assert "rng_seed" in proc.stderr

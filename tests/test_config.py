@@ -209,6 +209,17 @@ class TestParamsValidation:
         with pytest.raises(InvalidParameterError):
             params_with(adc_samples_per_chirp=100)
 
+    @pytest.mark.parametrize("field, value", [("n_tx", "9"), ("n_tx", 9.0),
+                                              ("bandwidth_hz", True),
+                                              ("pri_frame_a_s", math.inf)])
+    def test_wrong_typed_values_rejected(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            params_with(**{field: value})
+
+    def test_geometry_from_dict_needs_lists(self):
+        with pytest.raises(InvalidParameterError):
+            ArrayGeometry.from_dict({"tx_positions": 5, "rx_positions": [0]})
+
     def test_geometry_rejects_negative(self):
         with pytest.raises(InvalidParameterError):
             ArrayGeometry((-1,), (0,))

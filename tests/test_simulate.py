@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from tdmradar import (
     simulate_frame_pair,
     tdm_demux,
 )
+from tdmradar import simulate
 
 from conftest import peak_cell, single_target_scene
 
@@ -79,6 +83,56 @@ def test_frames_draw_independent_noise(small_params, geometry):
     scene = Scene(targets=(), snr_db=10.0, rng_seed=1)
     a, b = simulate_frame_pair(scene, small_params, geometry)
     assert not np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("chirps", [32, 4])
+@pytest.mark.parametrize("frame_index", [0, 3])
+def test_noise_matches_reference_stream(small_params, geometry, chirps, frame_index):
+    # 4 chirps per TX leaves a partial last noise block, 32 ends on a full one.
+    params = type(small_params)(**{**small_params.to_dict(), "chirps_per_tx_per_frame": chirps})
+    scene = Scene(targets=(), snr_db=12.0, rng_seed=5)
+    cube = simulate_frame(scene, params, geometry, frame_index)
+    sigma = np.sqrt(params.adc_samples_per_chirp / 10.0 ** (12.0 / 10.0))
+    n = np.random.default_rng([5, frame_index]).normal(scale=sigma / np.sqrt(2.0),
+                                                       size=(2,) + cube.samples.shape)
+    assert np.array_equal(cube.samples, n[0] + 1j * n[1])
+
+
+def test_pair_equals_sequential_frames(small_params, geometry):
+    scene = Scene(targets=(PointTarget(12.0, 3.0, -10.0), PointTarget(25.0, -7.0, 20.0, 0.4)),
+                  snr_db=15.0, rng_seed=11)
+    a, b = simulate_frame_pair(scene, small_params, geometry)
+    seq_a = simulate_frame(scene, small_params, geometry, 0, 0.0)
+    offset = seq_a.plan.chirp_count_total * seq_a.plan.slot_interval_s
+    seq_b = simulate_frame(scene, small_params, geometry, 1, offset)
+    assert np.array_equal(a.samples, seq_a.samples)
+    assert np.array_equal(b.samples, seq_b.samples)
+
+
+def test_pair_raises_worker_error(small_params, geometry, monkeypatch):
+    add_noise = simulate._add_noise
+
+    def failing(cube, scene):
+        if cube.plan.frame_index == 1:
+            raise RuntimeError("noise failed")
+        add_noise(cube, scene)
+
+    monkeypatch.setattr(simulate, "_add_noise", failing)
+    with pytest.raises(RuntimeError, match="noise failed"):
+        simulate_frame_pair(Scene(targets=(), snr_db=10.0), small_params, geometry)
+
+
+def test_many_target_superposition(small_params, geometry):
+    # 288 slots at the small params: the last block of slots is partial.
+    rng = np.random.default_rng(4)
+    r_max = small_params.max_unambiguous_range_m
+    targets = tuple(PointTarget(rng.uniform(2.0, r_max - 2.0), rng.uniform(-10.0, 10.0),
+                                rng.uniform(-60.0, 60.0), rng.uniform(0.1, 2.0))
+                    for _ in range(40))
+    both = simulate_frame(Scene(targets=targets), small_params, geometry, 1, 0.01)
+    singles = sum(simulate_frame(Scene(targets=(t,)), small_params, geometry, 1, 0.01).samples
+                  for t in targets)
+    np.testing.assert_allclose(both.samples, singles, rtol=0, atol=1e-12)
 
 
 def test_static_scene_constant_slow_time_phase(small_params, geometry):
@@ -158,3 +212,30 @@ def test_scene_json_round_trip(tmp_path):
     path.write_text(json.dumps(scene.to_dict()))
     loaded = Scene.from_json(path)
     assert loaded == scene
+
+
+@pytest.mark.parametrize("name", ["scene_demo.json", "scene_corner_reflector.json"])
+def test_shipped_scenes_load_unchanged(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    assert Scene.from_json(path).to_dict() == json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("data", [
+    {"targets": [{"range_m": "a"}]},
+    {"targets": [{"range_m": 20.0, "speed": 5.0}]},
+    {"targets": [{"velocity_mps": 5.0}]},
+    {"targets": 5},
+    {"snr_db": "x"},
+    {"snr_db": float("nan")},
+    {"rng_seed": 1.7},
+    {"rng_seed": -1},
+    [],
+])
+def test_malformed_scene_rejected(data):
+    with pytest.raises(InvalidParameterError):
+        Scene.from_dict(data)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(InvalidParameterError):
+        Scene(targets=(), rng_seed=-1)
