@@ -85,26 +85,36 @@ def range_doppler_map(sub: TxSubCubes, window_fast: str = "hann",
                       window_slow: str = "hann") -> RangeDopplerCube:
     """Fast-time FFT then slow-time FFT over each per-TX stack, computed in
     the precision of ``sub.values`` (complex64 cubes stay complex64)."""
+    return _rd_kernel(sub, window_fast, window_slow, n_keep=sub.values.shape[-1])
+
+
+def _rd_kernel(sub: TxSubCubes, window_fast: str, window_slow: str,
+               n_keep: int) -> RangeDopplerCube:
+    """``range_doppler_map`` keeping only the first ``n_keep`` range bins,
+    which are all the Doppler FFT runs on.  One TX block at a time goes
+    through a single scratch buffer, windowed and transformed in place."""
     params = sub.params
-    n_fast = sub.values.shape[-1]
-    n_slow = sub.values.shape[-2]
+    n_tx, n_rx, n_slow, n_fast = sub.values.shape
     wf = get_window(window_fast, n_fast, fftbins=True)
-    ws = get_window(window_slow, n_slow, fftbins=True)
+    # Both windows are applied up front (the FFTs are linear).  The (-1)^n
+    # factor moves Doppler bin 0 to -vmax, an fftshift that is exact because
+    # the chirp count is a power of two.
+    ws = get_window(window_slow, n_slow, fftbins=True) * (-1.0) ** np.arange(n_slow)
+    w = (ws[:, None] * wf[None, :]).astype(sub.values.real.dtype)
+    buf = np.empty((n_rx, n_slow, n_fast), dtype=np.result_type(sub.values, w))
+    out = np.empty((n_tx, n_rx, n_slow, n_keep), dtype=np.result_type(buf, np.complex64))
+    # inf times the window's zero imaginary part is NaN; run_pipeline reports it
+    with np.errstate(invalid="ignore"):
+        for k in range(n_tx):
+            np.multiply(sub.values[k], w, out=buf)
+            x = scipy.fft.fft(buf, axis=-1, overwrite_x=True)
+            out[k] = scipy.fft.fft(x[..., :n_keep], axis=-2, overwrite_x=True)
 
-    # Both windows are applied up front (the FFTs are linear, so windowing
-    # slow time before the fast-time FFT is equivalent) to save a full-cube
-    # multiply; overwrite_x recycles the intermediate buffer.
-    x = sub.values * (ws[:, None] * wf[None, :]).astype(sub.values.real.dtype)
-    x = scipy.fft.fft(x, axis=-1, overwrite_x=True)
-    x = scipy.fft.fft(x, axis=-2, overwrite_x=True)
-    x = np.fft.fftshift(x, axes=-2)
-
-    vmax = folded_vmax(params, sub.plan.frame_index)
     return RangeDopplerCube(
-        values=x,
+        values=out,
         range_bin_m=range_resolution(params),
         velocity_bin_mps=params.wavelength_m / (2.0 * sub.plan.tx_revisit_interval_s * n_slow),
-        folded_vmax_mps=vmax,
+        folded_vmax_mps=folded_vmax(params, sub.plan.frame_index),
         plan=sub.plan,
         params=params,
     )

@@ -146,6 +146,9 @@ def read_map(path) -> RangeAzimuthMap:
             f"payload is {len(payload)} bytes, expected {expected} "
             f"at offset {_MAP_HEADER.size}")
     power = np.frombuffer(payload, dtype="<f4").reshape(dim0, dim1).astype(float)
+    bad = np.flatnonzero(~np.isfinite(power))
+    if bad.size:
+        raise MapFormatError(f"non-finite dB value at offset {_MAP_HEADER.size + 4 * bad[0]}")
     return RangeAzimuthMap(power_db=power, kind=_MAP_KIND_NAMES[kind],
                            axis0_bin_width=w0, axis0_origin=o0,
                            axis1_bin_width=w1, axis1_origin=o1)

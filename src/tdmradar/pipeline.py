@@ -4,7 +4,8 @@ phase compensation, angle estimation and range-azimuth map generation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,10 +27,10 @@ from .config import (
 )
 from .dsp import (
     CfarConfig,
+    _rd_kernel,
     cfar_ca2d,
     noncoherent_integrate,
     parabolic_offset,
-    range_doppler_map,
     tdm_demux,
 )
 from .simulate import DataCube
@@ -146,24 +147,25 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
         raise UnsupportedGeometryError(
             "velocity unfolding needs overlapped virtual elements from distinct TXs")
 
-    rd = {}
-    detections = {}
-    powers = {}
-    for tag, cube in (("a", cube_a), ("b", cube_b)):
-        full = range_doppler_map(tdm_demux(cube, cube.plan))
-        # Keep the one-sided beat spectrum: bins from n_fast/2 on are the
-        # negative-beat mirror, beyond max_unambiguous_range_m.  Copying
-        # the kept half lets the two-sided cube be freed at once.
-        rd[tag] = replace(full, values=np.ascontiguousarray(
-            full.values[..., :full.n_range // 2]))
-        del full
-        powers[tag] = noncoherent_integrate(rd[tag])
-        # A NaN or inf sample spreads through both FFTs into this small map.
-        if not np.isfinite(powers[tag]).all():
-            raise InvalidParameterError(f"frame {cube.plan.frame_index} has non-finite samples")
-        detections[tag] = cfar_ca2d(powers[tag], cfar,
-                                    velocity_axis=rd[tag].velocity_axis,
-                                    frame_index=cube.plan.frame_index)
+    # Keep the one-sided beat spectrum: bins from n_fast/2 on are the
+    # negative-beat mirror, beyond max_unambiguous_range_m.
+    sub_a, sub_b = (tdm_demux(cube, cube.plan) for cube in (cube_a, cube_b))
+    n_keep = sub_a.values.shape[-1] // 2
+    rd, detections, powers = {}, {}, {}
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # Frame b's range/Doppler step runs on the worker while frame a's
+        # runs here; reading the future raises a worker error.
+        future_b = pool.submit(_rd_kernel, sub_b, "hann", "hann", n_keep)
+        for tag, cube in (("a", cube_a), ("b", cube_b)):
+            rd[tag] = (_rd_kernel(sub_a, "hann", "hann", n_keep) if tag == "a"
+                       else future_b.result())
+            powers[tag] = noncoherent_integrate(rd[tag])
+            # A NaN or inf sample spreads through both FFTs into this small map.
+            if not np.isfinite(powers[tag]).all():
+                raise InvalidParameterError(f"frame {cube.plan.frame_index} has non-finite samples")
+            detections[tag] = cfar_ca2d(powers[tag], cfar,
+                                        velocity_axis=rd[tag].velocity_axis,
+                                        frame_index=cube.plan.frame_index)
 
     rd_a, rd_b = rd["a"], rd["b"]
     velocities_a = rd_a.velocity_axis.copy()

@@ -208,6 +208,27 @@ def test_non_finite_cube_exit_2(workdir, tmp_path):
     assert "non-finite" in proc.stderr
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frame_b_cube_exit_2(workdir, tmp_path, bad):
+    params = RadarParams.from_json(workdir / "params.json")
+    cube = read_cube(workdir / "f1.rdc", params)
+    cube.samples[4, 3, 1] = bad
+    write_cube(cube, tmp_path / "bad.rdc")
+    proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", tmp_path / "bad.rdc")
+    assert "frame 1 has non-finite" in proc.stderr
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_export_pgm_non_finite_map_exit_2(workdir, tmp_path, bad):
+    rmap = read_map(workdir / "map.ram")
+    rmap.power_db[0, 1] = bad
+    write_map(rmap, tmp_path / "bad.ram")
+    proc = run_cli("export-pgm", "--in", str(tmp_path / "bad.ram"),
+                   "--out", str(tmp_path / "bad.pgm"))
+    _check_data_error(proc, tmp_path / "bad.pgm")
+    assert "non-finite dB value at offset" in proc.stderr
+
+
 def test_malformed_calibration_json_exit_2(workdir, tmp_path):
     cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
     cal["gains"] = cal["gains"][:100]

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
+from scipy.signal import get_window
 
 from tdmradar import (
     CfarConfig,
@@ -14,6 +16,8 @@ from tdmradar import (
     simulate_frame,
     tdm_demux,
 )
+from tdmradar.dsp import _rd_kernel
+from tdmradar.fileio import read_cube, write_cube
 from tdmradar.simulate import DataCube
 
 from conftest import peak_cell, single_target_scene
@@ -123,6 +127,33 @@ class TestRangeDopplerMap:
         rhs = a * rd_x.values + b * rd_y.values
         scale = np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("windows", [("hann", "hann"), ("rect", "rect")])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_one_sided_kernel_equals_cropped_map(self, small_params, tmp_path,
+                                                 windows, from_file):
+        # the pipeline's one-sided kernel is the two-sided map cropped, bit
+        # for bit, on complex128 cubes and on complex64 file cubes
+        cube = synthetic_cube(small_params, seed=6)
+        if from_file:
+            write_cube(cube, tmp_path / "c.rdc")
+            cube = read_cube(tmp_path / "c.rdc", small_params)
+        sub = tdm_demux(cube, cube.plan)
+        n_fast = small_params.adc_samples_per_chirp
+        full = range_doppler_map(sub, *windows)
+        half = _rd_kernel(sub, *windows, n_keep=n_fast // 2)
+        assert half.values.dtype == full.values.dtype == cube.samples.dtype
+        assert half.values.shape == full.values.shape[:-1] + (n_fast // 2,)
+        np.testing.assert_array_equal(half.values, full.values[..., :n_fast // 2])
+        np.testing.assert_array_equal(half.velocity_axis, full.velocity_axis)
+        np.testing.assert_array_equal(half.range_axis, full.range_axis[:n_fast // 2])
+
+        # the (-1)^n slow-time factor is an exact fftshift of the Doppler axis
+        n_slow = small_params.chirps_per_tx_per_frame
+        w = (get_window(windows[1], n_slow)[:, None]
+             * get_window(windows[0], n_fast)[None, :]).astype(cube.samples.real.dtype)
+        ref = scipy.fft.fft(scipy.fft.fft(sub.values * w, axis=-1), axis=-2)
+        np.testing.assert_array_equal(full.values, np.fft.fftshift(ref, axes=-2))
 
     def test_velocity_axis_convention(self, small_params):
         rd = range_doppler_map(tdm_demux(synthetic_cube(small_params),

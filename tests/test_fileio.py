@@ -142,6 +142,16 @@ class TestMapFormat:
         with pytest.raises(MapFormatError, match="offset"):
             read_map(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value(self, tmp_path, bad):
+        rmap = self._map()
+        rmap.power_db[3, 7] = bad
+        path = tmp_path / "m.ram"
+        write_map(rmap, path)
+        offset = (path.stat().st_size - rmap.power_db.size * 4) + (3 * 32 + 7) * 4
+        with pytest.raises(MapFormatError, match=f"non-finite dB value at offset {offset}$"):
+            read_map(path)
+
 
 class TestPgm:
     def test_max_pixel_at_peak_cell(self, tmp_path):

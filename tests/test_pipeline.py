@@ -171,23 +171,43 @@ def test_calibration_shape_checked_before_any_fft(pipeline_params, geometry,
     a, b = simulate_frame_pair(single_target_scene(range_m=20.0), pipeline_params, geometry)
 
     def no_fft(*args, **kwargs):
-        raise AssertionError("range_doppler_map ran before the calibration check")
+        raise AssertionError("the range/Doppler step ran before the calibration check")
 
-    monkeypatch.setattr(pipeline, "range_doppler_map", no_fft)
+    monkeypatch.setattr(pipeline, "_rd_kernel", no_fft)
     cal = CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0)
     with pytest.raises(InvalidParameterError, match="calibration"):
         run_pipeline(a, b, pipeline_params, geometry, cal=cal)
 
 
-@pytest.mark.parametrize("bad", [
-    np.nan,
-    # the complex window multiply turns inf into NaN parts, and numpy warns
-    pytest.param(np.inf, marks=pytest.mark.filterwarnings(
-        "ignore:invalid value encountered in multiply:RuntimeWarning")),
-])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_samples_rejected(pipeline_params, geometry, bad):
     scene = single_target_scene(range_m=20.0, azimuth_deg=5.0, snr_db=20.0)
     a, b = simulate_frame_pair(scene, pipeline_params, geometry)
     a.samples[0, 0, 0] = bad
     with pytest.raises(InvalidParameterError, match=r"frame 0 has non-finite"):
+        run_pipeline(a, b, pipeline_params, geometry)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frame_b_rejected(pipeline_params, geometry, bad):
+    # frame b's range/Doppler step runs on a worker thread; its bad sample
+    # still ends in the same data error
+    scene = single_target_scene(range_m=20.0, azimuth_deg=5.0, snr_db=20.0)
+    a, b = simulate_frame_pair(scene, pipeline_params, geometry)
+    b.samples[3, 7, 11] = bad
+    with pytest.raises(InvalidParameterError, match=r"frame 1 has non-finite"):
+        run_pipeline(a, b, pipeline_params, geometry)
+
+
+def test_worker_error_raised(pipeline_params, geometry, monkeypatch):
+    a, b = simulate_frame_pair(single_target_scene(range_m=20.0), pipeline_params, geometry)
+    kernel = pipeline._rd_kernel
+
+    def fail_on_frame_b(sub, *args):
+        if sub.plan.frame_index == 1:
+            raise MemoryError("frame b")
+        return kernel(sub, *args)
+
+    monkeypatch.setattr(pipeline, "_rd_kernel", fail_on_frame_b)
+    with pytest.raises(MemoryError, match="frame b"):
         run_pipeline(a, b, pipeline_params, geometry)
