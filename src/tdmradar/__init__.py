@@ -51,7 +51,6 @@ from .simulate import (
     simulate_frame_pair,
 )
 from .unfold import (
-    CandidateSet,
     UnsupportedGeometryError,
     VirtualSnapshot,
     compensate_tdm_phase,

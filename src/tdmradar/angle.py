@@ -12,11 +12,11 @@ from scipy.ndimage import map_coordinates
 
 from .config import (
     ArrayGeometry,
-    FramePlan,
     InvalidParameterError,
-    RadarParams,
     VirtualArray,
     _averaging_matrix,
+    _is_number,
+    _require,
     range_resolution,
 )
 from .dsp import RangeDopplerCube, noncoherent_integrate, range_doppler_map, tdm_demux
@@ -48,8 +48,8 @@ class CalibrationVector:
         self.gains = np.asarray(self.gains, dtype=np.complex128)
         if self.gains.ndim != 2:
             raise InvalidParameterError("calibration gains must be a (n_tx, n_rx) matrix")
-        if np.any(self.gains == 0):
-            raise InvalidParameterError("calibration gains may not contain zeros")
+        if np.any(self.gains == 0) or not np.isfinite(self.gains).all():
+            raise InvalidParameterError("calibration gains must be finite and non-zero")
 
     def check_shape(self, n_tx: int, n_rx: int) -> None:
         """Raise unless the gains cover exactly an ``n_tx`` x ``n_rx`` array."""
@@ -73,10 +73,14 @@ class CalibrationVector:
         except (TypeError, ValueError) as exc:
             raise InvalidParameterError(f"calibration gain is not an [re, im] pair: {exc}") from None
         shape = (data["n_tx"], data["n_rx"])
+        if not all(_is_number(n, integral=True) and n > 0 for n in shape):
+            raise InvalidParameterError(f"calibration n_tx, n_rx {shape} must be positive integers")
         if gains.size != shape[0] * shape[1]:
             raise InvalidParameterError(
                 f"calibration lists {gains.size} gains for a {shape} array")
         ref = data.get("reference", {})
+        if not isinstance(ref, dict):
+            raise InvalidParameterError(f"calibration reference {ref!r} is not a JSON object")
         return cls(gains.reshape(shape), ref.get("range_m", 0.0), ref.get("azimuth_deg", 0.0))
 
 
@@ -88,8 +92,7 @@ def steering_vector(geometry: ArrayGeometry, azimuth_deg: float) -> np.ndarray:
     return tx[:, None] * rx[None, :]
 
 
-def estimate_calibration(cube: DataCube, plan: FramePlan, truth_range_m: float,
-                         truth_azimuth_deg: float, params: RadarParams,
+def estimate_calibration(cube: DataCube, truth_range_m: float, truth_azimuth_deg: float,
                          geometry: ArrayGeometry,
                          min_snr_db: float = 20.0) -> CalibrationVector:
     """Derive correction gains from a recording of a single static corner
@@ -100,7 +103,10 @@ def estimate_calibration(cube: DataCube, plan: FramePlan, truth_range_m: float,
     response of the truth angle, and the result is normalized so the first
     element is 1+0j.
     """
-    rd = range_doppler_map(tdm_demux(cube, plan), "rect", "rect")
+    _require(_is_number(truth_range_m), f"reference range must be finite, got {truth_range_m!r}")
+    _require(_is_number(truth_azimuth_deg) and -90.0 < truth_azimuth_deg < 90.0,
+             f"reference azimuth must lie in (-90, 90) degrees, got {truth_azimuth_deg!r}")
+    rd = range_doppler_map(tdm_demux(cube, cube.plan), "rect", "rect")
     profile = noncoherent_integrate(rd).sum(axis=0)
 
     peak_bin = int(np.argmax(profile))
@@ -113,7 +119,7 @@ def estimate_calibration(cube: DataCube, plan: FramePlan, truth_range_m: float,
         raise CalibrationError(
             f"reference peak SNR {snr_db:.1f} dB below the {min_snr_db:.1f} dB threshold")
 
-    expected_bin = int(round(truth_range_m / range_resolution(params)))
+    expected_bin = int(round(truth_range_m / range_resolution(cube.params)))
     if abs(peak_bin - expected_bin) > 2:
         raise CalibrationError(
             f"dominant return at bin {peak_bin}, expected bin {expected_bin} "
@@ -166,13 +172,12 @@ class AngleSpectrum:
         return float(self.azimuth_deg[int(np.argmax(self.power_db))])
 
 
-def _angle_power(dense: np.ndarray, grid_size: int, axis: int = 0,
-                 workers: int = 1) -> np.ndarray:
+def _angle_power(dense: np.ndarray, grid_size: int, axis: int = 0) -> np.ndarray:
     """|FFT|^2 along ``axis``, zero-padded to ``grid_size``; bins unshifted."""
     if grid_size < dense.shape[axis]:
         raise InvalidParameterError(
             f"grid_size {grid_size} smaller than the {dense.shape[axis]}-slot aperture")
-    return np.abs(scipy.fft.fft(dense, n=grid_size, axis=axis, workers=workers)) ** 2
+    return np.abs(scipy.fft.fft(dense, n=grid_size, axis=axis)) ** 2
 
 
 def _to_db(power: np.ndarray) -> np.ndarray:
@@ -214,19 +219,15 @@ class RangeAzimuthMap:
 
 def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
                       cal: CalibrationVector | None = None,
-                      velocities: np.ndarray | None = None,
-                      workers: int = 1) -> RangeAzimuthMap:
+                      velocities: np.ndarray | None = None) -> RangeAzimuthMap:
     """Polar range-azimuth power map of one frame.
 
     For every Doppler bin the per-channel responses are calibrated,
     migration-compensated with that bin's velocity (resolved if available,
     otherwise the folded bin-center velocity), collapsed onto the virtual
     ULA and transformed to an angle spectrum; each (range, azimuth) cell
-    keeps its strongest Doppler bin.  ``workers`` is the angle FFT's thread
-    count; the map is bit-identical for any value.
+    keeps its strongest Doppler bin.
     """
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be at least 1, got {workers}")
     values = rd.values
     n_tx, n_rx, n_doppler, n_range = values.shape
     if cal is not None:
@@ -255,7 +256,7 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
         stop = min(start + _DOPPLER_BLOCK, n_doppler)
         chunk = values[:, :, start:stop, :] * scale[:, :, start:stop, None]
         flat = chunk.transpose(2, 0, 1, 3).reshape(stop - start, n_tx * n_rx, n_range)
-        power = _angle_power(collapse @ flat, ANGLE_GRID_SIZE, axis=1, workers=workers)
+        power = _angle_power(collapse @ flat, ANGLE_GRID_SIZE, axis=1)
         total = np.maximum(total, power.max(axis=0))
 
     # Shift once, after the Doppler reduction; dB in float64 whatever the

@@ -68,7 +68,7 @@ def _cmd_process(args) -> int:
     cfar = CfarConfig(pfa=args.pfa) if args.pfa is not None else CfarConfig()
 
     result = run_pipeline(cube_a, cube_b, params, geometry, cal=cal, cfar=cfar,
-                          cartesian=args.cartesian, workers=args.workers)
+                          cartesian=args.cartesian)
     map_b_path = _sibling_path(args.out_map, "_b")
     if args.cartesian:
         fileio.write_map(result.cartesian_a, args.out_map)
@@ -86,7 +86,7 @@ def _cmd_calibrate(args) -> int:
     params = RadarParams.from_json(args.params)
     geometry = ArrayGeometry.from_json(args.geometry)
     cube = fileio.read_cube(args.infile, params)
-    cal = estimate_calibration(cube, cube.plan, args.range, args.azimuth, params, geometry)
+    cal = estimate_calibration(cube, args.range, args.azimuth, geometry)
     fileio.write_calibration_json(cal, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -135,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-det", required=True)
     p.add_argument("--cartesian", action="store_true")
     p.add_argument("--pfa", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="FFT threads for the range-azimuth maps (output is identical)")
     p.set_defaults(func=_cmd_process)
 
     p = sub.add_parser("calibrate", help="estimate channel gains from a corner reflector")

@@ -44,11 +44,7 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class RadarParams:
-    """FMCW waveform and frame timing for one staggered frame pair.
-
-    ``noise_snr_reference_db`` is read by nothing (a scene's ``snr_db`` sets
-    the noise, ``None`` is noiseless); it stays because the digest covers it.
-    """
+    """FMCW waveform and frame timing for one staggered frame pair."""
 
     carrier_frequency_hz: float
     bandwidth_hz: float
@@ -59,7 +55,6 @@ class RadarParams:
     n_rx: int
     pri_frame_a_s: float
     pri_frame_b_s: float
-    noise_snr_reference_db: float = 20.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -137,7 +132,6 @@ def default_params() -> RadarParams:
         n_rx=16,
         pri_frame_a_s=21.0e-6,
         pri_frame_b_s=27.2e-6,
-        noise_snr_reference_db=20.0,
     )
 
 
@@ -194,27 +188,31 @@ def phase_migration(velocity_mps: float, delay_s: float, wavelength_m: float) ->
 @dataclass(frozen=True)
 class FramePlan:
     """Round-robin TDM schedule of one frame: slot s is transmitted by
-    TX ``tx_order[s]`` at time ``s * slot_interval_s`` after frame start."""
+    TX ``s % n_tx`` at time ``s * slot_interval_s`` after frame start."""
 
     frame_index: int
-    tx_order: tuple
+    n_tx: int
     slot_interval_s: float
-    tx_revisit_interval_s: float
     chirp_count_total: int
+
+    @property
+    def tx_order(self) -> np.ndarray:
+        """TX index of every slot."""
+        return np.arange(self.chirp_count_total) % self.n_tx
+
+    @property
+    def tx_revisit_interval_s(self) -> float:
+        return self.n_tx * self.slot_interval_s
 
 
 def build_frame_plan(params: RadarParams, frame_index: int) -> FramePlan:
     _require(params.chirps_per_tx_per_frame >= 2,
              "need at least two chirps per TX for Doppler processing")
-    slot = params.pri_for_frame(frame_index)
-    total = params.n_tx * params.chirps_per_tx_per_frame
-    order = tuple(s % params.n_tx for s in range(total))
     return FramePlan(
         frame_index=frame_index,
-        tx_order=order,
-        slot_interval_s=slot,
-        tx_revisit_interval_s=params.n_tx * slot,
-        chirp_count_total=total,
+        n_tx=params.n_tx,
+        slot_interval_s=params.pri_for_frame(frame_index),
+        chirp_count_total=params.n_tx * params.chirps_per_tx_per_frame,
     )
 
 
@@ -274,8 +272,6 @@ class VirtualArray:
     element_sources: tuple
     overlapped_pairs: tuple
     aperture: int
-    n_tx: int
-    n_rx: int
 
     @property
     def n_positions(self) -> int:
@@ -327,6 +323,4 @@ def build_virtual_array(geometry: ArrayGeometry) -> VirtualArray:
         element_sources=sources,
         overlapped_pairs=tuple(overlapped),
         aperture=positions[-1] - positions[0],
-        n_tx=len(geometry.tx_positions),
-        n_rx=len(geometry.rx_positions),
     )

@@ -22,7 +22,6 @@ from .config import (
 from .dsp import noncoherent_integrate, range_doppler_map, tdm_demux
 from .simulate import PointTarget, Scene, simulate_frame, simulate_frame_pair
 from .unfold import (
-    CandidateSet,
     compensate_tdm_phase,
     crt_candidates,
     crt_intersect,
@@ -77,27 +76,25 @@ def demo_unfold() -> DemoResult:
     result.check(abs(folded_a - (-1.2)) < 1e-9, f"frame 0 folds {v_true} -> {folded_a:+.4f} m/s")
     result.check(abs(folded_b - 1.6) < 1e-9, f"frame 1 folds {v_true} -> {folded_b:+.4f} m/s")
 
-    set_a = crt_candidates(folded_a, vmax_a, n_tx, frame_index=0)
-    set_b = crt_candidates(folded_b, vmax_b, n_tx, frame_index=1)
+    set_a = crt_candidates(folded_a, vmax_a, n_tx)
+    set_b = crt_candidates(folded_b, vmax_b, n_tx)
     exact_a = [-30.0, -22.8, -15.6, -8.4, -1.2, 6.0, 13.2, 20.4, 27.6]
     exact_b = [-16.0, -11.6, -7.2, -2.8, 1.6, 6.0, 10.4, 14.8, 19.2]
-    result.note("frame 0 candidates: " + np.array2string(set_a.candidates, precision=2))
-    result.note("frame 1 candidates: " + np.array2string(set_b.candidates, precision=2))
-    result.check(np.allclose(set_a.candidates, exact_a, atol=1e-9),
+    result.note("frame 0 candidates: " + np.array2string(set_a, precision=2))
+    result.note("frame 1 candidates: " + np.array2string(set_b, precision=2))
+    result.check(np.allclose(set_a, exact_a, atol=1e-9),
                  "frame 0 candidate set matches exact arithmetic to 1e-9")
-    result.check(np.allclose(set_b.candidates, exact_b, atol=1e-9),
+    result.check(np.allclose(set_b, exact_b, atol=1e-9),
                  "frame 1 candidate set matches exact arithmetic to 1e-9")
 
-    dev_a = float(np.max(np.abs(set_a.candidates - np.asarray(_PRINTED_SET_A))))
-    dev_b = float(np.max(np.abs(set_b.candidates - np.asarray(_PRINTED_SET_B))))
+    dev_a = float(np.max(np.abs(set_a - np.asarray(_PRINTED_SET_A))))
+    dev_b = float(np.max(np.abs(set_b - np.asarray(_PRINTED_SET_B))))
     result.check(dev_a <= 0.15,
                  f"frame 0 set matches the printed reference list to {dev_a:.2f} m/s")
     result.note(f"frame 1 printed list deviates up to {dev_b:.2f} m/s: that list was "
                 "rounded from a slightly different vmax (it folds 6.0 to 1.7, exact is 1.6)")
 
-    printed_a = CandidateSet(0, -1.2, vmax_a, 4, np.asarray(_PRINTED_SET_A))
-    printed_b = CandidateSet(1, 1.7, vmax_b, 4, np.asarray(_PRINTED_SET_B))
-    narrowed = crt_intersect(printed_a, printed_b, tolerance=0.25)
+    narrowed = crt_intersect(_PRINTED_SET_A, _PRINTED_SET_B, tolerance=0.25)
     result.note("printed sets intersected (tol 0.25): " + np.array2string(narrowed))
     dev_n = (float(np.max(np.abs(narrowed - np.asarray(_PRINTED_NARROWED))))
              if narrowed.size == 2 else np.inf)
@@ -151,8 +148,7 @@ def demo_compensation() -> DemoResult:
 
     folded = rd.velocity_axis[cell[1]]
     candidates = crt_candidates(folded, rd.folded_vmax_mps, params.n_tx)
-    velocity = resolve_velocity(snapshot, candidates.candidates, varray,
-                                rd.plan, params.wavelength_m)
+    velocity = resolve_velocity(snapshot, candidates, varray, rd.plan, params.wavelength_m)
     result.note(f"folded measurement {folded:+.3f} m/s resolves to {velocity:+.3f} m/s")
 
     compensated = compensate_tdm_phase(snapshot, velocity, rd.plan, params.wavelength_m)

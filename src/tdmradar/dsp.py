@@ -33,16 +33,13 @@ class TxSubCubes:
 
 
 def tdm_demux(cube: DataCube, plan: FramePlan) -> TxSubCubes:
-    """Split a raw cube into one chirp stack per TX, order preserved.  Only
-    the round-robin schedule that ``build_frame_plan`` makes is accepted."""
+    """Split a raw cube into one chirp stack per TX of the plan's round-robin
+    schedule, order preserved."""
     params = cube.params
-    order = np.asarray(plan.tx_order)
-    if cube.samples.shape[1] != order.size:
+    if (cube.samples.shape[1], params.n_tx) != (plan.chirp_count_total, plan.n_tx):
         raise InvalidParameterError(
-            f"cube has {cube.samples.shape[1]} chirps but plan schedules {order.size}")
-    if not np.array_equal(order, np.tile(np.arange(params.n_tx),
-                                         params.chirps_per_tx_per_frame)):
-        raise InvalidParameterError("TX schedule is not round-robin")
+            f"cube has {cube.samples.shape[1]} chirps from {params.n_tx} TX but plan "
+            f"schedules {plan.chirp_count_total} from {plan.n_tx}")
 
     n_rx, _, n_fast = cube.samples.shape
     values = cube.samples.reshape(

@@ -1,7 +1,7 @@
 """Bit-exact binary formats for cubes and maps, plus the JSON side files.
 
 Cube files ("RDC1", little-endian):
-    magic 4s | version u16 | n_rx u32 | n_chirps u32 | n_fast u32 |
+    magic 4s | version u16 (2) | n_rx u32 | n_chirps u32 | n_fast u32 |
     frame_index u32 | pri f64 | params digest 32s
 followed by float32 (re, im) pairs in (rx, chirp, fast) order.
 
@@ -25,7 +25,7 @@ from .config import InvalidParameterError, RadarParams, build_frame_plan
 from .simulate import DataCube
 
 CUBE_MAGIC = b"RDC1"
-CUBE_VERSION = 1
+CUBE_VERSION = 2
 _CUBE_HEADER = struct.Struct("<4sHIIIId32s")
 
 MAP_MAGIC = b"RAM1"
@@ -130,7 +130,7 @@ def write_map(rmap: RangeAzimuthMap, path) -> None:
 def read_map(path) -> RangeAzimuthMap:
     with open(path, "rb") as fh:
         raw = fh.read(_MAP_HEADER.size)
-        payload = fh.read()
+        size = os.fstat(fh.fileno()).st_size - _MAP_HEADER.size
     if len(raw) < _MAP_HEADER.size:
         raise MapFormatError(f"truncated header: {len(raw)} bytes at offset 0")
     magic, kind, dim0, dim1, w0, o0, w1, o1 = _MAP_HEADER.unpack(raw)
@@ -141,11 +141,13 @@ def read_map(path) -> RangeAzimuthMap:
     if dim0 <= 0 or dim1 <= 0:
         raise MapFormatError("non-positive dimension at offset 5")
     expected = dim0 * dim1 * 4
-    if len(payload) != expected:
+    # As in read_cube: a wrong-sized file is rejected unread.
+    if size != expected:
         raise MapFormatError(
-            f"payload is {len(payload)} bytes, expected {expected} "
+            f"payload is {size} bytes, expected {expected} "
             f"at offset {_MAP_HEADER.size}")
-    power = np.frombuffer(payload, dtype="<f4").reshape(dim0, dim1).astype(float)
+    power = np.fromfile(path, dtype="<f4", count=dim0 * dim1,
+                        offset=_MAP_HEADER.size).reshape(dim0, dim1).astype(float)
     bad = np.flatnonzero(~np.isfinite(power))
     if bad.size:
         raise MapFormatError(f"non-finite dB value at offset {_MAP_HEADER.size + 4 * bad[0]}")

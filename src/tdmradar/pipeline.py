@@ -106,19 +106,14 @@ def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params,
     snapshot.  Returns (velocity, compensated snapshot).
     """
     wavelength = params.wavelength_m
-    set_a = crt_candidates(det_a.folded_velocity_mps, rd_a.folded_vmax_mps,
-                           params.n_tx, frame_index=rd_a.plan.frame_index)
-    candidates = set_a.candidates
+    candidates = crt_candidates(det_a.folded_velocity_mps, rd_a.folded_vmax_mps, params.n_tx)
     if det_b is not None:
-        set_b = crt_candidates(det_b.folded_velocity_mps, rd_b.folded_vmax_mps,
-                               params.n_tx, frame_index=rd_b.plan.frame_index)
+        set_b = crt_candidates(det_b.folded_velocity_mps, rd_b.folded_vmax_mps, params.n_tx)
         tolerance = max(rd_a.velocity_bin_mps, rd_b.velocity_bin_mps) / 2.0
-        narrowed = crt_intersect(set_a, set_b, tolerance)
-        if narrowed.size == 0:
-            # Noisy folds can miss the tolerance; fall back to scoring the
-            # union of both alias sets with the overlap phases.
-            narrowed = np.union1d(set_a.candidates, set_b.candidates)
-        candidates = narrowed
+        narrowed = crt_intersect(candidates, set_b, tolerance)
+        # Noisy folds can miss the tolerance; fall back to scoring the
+        # union of both alias sets with the overlap phases.
+        candidates = narrowed if narrowed.size else np.union1d(candidates, set_b)
 
     snapshot = assemble_snapshot(rd_a, (det_a.range_bin, det_a.doppler_bin), varray)
     if cal is not None:
@@ -130,8 +125,7 @@ def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params,
 
 def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
                  geometry: ArrayGeometry, cal: CalibrationVector | None = None,
-                 cfar: CfarConfig | None = None, *, cartesian: bool = False,
-                 workers: int = 1) -> PipelineResult:
+                 cfar: CfarConfig | None = None, *, cartesian: bool = False) -> PipelineResult:
     """Process one staggered frame pair (Hann range/Doppler windows, default
     angle grid); a mismatched calibration or non-finite samples raise."""
     if cal is not None:
@@ -139,8 +133,6 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
     cfar = CfarConfig() if cfar is None else cfar
     if {cube_a.plan.frame_index % 2, cube_b.plan.frame_index % 2} != {0, 1}:
         raise InvalidParameterError("need one even and one odd frame of a staggered pair")
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be at least 1, got {workers}")
 
     varray = build_virtual_array(geometry)
     if not varray.overlapped_pairs:
@@ -192,7 +184,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
             doppler_bin_b=det_b.doppler_bin if det_b is not None else None,
         ))
 
-    map_a, map_b = (range_azimuth_map(rd_x, varray, cal=cal, velocities=v, workers=workers)
+    map_a, map_b = (range_azimuth_map(rd_x, varray, cal=cal, velocities=v)
                     for rd_x, v in ((rd_a, velocities_a), (rd_b, velocities_b)))
 
     result = PipelineResult(map_a=map_a, map_b=map_b, detections=resolved,

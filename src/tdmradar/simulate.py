@@ -126,7 +126,6 @@ def _synthesize(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
     fast_times = np.arange(n_fast) / params.sample_rate_hz
     tx_pos = np.asarray(geometry.tx_positions, dtype=float)
     rx_pos = np.asarray(geometry.rx_positions, dtype=float)
-    tx_of_slot = np.asarray(plan.tx_order)
 
     ranges, velocities, azimuths, amplitudes = np.array(
         [(t.range_m, t.velocity_mps, t.azimuth_deg, t.amplitude) for t in scene.targets]
@@ -143,7 +142,7 @@ def _synthesize(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
         beat_hz = 2.0 * params.bandwidth_hz * r_slot / (params.chirp_duration_s * SPEED_OF_LIGHT)
         rows = np.exp(1j * (carrier_phase[..., None]
                             + 2.0 * np.pi * beat_hz[..., None] * fast_times))
-        rows *= tx_phasor[:, tx_of_slot[s0:s1], None]
+        rows *= tx_phasor[:, plan.tx_order[s0:s1], None]
         # With no targets the product has an empty inner dimension and writes zeros.
         np.matmul(rx_gain, rows.reshape(len(u), (s1 - s0) * n_fast),
                   out=cube.reshape(params.n_rx, -1)[:, s0 * n_fast:s1 * n_fast])
@@ -202,7 +201,6 @@ def inject_channel_errors(cube: DataCube, gains) -> DataCube:
             f"need {params.n_tx * params.n_rx} gains, got {gains.size}")
     gains = gains.reshape(params.n_tx, params.n_rx)
 
-    tx_of_slot = np.asarray(cube.plan.tx_order)
-    per_slot_rx = gains[tx_of_slot, :]          # (n_slots, n_rx)
+    per_slot_rx = gains[cube.plan.tx_order, :]  # (n_slots, n_rx)
     samples = cube.samples * per_slot_rx.T[:, :, None]
     return DataCube(samples=samples, plan=cube.plan, params=cube.params)

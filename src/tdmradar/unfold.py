@@ -24,38 +24,24 @@ def fold_velocity(v_true: float, vmax: float) -> float:
     return float((v_true + vmax) % (2.0 * vmax) - vmax)
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Alias hypotheses of one frame: folded velocity plus integer multiples
-    of 2*vmax out to order M (M = n_tx//2)."""
-
-    frame_index: int
-    folded_mps: float
-    vmax_mps: float
-    order: int
-    candidates: np.ndarray
-
-
-def crt_candidates(folded: float, vmax: float, n_tx: int,
-                   frame_index: int = 0) -> CandidateSet:
+def crt_candidates(folded: float, vmax: float, n_tx: int) -> np.ndarray:
+    """Alias hypotheses of one frame: the folded velocity plus integer
+    multiples of 2*vmax out to order n_tx//2, ascending."""
     if vmax <= 0:
         raise InvalidParameterError("vmax must be positive")
     if n_tx < 1:
         raise InvalidParameterError("n_tx must be at least 1")
     order = n_tx // 2
-    candidates = folded + 2.0 * vmax * np.arange(-order, order + 1, dtype=float)
-    return CandidateSet(frame_index=frame_index, folded_mps=float(folded),
-                        vmax_mps=float(vmax), order=order, candidates=candidates)
+    return folded + 2.0 * vmax * np.arange(-order, order + 1, dtype=float)
 
 
-def crt_intersect(set_a: CandidateSet, set_b: CandidateSet,
-                  tolerance: float) -> np.ndarray:
+def crt_intersect(set_a: np.ndarray, set_b: np.ndarray, tolerance: float) -> np.ndarray:
     """Midpoints of all candidate pairs agreeing within the tolerance,
     deduplicated and sorted.  An empty result is a valid outcome."""
     if tolerance <= 0:
         raise InvalidParameterError("tolerance must be positive")
-    a = set_a.candidates[:, None]
-    b = set_b.candidates[None, :]
+    a = np.asarray(set_a)[:, None]
+    b = np.asarray(set_b)[None, :]
     close = np.abs(a - b) <= tolerance
     midpoints = ((a + b) / 2.0)[close]
     return np.unique(midpoints)

@@ -1,19 +1,37 @@
+import functools
 import json
+import re
+import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tdmradar import (
     CalibrationVector,
+    InvalidParameterError,
     RadarParams,
     default_geometry,
     run_pipeline,
 )
-from tdmradar.fileio import read_cube, read_map, write_calibration_json, write_cube, write_map
+from tdmradar import cli
+from tdmradar.fileio import (
+    _CUBE_HEADER,
+    _MAP_HEADER,
+    CubeFormatError,
+    MapFormatError,
+    read_cube,
+    read_map,
+    write_calibration_json,
+    write_cube,
+    write_map,
+)
 
-CLI = [sys.executable, "-m", "tdmradar.cli"]
+# The suite's warning policy (pyproject.toml) applies inside CLI runs too.
+CLI = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+       "-W", "error::FutureWarning", "-m", "tdmradar.cli"]
 
 
 def run_cli(*args, check=False):
@@ -29,7 +47,7 @@ def workdir(tmp_path_factory):
     params = dict(
         carrier_frequency_hz=77e9, bandwidth_hz=250e6, chirp_duration_s=20e-6,
         adc_samples_per_chirp=128, chirps_per_tx_per_frame=32, n_tx=9, n_rx=16,
-        pri_frame_a_s=21.0e-6, pri_frame_b_s=27.2e-6, noise_snr_reference_db=20.0)
+        pri_frame_a_s=21.0e-6, pri_frame_b_s=27.2e-6)
     (path / "params.json").write_text(json.dumps(params))
     (path / "geometry.json").write_text(json.dumps(default_geometry().to_dict()))
     scene = {"targets": [{"range_m": 20.0, "velocity_mps": 6.0,
@@ -90,7 +108,7 @@ def test_simulate_deterministic(workdir):
 
 def test_digest_mismatch_warns(workdir, tmp_path):
     params = json.loads((workdir / "params.json").read_text())
-    params["noise_snr_reference_db"] = 11.0
+    params["carrier_frequency_hz"] = 76.5e9
     other = tmp_path / "params2.json"
     other.write_text(json.dumps(params))
     proc = run_cli("process", "--in-a", str(workdir / "f0.rdc"),
@@ -116,6 +134,20 @@ def test_calibrate_command(workdir):
     cal = json.loads((workdir / "cal.json").read_text())
     gains = np.array([complex(re, im) for re, im in cal["gains"]])
     np.testing.assert_allclose(gains, 1.0 + 0j, atol=1e-9)
+
+
+@pytest.mark.parametrize("flag, value", [("--range", "nan"), ("--range", "inf"),
+                                         ("--range", "1e400"), ("--azimuth", "nan"),
+                                         ("--azimuth", "90")])
+def test_calibrate_bad_truth_exit_2(workdir, tmp_path, flag, value):
+    truth = {"--range": "5.0", "--azimuth": "0.0", flag: value}
+    proc = run_cli("calibrate", "--in", str(workdir / "f0.rdc"),
+                   "--params", str(workdir / "params.json"),
+                   "--geometry", str(workdir / "geometry.json"),
+                   *(item for pair in truth.items() for item in pair),
+                   "--out", str(tmp_path / "cal.json"))
+    _check_data_error(proc, tmp_path / "cal.json")
+    assert "reference" in proc.stderr
 
 
 def test_export_pgm(workdir):
@@ -166,8 +198,7 @@ def test_corrupt_magic_exit_2(workdir, tmp_path):
     assert "magic" in proc.stderr
 
 
-@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"),
-                                         ("--pfa", "0")])
+@pytest.mark.parametrize("flag, value", [("--pfa", "0")])
 def test_invalid_process_option_exit_2(workdir, tmp_path, flag, value):
     proc = run_cli("process", "--in-a", str(workdir / "f0.rdc"),
                    "--in-b", str(workdir / "f1.rdc"),
@@ -230,11 +261,12 @@ def test_export_pgm_non_finite_map_exit_2(workdir, tmp_path, bad):
 
 
 def test_malformed_calibration_json_exit_2(workdir, tmp_path):
-    cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
-    cal["gains"] = cal["gains"][:100]
-    (tmp_path / "cal.json").write_text(json.dumps(cal))
-    _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
-                        "--cal", str(tmp_path / "cal.json"))
+    good = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
+    for change in ({"gains": good["gains"][:100]}, {"n_tx": 9.0},
+                   {"n_tx": -9, "n_rx": -16}, {"reference": 5}):
+        (tmp_path / "cal.json").write_text(json.dumps({**good, **change}))
+        _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
+                            "--cal", str(tmp_path / "cal.json"))
 
 
 @pytest.mark.parametrize("shape, scene", [((10, 17), "scene.json"),
@@ -254,7 +286,7 @@ def test_calibration_shape_mismatch_exit_2(workdir, tmp_path, shape, scene):
     assert "calibration" in proc.stderr
 
 
-@pytest.mark.parametrize("gain", [[1, 0, 0], ["a", 0]])
+@pytest.mark.parametrize("gain", [[1, 0, 0], ["a", 0], [np.nan, 0], [np.inf, 0]])
 def test_malformed_calibration_gain_exit_2(workdir, tmp_path, gain):
     cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
     cal["gains"][7] = gain
@@ -262,6 +294,62 @@ def test_malformed_calibration_gain_exit_2(workdir, tmp_path, gain):
     proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
                                "--cal", str(tmp_path / "cal.json"))
     assert "calibration gain" in proc.stderr
+
+
+def _field_offsets(header: struct.Struct) -> list:
+    """Offset of every field of a packed little-endian header, then its size."""
+    codes = re.findall(r"\d*[a-zA-Z]", header.format[1:])
+    return [struct.calcsize("<" + "".join(codes[:i])) for i in range(len(codes) + 1)]
+
+
+def _fuzzed(blob: bytes, header: struct.Struct, dim_fields, rng) -> list:
+    """Truncations at every header field boundary and inside the payload,
+    plus one copy per dimension field set to 0xFFFFFFFF."""
+    offsets = _field_offsets(header)
+    cuts = offsets + sorted(rng.integers(header.size + 1, len(blob), 3).tolist())
+    variants = [blob[:cut] for cut in cuts]
+    for field in dim_fields:
+        at = offsets[field]
+        variants.append(blob[:at] + b"\xff\xff\xff\xff" + blob[at + 4:])
+    return variants
+
+
+@pytest.mark.parametrize("kind", ["cube", "map"])
+def test_fuzzed_file_exit_2(workdir, tmp_path, capsys, kind):
+    params = RadarParams.from_json(workdir / "params.json")
+    rng = np.random.default_rng(2024)
+    if kind == "cube":
+        blob, header, dims = (workdir / "f0.rdc").read_bytes(), _CUBE_HEADER, (2, 3, 4)
+        errors = (CubeFormatError, InvalidParameterError)
+        read = functools.partial(read_cube, params=params)
+    else:
+        blob, header, dims = (workdir / "map.ram").read_bytes(), _MAP_HEADER, (2, 3)
+        errors, read = MapFormatError, read_map
+    out = tmp_path / "out"
+    for variant in _fuzzed(blob, header, dims, rng):
+        bad = tmp_path / "bad"
+        bad.write_bytes(variant)
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors):
+                read(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(variant) + 65536
+        # The CLI in-process: an uncaught exception fails the test.
+        if kind == "cube":
+            argv = ["process", "--in-a", str(bad), "--in-b", str(workdir / "f1.rdc"),
+                    "--params", str(workdir / "params.json"),
+                    "--geometry", str(workdir / "geometry.json"),
+                    "--out-map", str(out), "--out-det", str(tmp_path / "d.json")]
+        else:
+            argv = ["export-pgm", "--in", str(bad), "--out", str(out)]
+        assert cli.main(argv) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("tdmradar: error:")
+        assert len(stderr.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 def _simulate_data_error(workdir, tmp_path, params_path, geometry_path, scene_path=None,

@@ -81,10 +81,12 @@ class TestCubeFormat:
         path = tmp_path / "frame.rdc"
         write_cube(cube, path)
         data = bytearray(path.read_bytes())
-        data[4:6] = (99).to_bytes(2, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(CubeFormatError, match="version"):
-            read_cube(path, small_params)
+        # version 1 headers hashed a parameter set with a since-removed field
+        for version in (1, 99):
+            data[4:6] = version.to_bytes(2, "little")
+            path.write_bytes(bytes(data))
+            with pytest.raises(CubeFormatError, match=f"unsupported version {version} at offset 4"):
+                read_cube(path, small_params)
 
     def test_truncated_payload(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"

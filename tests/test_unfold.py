@@ -50,38 +50,31 @@ class TestCandidates:
     def test_frame_a_exact_list(self):
         cs = crt_candidates(-1.2, 3.6, 9)
         expected = [-30.0, -22.8, -15.6, -8.4, -1.2, 6.0, 13.2, 20.4, 27.6]
-        np.testing.assert_allclose(cs.candidates, expected, atol=1e-9)
-        assert cs.order == 4
+        np.testing.assert_allclose(cs, expected, atol=1e-9)
+        assert cs.size == 9
         # the printed reference list is the same set up to rounding
-        assert np.max(np.abs(cs.candidates - np.asarray(PAPER_SET_A))) <= 0.15
+        assert np.max(np.abs(cs - np.asarray(PAPER_SET_A))) <= 0.15
 
     def test_frame_b_exact_list(self):
         cs = crt_candidates(1.6, 2.2, 9)
         expected = [-16.0, -11.6, -7.2, -2.8, 1.6, 6.0, 10.4, 14.8, 19.2]
-        np.testing.assert_allclose(cs.candidates, expected, atol=1e-9)
+        np.testing.assert_allclose(cs, expected, atol=1e-9)
 
     def test_single_tx_no_ambiguity(self):
-        cs = crt_candidates(2.5, 10.0, 1)
-        assert cs.order == 0
-        np.testing.assert_allclose(cs.candidates, [2.5])
+        np.testing.assert_allclose(crt_candidates(2.5, 10.0, 1), [2.5])
 
     def test_even_tx_order(self):
-        assert crt_candidates(0.0, 1.0, 8).order == 4
-        assert crt_candidates(0.0, 1.0, 8).candidates.size == 9
+        assert crt_candidates(0.0, 1.0, 8).size == 9
 
     def test_sorted_and_spaced(self):
         cs = crt_candidates(0.7, 2.0, 7)
-        diffs = np.diff(cs.candidates)
+        diffs = np.diff(cs)
         np.testing.assert_allclose(diffs, 4.0)
 
 
 class TestIntersect:
     def test_paper_rounded_sets(self):
-        from tdmradar.unfold import CandidateSet
-
-        set_a = CandidateSet(0, -1.2, 3.6, 4, np.asarray(PAPER_SET_A))
-        set_b = CandidateSet(1, 1.7, 2.2, 4, np.asarray(PAPER_SET_B))
-        common = crt_intersect(set_a, set_b, tolerance=0.25)
+        common = crt_intersect(np.asarray(PAPER_SET_A), np.asarray(PAPER_SET_B), tolerance=0.25)
         np.testing.assert_allclose(common, [-15.6, 6.0], atol=0.2)
 
     def test_exact_sets_leave_single_candidate(self):
@@ -93,7 +86,7 @@ class TestIntersect:
     def test_self_intersection_returns_all(self):
         cs = crt_candidates(0.3, 2.0, 9)
         common = crt_intersect(cs, cs, tolerance=0.1)
-        np.testing.assert_allclose(common, cs.candidates)
+        np.testing.assert_allclose(common, cs)
 
     def test_symmetry(self):
         set_a = crt_candidates(-1.2, 3.6, 9)
@@ -128,7 +121,7 @@ class TestRoundTrip:
             span = (2 * order + 1) * vmax
             for v in np.linspace(-span + 1e-6, span - 1e-6, 41):
                 folded = fold_velocity(v, vmax)
-                cands = crt_candidates(folded, vmax, n_tx).candidates
+                cands = crt_candidates(folded, vmax, n_tx)
                 assert np.min(np.abs(cands - v)) < 1e-9
 
 
@@ -161,7 +154,7 @@ class TestResolve:
         scene = single_target_scene(range_m=20.0, velocity_mps=0.0, azimuth_deg=-8.0)
         rd, snapshot = _simulated_snapshot(small_params, geometry, varray, scene)
         vmax = rd.folded_vmax_mps
-        candidates = crt_candidates(0.0, vmax, small_params.n_tx).candidates
+        candidates = crt_candidates(0.0, vmax, small_params.n_tx)
         assert resolve_velocity(snapshot, candidates, varray, rd.plan,
                                 small_params.wavelength_m) == 0.0
 
@@ -170,7 +163,7 @@ class TestResolve:
                                     snr_db=25.0, seed=5)
         rd, snapshot = _simulated_snapshot(small_params, geometry, varray, scene)
         candidates = crt_candidates(rd.velocity_axis[snapshot.cell[1]],
-                                    rd.folded_vmax_mps, small_params.n_tx).candidates
+                                    rd.folded_vmax_mps, small_params.n_tx)
         v1 = resolve_velocity(snapshot, candidates, varray, rd.plan,
                               small_params.wavelength_m)
         from dataclasses import replace
