@@ -46,16 +46,16 @@ class CalibrationVector:
 
     def __post_init__(self) -> None:
         self.gains = np.asarray(self.gains, dtype=np.complex128)
-        if self.gains.ndim != 2:
-            raise InvalidParameterError("calibration gains must be a (n_tx, n_rx) matrix")
-        if np.any(self.gains == 0) or not np.isfinite(self.gains).all():
-            raise InvalidParameterError("calibration gains must be finite and non-zero")
+        _require(self.gains.ndim == 2, "calibration gains must be a (n_tx, n_rx) matrix")
+        _require(not np.any(self.gains == 0) and np.isfinite(self.gains).all(),
+                 "calibration gains must be finite and non-zero")
+        ref = (self.reference_range_m, self.reference_azimuth_deg)
+        _require(all(map(_is_number, ref)), f"calibration reference {ref} must be finite numbers")
 
     def check_shape(self, n_tx: int, n_rx: int) -> None:
         """Raise unless the gains cover exactly an ``n_tx`` x ``n_rx`` array."""
-        if self.gains.shape != (n_tx, n_rx):
-            raise InvalidParameterError(
-                f"calibration {self.gains.shape} does not match the {(n_tx, n_rx)} array")
+        _require(self.gains.shape == (n_tx, n_rx),
+                 f"calibration {self.gains.shape} does not match the {(n_tx, n_rx)} array")
 
     def to_dict(self) -> dict:
         return {
@@ -68,6 +68,9 @@ class CalibrationVector:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationVector":
+        _require(isinstance(data, dict), "calibration must be a JSON object")
+        missing = sorted({"gains", "n_tx", "n_rx"} - data.keys())
+        _require(not missing, f"calibration: missing fields {missing}")
         try:
             gains = np.array([complex(re, im) for re, im in data["gains"]])
         except (TypeError, ValueError) as exc:
@@ -75,12 +78,10 @@ class CalibrationVector:
         shape = (data["n_tx"], data["n_rx"])
         if not all(_is_number(n, integral=True) and n > 0 for n in shape):
             raise InvalidParameterError(f"calibration n_tx, n_rx {shape} must be positive integers")
-        if gains.size != shape[0] * shape[1]:
-            raise InvalidParameterError(
-                f"calibration lists {gains.size} gains for a {shape} array")
+        _require(gains.size == shape[0] * shape[1],
+                 f"calibration lists {gains.size} gains for a {shape} array")
         ref = data.get("reference", {})
-        if not isinstance(ref, dict):
-            raise InvalidParameterError(f"calibration reference {ref!r} is not a JSON object")
+        _require(isinstance(ref, dict), f"calibration reference {ref!r} is not a JSON object")
         return cls(gains.reshape(shape), ref.get("range_m", 0.0), ref.get("azimuth_deg", 0.0))
 
 

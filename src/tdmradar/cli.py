@@ -165,7 +165,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidParameterError, UnsupportedGeometryError, CalibrationError,
             fileio.CubeFormatError, fileio.MapFormatError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"tdmradar: error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

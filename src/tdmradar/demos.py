@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .angle import angle_spectrum, assemble_snapshot, collapse_snapshot
 from .config import (
@@ -58,6 +57,11 @@ def _strongest_cell(rd) -> tuple:
     power = noncoherent_integrate(rd)
     doppler_bin, range_bin = np.unravel_index(np.argmax(power), power.shape)
     return int(range_bin), int(doppler_bin)
+
+
+def _peaks(x: np.ndarray, height: float) -> np.ndarray:
+    """Indices of the strict interior local maxima of ``x`` at or above ``height``."""
+    return np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:]) & (x[1:-1] >= height)) + 1
 
 
 # Candidate lists as printed in the reference worked example (rounded there).
@@ -187,7 +191,7 @@ def demo_resolution_angle() -> DemoResult:
     window = np.abs(spectrum.azimuth_deg) <= 5.0
     power = spectrum.power_db[window]
     azimuth = spectrum.azimuth_deg[window]
-    peaks, _ = find_peaks(power, height=power.max() - 6.0)
+    peaks = _peaks(power, power.max() - 6.0)
     result.check(peaks.size == 2, f"{peaks.size} maxima within 5 deg of boresight")
     if peaks.size == 2:
         az_lo, az_hi = sorted(azimuth[peaks])
@@ -228,7 +232,7 @@ def demo_resolution_range() -> DemoResult:
     profile_db = 10.0 * np.log10(np.maximum(profile, profile.max() * 1e-12))
     fine_ranges = np.arange(profile.size) * bin_m / pad
 
-    peaks, _ = find_peaks(profile_db, height=profile_db.max() - 6.0)
+    peaks = _peaks(profile_db, profile_db.max() - 6.0)
     result.check(peaks.size == 2, f"{peaks.size} range maxima above peak-6 dB")
     if peaks.size == 2:
         ranges = fine_ranges[peaks]

@@ -9,12 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 from scipy import ndimage
-from scipy.signal import get_window
 
 from .config import (
     FramePlan,
-    InvalidParameterError,
     RadarParams,
+    _require,
     folded_vmax,
     range_resolution,
 )
@@ -36,10 +35,9 @@ def tdm_demux(cube: DataCube, plan: FramePlan) -> TxSubCubes:
     """Split a raw cube into one chirp stack per TX of the plan's round-robin
     schedule, order preserved."""
     params = cube.params
-    if (cube.samples.shape[1], params.n_tx) != (plan.chirp_count_total, plan.n_tx):
-        raise InvalidParameterError(
-            f"cube has {cube.samples.shape[1]} chirps from {params.n_tx} TX but plan "
-            f"schedules {plan.chirp_count_total} from {plan.n_tx}")
+    _require((cube.samples.shape[1], params.n_tx) == (plan.chirp_count_total, plan.n_tx),
+             f"cube has {cube.samples.shape[1]} chirps from {params.n_tx} TX but plan "
+             f"schedules {plan.chirp_count_total} from {plan.n_tx}")
 
     n_rx, _, n_fast = cube.samples.shape
     values = cube.samples.reshape(
@@ -85,6 +83,14 @@ def range_doppler_map(sub: TxSubCubes, window_fast: str = "hann",
     return _rd_kernel(sub, window_fast, window_slow, n_keep=sub.values.shape[-1])
 
 
+def _window(name: str, n: int) -> np.ndarray:
+    """Periodic Hann or rect window, equal bit for bit to scipy's ``get_window(name, n)``."""
+    _require(name in ("hann", "rect"), f"window {name!r} is not 'hann' or 'rect'")
+    if name == "rect" or n <= 1:  # scipy's one-point Hann window is [1.0]
+        return np.ones(n)
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
+
+
 def _rd_kernel(sub: TxSubCubes, window_fast: str, window_slow: str,
                n_keep: int) -> RangeDopplerCube:
     """``range_doppler_map`` keeping only the first ``n_keep`` range bins,
@@ -92,11 +98,11 @@ def _rd_kernel(sub: TxSubCubes, window_fast: str, window_slow: str,
     through a single scratch buffer, windowed and transformed in place."""
     params = sub.params
     n_tx, n_rx, n_slow, n_fast = sub.values.shape
-    wf = get_window(window_fast, n_fast, fftbins=True)
+    wf = _window(window_fast, n_fast)
     # Both windows are applied up front (the FFTs are linear).  The (-1)^n
     # factor moves Doppler bin 0 to -vmax, an fftshift that is exact because
     # the chirp count is a power of two.
-    ws = get_window(window_slow, n_slow, fftbins=True) * (-1.0) ** np.arange(n_slow)
+    ws = _window(window_slow, n_slow) * (-1.0) ** np.arange(n_slow)
     w = (ws[:, None] * wf[None, :]).astype(sub.values.real.dtype)
     buf = np.empty((n_rx, n_slow, n_fast), dtype=np.result_type(sub.values, w))
     out = np.empty((n_tx, n_rx, n_slow, n_keep), dtype=np.result_type(buf, np.complex64))
@@ -131,12 +137,9 @@ class CfarConfig:
     pfa: float = 1e-4
 
     def __post_init__(self) -> None:
-        if min(self.training) <= 0:
-            raise InvalidParameterError("training cell counts must be positive")
-        if min(self.guard) < 0:
-            raise InvalidParameterError("guard cell counts must be non-negative")
-        if not 0.0 < self.pfa < 1.0:
-            raise InvalidParameterError("pfa must lie in (0, 1)")
+        _require(min(self.training) > 0, "training cell counts must be positive")
+        _require(min(self.guard) >= 0, "guard cell counts must be non-negative")
+        _require(0.0 < self.pfa < 1.0, "pfa must lie in (0, 1)")
 
 
 @dataclass
@@ -181,8 +184,8 @@ def cfar_ca2d(power_map: np.ndarray, config: CfarConfig,
     tr_r, tr_d = config.training
     g_r, g_d = config.guard
     half_d, half_r = tr_d + g_d, tr_r + g_r
-    if 2 * half_d + 1 > n_dop or 2 * half_r + 1 > n_rng:
-        raise InvalidParameterError("CFAR window larger than the power map")
+    _require(2 * half_d + 1 <= n_dop and 2 * half_r + 1 <= n_rng,
+             "CFAR window larger than the power map")
 
     def ring_sums(arr: np.ndarray) -> np.ndarray:
         padded = np.pad(arr, ((half_d, half_d), (0, 0)), mode="wrap")

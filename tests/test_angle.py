@@ -119,6 +119,20 @@ class TestApplyCalibration:
         with pytest.raises(InvalidParameterError):
             CalibrationVector.from_dict(data)
 
+    def test_from_dict_rejects_malformed_documents(self):
+        data = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
+        cases = {"calibration must be a JSON object": [[1, 2], "x"],
+                 r"missing fields \['gains', 'n_rx'\]": [
+                     {k: v for k, v in data.items() if k not in ("gains", "n_rx")}],
+                 "must be finite numbers": [
+                     {**data, "reference": {"range_m": "far"}},
+                     {**data, "reference": {"azimuth_deg": np.nan}},
+                     {**data, "reference": {"range_m": True}}]}
+        for message, docs in cases.items():
+            for doc in docs:
+                with pytest.raises(InvalidParameterError, match=message):
+                    CalibrationVector.from_dict(doc)
+
     def test_zero_gain_rejected_at_construction(self):
         # non-finite gains are rejected the same way
         for bad in (0.0, np.nan, np.inf):

@@ -41,6 +41,15 @@ def run_cli(*args, check=False):
     return proc
 
 
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
+    # scipy.signal loads stats, optimize, linalg, sparse and more with it,
+    # about half a second of every CLI start.
+    proc = subprocess.run([sys.executable, "-c", "import sys, tdmradar, tdmradar.cli; print("
+                           "[m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli")
@@ -262,11 +271,16 @@ def test_export_pgm_non_finite_map_exit_2(workdir, tmp_path, bad):
 
 def test_malformed_calibration_json_exit_2(workdir, tmp_path):
     good = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
-    for change in ({"gains": good["gains"][:100]}, {"n_tx": 9.0},
-                   {"n_tx": -9, "n_rx": -16}, {"reference": 5}):
-        (tmp_path / "cal.json").write_text(json.dumps({**good, **change}))
-        _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
-                            "--cal", str(tmp_path / "cal.json"))
+    docs = [{**good, **change} for change in (
+        {"gains": good["gains"][:100]}, {"n_tx": 9.0}, {"n_tx": -9, "n_rx": -16},
+        {"reference": 5}, {"reference": {"range_m": "far"}},
+        {"reference": {"azimuth_deg": float("nan")}})]
+    docs += [[1, 2], "x", {k: v for k, v in good.items() if k != "gains"}]
+    for doc in docs:
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
+                                   "--cal", str(tmp_path / "cal.json"))
+        assert "calibration" in proc.stderr
 
 
 @pytest.mark.parametrize("shape, scene", [((10, 17), "scene.json"),

@@ -14,7 +14,7 @@ from tdmradar import (
     simulate_frame,
     tdm_demux,
 )
-from tdmradar.dsp import _rd_kernel
+from tdmradar.dsp import _rd_kernel, _window
 from tdmradar.fileio import read_cube, write_cube
 from tdmradar.simulate import DataCube
 
@@ -155,6 +155,16 @@ class TestRangeDopplerMap:
         assert rd.velocity_axis[rd.n_doppler // 2] == 0.0
         assert rd.velocity_bin_mps == pytest.approx(
             2 * rd.folded_vmax_mps / rd.n_doppler)
+
+    @pytest.mark.parametrize("name", ["hann", "rect"])
+    def test_window_matches_scipy_bit_for_bit(self, name):
+        for n in [1, *range(2, 1025, 2), 3, 5, 7, 100]:
+            w, ref = _window(name, n), get_window(name, n, fftbins=True)
+            assert (w.dtype, w.shape, w.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), n
+
+    def test_unknown_window_rejected(self):
+        with pytest.raises(InvalidParameterError, match="'hann' or 'rect'"):
+            _window("hamming", 64)
 
 
 class TestNoncoherentIntegrate:
