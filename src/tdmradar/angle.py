@@ -25,6 +25,17 @@ from .unfold import VirtualSnapshot, migration_rotation
 
 FLOOR_DB = -120.0
 
+# A calibration reference must stand this far above the median range profile.
+_CAL_MIN_SNR_DB = 20.0
+
+# Bird's-eye-view grid of polar_to_cartesian: the centres of 500 x 500
+# cells of 0.3 m, x across boresight in [-75, 75) m and y along it in
+# [0, 150) m, with a 70-degree field of view.
+_BEV_CELL_M = 0.3
+_BEV_X_M = -75.0 + (np.arange(500) + 0.5) * _BEV_CELL_M
+_BEV_Y_M = (np.arange(500) + 0.5) * _BEV_CELL_M
+_BEV_FOV_DEG = 70.0
+
 # Angle FFT length: bins uniform in sin(azimuth) over [-1, 1).
 ANGLE_GRID_SIZE = 256
 
@@ -94,8 +105,7 @@ def steering_vector(geometry: ArrayGeometry, azimuth_deg: float) -> np.ndarray:
 
 
 def estimate_calibration(cube: DataCube, truth_range_m: float, truth_azimuth_deg: float,
-                         geometry: ArrayGeometry,
-                         min_snr_db: float = 20.0) -> CalibrationVector:
+                         geometry: ArrayGeometry) -> CalibrationVector:
     """Derive correction gains from a recording of a single static corner
     reflector at a known range/azimuth.
 
@@ -107,7 +117,7 @@ def estimate_calibration(cube: DataCube, truth_range_m: float, truth_azimuth_deg
     _require(_is_number(truth_range_m), f"reference range must be finite, got {truth_range_m!r}")
     _require(_is_number(truth_azimuth_deg) and -90.0 < truth_azimuth_deg < 90.0,
              f"reference azimuth must lie in (-90, 90) degrees, got {truth_azimuth_deg!r}")
-    rd = range_doppler_map(tdm_demux(cube, cube.plan), "rect", "rect")
+    rd = range_doppler_map(tdm_demux(cube, cube.plan), "rect")
     profile = noncoherent_integrate(rd).sum(axis=0)
 
     peak_bin = int(np.argmax(profile))
@@ -116,9 +126,9 @@ def estimate_calibration(cube: DataCube, truth_range_m: float, truth_azimuth_deg
     keep[lo:hi] = False
     floor = float(np.median(profile[keep]))
     snr_db = np.inf if floor == 0 else 10.0 * np.log10(profile[peak_bin] / floor)
-    if snr_db < min_snr_db:
+    if snr_db < _CAL_MIN_SNR_DB:
         raise CalibrationError(
-            f"reference peak SNR {snr_db:.1f} dB below the {min_snr_db:.1f} dB threshold")
+            f"reference peak SNR {snr_db:.1f} dB below the {_CAL_MIN_SNR_DB:.1f} dB threshold")
 
     expected_bin = int(round(truth_range_m / range_resolution(cube.params)))
     if abs(peak_bin - expected_bin) > 2:
@@ -273,22 +283,14 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
     )
 
 
-def polar_to_cartesian(pmap: RangeAzimuthMap, x_extent_m: float = 75.0,
-                       y_extent_m: float = 150.0, cell_m: float = 0.3,
-                       fov_deg: float = 70.0) -> RangeAzimuthMap:
-    """Resample a polar map onto a bird's-eye-view grid with x across
-    boresight and y along it, bilinear in (range, sin azimuth); cells
-    outside the field of view or the range extent are set to the floor."""
+def polar_to_cartesian(pmap: RangeAzimuthMap) -> RangeAzimuthMap:
+    """Resample a polar map onto the fixed bird's-eye-view grid, bilinear in
+    (range, sin azimuth); cells outside the field of view or the range
+    extent are set to the floor."""
     if pmap.kind != "polar":
         raise InvalidParameterError("input map must be polar")
-    if cell_m <= 0:
-        raise InvalidParameterError("cell size must be positive")
 
-    nx = int(round(2.0 * x_extent_m / cell_m))
-    ny = int(round(y_extent_m / cell_m))
-    x = -x_extent_m + (np.arange(nx) + 0.5) * cell_m
-    y = (np.arange(ny) + 0.5) * cell_m
-    grid_x, grid_y = np.meshgrid(x, y, indexing="ij")
+    grid_x, grid_y = np.meshgrid(_BEV_X_M, _BEV_Y_M, indexing="ij")
 
     radius = np.hypot(grid_x, grid_y)
     sin_az = np.divide(grid_x, radius, out=np.zeros_like(grid_x), where=radius > 0)
@@ -298,13 +300,13 @@ def polar_to_cartesian(pmap: RangeAzimuthMap, x_extent_m: float = 75.0,
     sampled = map_coordinates(pmap.power_db, [range_idx, sin_idx],
                               order=1, mode="constant", cval=FLOOR_DB)
     azimuth = np.degrees(np.arctan2(grid_x, grid_y))
-    sampled[np.abs(azimuth) > fov_deg / 2.0] = FLOOR_DB
+    sampled[np.abs(azimuth) > _BEV_FOV_DEG / 2.0] = FLOOR_DB
 
     return RangeAzimuthMap(
         power_db=sampled,
         kind="cartesian",
-        axis0_bin_width=cell_m,
-        axis0_origin=float(x[0]),
-        axis1_bin_width=cell_m,
-        axis1_origin=float(y[0]),
+        axis0_bin_width=_BEV_CELL_M,
+        axis0_origin=float(_BEV_X_M[0]),
+        axis1_bin_width=_BEV_CELL_M,
+        axis1_origin=float(_BEV_Y_M[0]),
     )

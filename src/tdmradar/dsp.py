@@ -76,11 +76,11 @@ class RangeDopplerCube:
         return np.arange(self.n_range) * self.range_bin_m
 
 
-def range_doppler_map(sub: TxSubCubes, window_fast: str = "hann",
-                      window_slow: str = "hann") -> RangeDopplerCube:
-    """Fast-time FFT then slow-time FFT over each per-TX stack, computed in
-    the precision of ``sub.values`` (complex64 cubes stay complex64)."""
-    return _rd_kernel(sub, window_fast, window_slow, n_keep=sub.values.shape[-1])
+def range_doppler_map(sub: TxSubCubes, window: str = "hann") -> RangeDopplerCube:
+    """Fast-time FFT then slow-time FFT over each per-TX stack, both under
+    ``window``, computed in the precision of ``sub.values`` (complex64 cubes
+    stay complex64)."""
+    return _rd_kernel(sub, window, n_keep=sub.values.shape[-1])
 
 
 def _window(name: str, n: int) -> np.ndarray:
@@ -91,18 +91,17 @@ def _window(name: str, n: int) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
-def _rd_kernel(sub: TxSubCubes, window_fast: str, window_slow: str,
-               n_keep: int) -> RangeDopplerCube:
+def _rd_kernel(sub: TxSubCubes, window: str, n_keep: int) -> RangeDopplerCube:
     """``range_doppler_map`` keeping only the first ``n_keep`` range bins,
     which are all the Doppler FFT runs on.  One TX block at a time goes
     through a single scratch buffer, windowed and transformed in place."""
     params = sub.params
     n_tx, n_rx, n_slow, n_fast = sub.values.shape
-    wf = _window(window_fast, n_fast)
+    wf = _window(window, n_fast)
     # Both windows are applied up front (the FFTs are linear).  The (-1)^n
     # factor moves Doppler bin 0 to -vmax, an fftshift that is exact because
     # the chirp count is a power of two.
-    ws = _window(window_slow, n_slow) * (-1.0) ** np.arange(n_slow)
+    ws = _window(window, n_slow) * (-1.0) ** np.arange(n_slow)
     w = (ws[:, None] * wf[None, :]).astype(sub.values.real.dtype)
     buf = np.empty((n_rx, n_slow, n_fast), dtype=np.result_type(sub.values, w))
     out = np.empty((n_tx, n_rx, n_slow, n_keep), dtype=np.result_type(buf, np.complex64))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angle import CalibrationVector, RangeAzimuthMap
+from .angle import FLOOR_DB, CalibrationVector, RangeAzimuthMap
 from .config import InvalidParameterError, RadarParams, build_frame_plan
 from .simulate import DataCube
 
@@ -156,16 +156,16 @@ def read_map(path) -> RangeAzimuthMap:
                            axis1_bin_width=w1, axis1_origin=o1)
 
 
-def export_pgm(rmap: RangeAzimuthMap, path, floor_db: float = -120.0) -> None:
-    """16-bit grayscale PGM (P5), dB-clipped to [floor, peak].  Rows follow
-    axis 0 of the map, columns axis 1."""
-    values = np.clip(rmap.power_db, floor_db, None)
+def export_pgm(rmap: RangeAzimuthMap, path) -> None:
+    """16-bit grayscale PGM (P5), dB-clipped to [FLOOR_DB, peak].  Rows
+    follow axis 0 of the map, columns axis 1."""
+    values = np.clip(rmap.power_db, FLOOR_DB, None)
     peak = float(values.max())
-    span = peak - floor_db
+    span = peak - FLOOR_DB
     if span <= 0:
         pixels = np.zeros_like(values)
     else:
-        pixels = (values - floor_db) / span * 65535.0
+        pixels = (values - FLOOR_DB) / span * 65535.0
     pixels = pixels.astype(">u2")
     rows, cols = pixels.shape
     with open(path, "wb") as fh:

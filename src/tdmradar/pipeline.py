@@ -123,11 +123,29 @@ def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params,
     return velocity, compensated
 
 
+def _process_frame(cube: DataCube, cfar: CfarConfig):
+    """Demux, one-sided range/Doppler FFTs (Hann), noncoherent integration
+    and CFAR of one frame: returns (rd, power, detections)."""
+    sub = tdm_demux(cube, cube.plan)
+    # Keep the one-sided beat spectrum: bins from n_fast/2 on are the
+    # negative-beat mirror, beyond max_unambiguous_range_m.
+    rd = _rd_kernel(sub, "hann", sub.values.shape[-1] // 2)
+    power = noncoherent_integrate(rd)
+    # A NaN or inf sample spreads through both FFTs into this small map.
+    if not np.isfinite(power).all():
+        raise InvalidParameterError(f"frame {cube.plan.frame_index} has non-finite samples")
+    return rd, power, cfar_ca2d(power, cfar, velocity_axis=rd.velocity_axis,
+                                frame_index=cube.plan.frame_index)
+
+
 def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
                  geometry: ArrayGeometry, cal: CalibrationVector | None = None,
                  cfar: CfarConfig | None = None, *, cartesian: bool = False) -> PipelineResult:
-    """Process one staggered frame pair (Hann range/Doppler windows, default
-    angle grid); a mismatched calibration or non-finite samples raise."""
+    """Process one staggered frame pair (default angle grid); cubes simulated
+    or read under other params, a mismatched calibration or non-finite
+    samples raise."""
+    if cube_a.params != params or cube_b.params != params:
+        raise InvalidParameterError("the frame pair was made under other radar parameters")
     if cal is not None:
         cal.check_shape(params.n_tx, params.n_rx)
     cfar = CfarConfig() if cfar is None else cfar
@@ -139,33 +157,19 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
         raise UnsupportedGeometryError(
             "velocity unfolding needs overlapped virtual elements from distinct TXs")
 
-    # Keep the one-sided beat spectrum: bins from n_fast/2 on are the
-    # negative-beat mirror, beyond max_unambiguous_range_m.
-    sub_a, sub_b = (tdm_demux(cube, cube.plan) for cube in (cube_a, cube_b))
-    n_keep = sub_a.values.shape[-1] // 2
-    rd, detections, powers = {}, {}, {}
     with ThreadPoolExecutor(max_workers=1) as pool:
-        # Frame b's range/Doppler step runs on the worker while frame a's
-        # runs here; reading the future raises a worker error.
-        future_b = pool.submit(_rd_kernel, sub_b, "hann", "hann", n_keep)
-        for tag, cube in (("a", cube_a), ("b", cube_b)):
-            rd[tag] = (_rd_kernel(sub_a, "hann", "hann", n_keep) if tag == "a"
-                       else future_b.result())
-            powers[tag] = noncoherent_integrate(rd[tag])
-            # A NaN or inf sample spreads through both FFTs into this small map.
-            if not np.isfinite(powers[tag]).all():
-                raise InvalidParameterError(f"frame {cube.plan.frame_index} has non-finite samples")
-            detections[tag] = cfar_ca2d(powers[tag], cfar,
-                                        velocity_axis=rd[tag].velocity_axis,
-                                        frame_index=cube.plan.frame_index)
+        # Frame b runs on the worker while frame a runs here; reading the
+        # future raises a worker error.
+        future_b = pool.submit(_process_frame, cube_b, cfar)
+        rd_a, power_a, detections_a = _process_frame(cube_a, cfar)
+        rd_b, _, detections_b = future_b.result()
 
-    rd_a, rd_b = rd["a"], rd["b"]
     velocities_a = rd_a.velocity_axis.copy()
     velocities_b = rd_b.velocity_axis.copy()
 
     resolved = []
-    for det_a, b_index in _match_across_frames(detections["a"], detections["b"]):
-        det_b = detections["b"][b_index] if b_index is not None else None
+    for det_a, b_index in _match_across_frames(detections_a, detections_b):
+        det_b = detections_b[b_index] if b_index is not None else None
         velocity, compensated = unfold_detection(det_a, det_b, rd_a, rd_b,
                                                  varray, params, cal=cal)
         positions, collapsed = collapse_snapshot(compensated)
@@ -175,7 +179,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
         if det_b is not None:
             velocities_b[det_b.doppler_bin] = velocity
         resolved.append(ResolvedDetection(
-            range_m=_refined_range_m(powers["a"], det_a, rd_a.range_bin_m),
+            range_m=_refined_range_m(power_a, det_a, rd_a.range_bin_m),
             velocity_mps=velocity,
             azimuth_deg=spectrum.peak_azimuth_deg,
             power_db=det_a.power_db,
@@ -188,7 +192,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
                     for rd_x, v in ((rd_a, velocities_a), (rd_b, velocities_b)))
 
     result = PipelineResult(map_a=map_a, map_b=map_b, detections=resolved,
-                            detections_a=detections["a"], detections_b=detections["b"])
+                            detections_a=detections_a, detections_b=detections_b)
     if cartesian:
         result.cartesian_a = polar_to_cartesian(map_a)
         result.cartesian_b = polar_to_cartesian(map_b)

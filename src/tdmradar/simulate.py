@@ -105,10 +105,29 @@ class DataCube:
                  f"cube shape {self.samples.shape} does not match plan {expected}")
 
 
-def _synthesize(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
-                frame_index: int, start_time_s: float) -> DataCube:
-    """Noiseless frame: per block of slots, one product of the (n_rx, T)
-    receive gains with the (T, slots * n_fast) transmit-phased chirp rows."""
+def _add_noise(cube: DataCube, scene: Scene) -> None:
+    """Add the frame's noise in place through one reused buffer, in the draw order
+    of ``normal(scale=sigma/sqrt(2), size=(2,) + shape)``: real parts, then imaginary."""
+    if scene.snr_db is None:
+        return
+    # Counter-style seeding: each frame draws from its own reproducible stream.
+    rng = np.random.default_rng([int(scene.rng_seed), int(cube.plan.frame_index)])
+    # Post-range-FFT SNR for unit amplitude: amp^2 * N_fast / sigma^2.
+    sigma = float(np.sqrt(cube.params.adc_samples_per_chirp / 10.0 ** (scene.snr_db / 10.0)))
+    scale = sigma / np.sqrt(2.0)
+    buf, flat = np.empty(_NOISE_BLOCK), cube.samples.reshape(-1)
+    for part in (flat.real, flat.imag):
+        for i in range(0, part.size, _NOISE_BLOCK):
+            draw = rng.standard_normal(out=buf[:part.size - i])
+            part[i:i + draw.size] += np.multiply(draw, scale, out=draw)
+
+
+def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
+                   frame_index: int, start_time_s: float = 0.0) -> DataCube:
+    """Synthesize one frame: per block of slots, one product of the (n_rx, T)
+    receive gains with the (T, slots * n_fast) transmit-phased chirp rows,
+    then the scene's noise.  ``start_time_s`` keeps the target state
+    continuous when frames are chained."""
     plan = build_frame_plan(params, frame_index)
     n_fast = params.adc_samples_per_chirp
     n_slots = plan.chirp_count_total
@@ -146,47 +165,20 @@ def _synthesize(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
         # With no targets the product has an empty inner dimension and writes zeros.
         np.matmul(rx_gain, rows.reshape(len(u), (s1 - s0) * n_fast),
                   out=cube.reshape(params.n_rx, -1)[:, s0 * n_fast:s1 * n_fast])
-    return DataCube(samples=cube, plan=plan, params=params)
-
-
-def _add_noise(cube: DataCube, scene: Scene) -> None:
-    """Add the frame's noise in place through one reused buffer, in the draw order
-    of ``normal(scale=sigma/sqrt(2), size=(2,) + shape)``: real parts, then imaginary."""
-    if scene.snr_db is None:
-        return
-    # Counter-style seeding: each frame draws from its own reproducible stream.
-    rng = np.random.default_rng([int(scene.rng_seed), int(cube.plan.frame_index)])
-    # Post-range-FFT SNR for unit amplitude: amp^2 * N_fast / sigma^2.
-    sigma = float(np.sqrt(cube.params.adc_samples_per_chirp / 10.0 ** (scene.snr_db / 10.0)))
-    scale = sigma / np.sqrt(2.0)
-    buf, flat = np.empty(_NOISE_BLOCK), cube.samples.reshape(-1)
-    for part in (flat.real, flat.imag):
-        for i in range(0, part.size, _NOISE_BLOCK):
-            draw = rng.standard_normal(out=buf[:part.size - i])
-            part[i:i + draw.size] += np.multiply(draw, scale, out=draw)
-
-
-def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
-                   frame_index: int, start_time_s: float = 0.0) -> DataCube:
-    """Synthesize one frame; ``start_time_s`` keeps the target state
-    continuous when frames are chained."""
-    cube = _synthesize(scene, params, geometry, frame_index, start_time_s)
-    _add_noise(cube, scene)
-    return cube
+    frame = DataCube(samples=cube, plan=plan, params=params)
+    _add_noise(frame, scene)
+    return frame
 
 
 def simulate_frame_pair(scene: Scene, params: RadarParams,
                         geometry: ArrayGeometry) -> tuple:
     """Two back-to-back frames with staggered PRIs (frame 0 then frame 1).
-    Frame b's own noise stream is drawn on a second thread, with the same result."""
-    frame_a = _synthesize(scene, params, geometry, 0, 0.0)
-    offset = frame_a.plan.chirp_count_total * frame_a.plan.slot_interval_s
-    frame_b = _synthesize(scene, params, geometry, 1, offset)
+    Frame b is simulated on a second thread; each frame draws its own noise
+    stream, so the result does not depend on the threads."""
     with ThreadPoolExecutor(max_workers=1) as pool:
-        noise_b = pool.submit(_add_noise, frame_b, scene)
-        _add_noise(frame_a, scene)
-        noise_b.result()
-    return frame_a, frame_b
+        frame_b = pool.submit(simulate_frame, scene, params, geometry, 1,
+                              params.frame_duration_s(0))
+        return simulate_frame(scene, params, geometry, 0), frame_b.result()
 
 
 def inject_channel_errors(cube: DataCube, gains) -> DataCube:

@@ -261,7 +261,7 @@ def test_criterion_7_numerical_invariants(geometry, varray):
     cube = tr.DataCube(samples=noise, plan=plan, params=params)
     sub = tr.tdm_demux(cube, plan)
 
-    rd = tr.range_doppler_map(sub, window_fast="rect", window_slow="rect")
+    rd = tr.range_doppler_map(sub, window="rect")
     gain = params.adc_samples_per_chirp * params.chirps_per_tx_per_frame
     parseval = abs(np.sum(np.abs(rd.values) ** 2)
                    - gain * np.sum(np.abs(sub.values) ** 2))

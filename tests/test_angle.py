@@ -315,7 +315,7 @@ class TestPolarToCartesian:
 
     def test_boresight_point(self):
         pmap = self._point_map(r_bin=int(round(10 / 0.5996)), sin_value=0.0)
-        cart = polar_to_cartesian(pmap, x_extent_m=20.0, y_extent_m=20.0, cell_m=0.25)
+        cart = polar_to_cartesian(pmap)
         xi, yi = np.unravel_index(np.argmax(cart.power_db), cart.power_db.shape)
         assert abs(cart.axis0()[xi] - 0.0) <= 0.25
         assert abs(cart.axis1()[yi] - 10.19) <= 0.3 + 0.25
@@ -323,7 +323,7 @@ class TestPolarToCartesian:
     def test_30_degree_point(self):
         pmap = self._point_map(r_bin=int(round(10 / 0.5996)),
                                sin_value=np.sin(np.radians(30.0)))
-        cart = polar_to_cartesian(pmap, x_extent_m=20.0, y_extent_m=20.0, cell_m=0.25)
+        cart = polar_to_cartesian(pmap)
         r_true = round(10 / 0.5996) * 0.5996
         xi, yi = np.unravel_index(np.argmax(cart.power_db), cart.power_db.shape)
         assert abs(cart.axis0()[xi] - r_true * 0.5) <= 0.55
@@ -333,7 +333,7 @@ class TestPolarToCartesian:
         scene = single_target_scene(range_m=20.0, azimuth_deg=9.0)
         _, rd = process_frame(scene, small_params, geometry)
         pmap = range_azimuth_map(rd, varray)
-        cart = polar_to_cartesian(pmap, x_extent_m=15.0, y_extent_m=30.0, cell_m=0.2)
+        cart = polar_to_cartesian(pmap)
         assert cart.power_db.max() >= pmap.power_db.max() - 3.0
 
     def test_peak_position_maps_through(self, small_params, geometry, varray):
@@ -343,24 +343,19 @@ class TestPolarToCartesian:
         ri, ai = np.unravel_index(np.argmax(pmap.power_db), pmap.power_db.shape)
         r = pmap.axis0()[ri]
         az = np.arcsin(pmap.axis1()[ai])
-        cart = polar_to_cartesian(pmap, x_extent_m=15.0, y_extent_m=30.0, cell_m=0.2)
+        cart = polar_to_cartesian(pmap)
         xi, yi = np.unravel_index(np.argmax(cart.power_db), cart.power_db.shape)
         assert abs(cart.axis0()[xi] - r * np.sin(az)) <= 0.4
         assert abs(cart.axis1()[yi] - r * np.cos(az)) <= 0.4
 
     def test_fov_clamp(self):
         pmap = self._point_map(r_bin=16, sin_value=np.sin(np.radians(60.0)))
-        cart = polar_to_cartesian(pmap, x_extent_m=20.0, y_extent_m=20.0, cell_m=0.25)
+        cart = polar_to_cartesian(pmap)
         # 60 deg is outside the 70 deg FOV: nothing may leak past the clamp
         np.testing.assert_allclose(cart.power_db, FLOOR_DB, atol=1e-9)
 
-    def test_bad_cell_size(self):
-        pmap = self._point_map(r_bin=4, sin_value=0.0)
-        with pytest.raises(InvalidParameterError):
-            polar_to_cartesian(pmap, cell_m=0.0)
-
     def test_requires_polar(self):
         pmap = self._point_map(r_bin=4, sin_value=0.0)
-        cart = polar_to_cartesian(pmap, x_extent_m=5.0, y_extent_m=5.0, cell_m=0.5)
+        cart = polar_to_cartesian(pmap)
         with pytest.raises(InvalidParameterError):
             polar_to_cartesian(cart)

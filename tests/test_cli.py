@@ -67,25 +67,34 @@ def workdir(tmp_path_factory):
                               "azimuth_deg": 0.0, "amplitude": 1.0}],
                  "snr_db": None, "rng_seed": 0}
     (path / "cal_scene.json").write_text(json.dumps(cal_scene))
+    # The frame pair f0.rdc/f1.rdc and its maps, through the in-process CLI,
+    # so that every test of this module also runs alone.
+    config = ["--params", str(path / "params.json"), "--geometry", str(path / "geometry.json")]
+    assert cli.main(["simulate", "--scene", str(path / "scene.json"), *config, "--seed", "3",
+                     "--out-a", str(path / "f0.rdc"), "--out-b", str(path / "f1.rdc")]) == 0
+    assert cli.main(["process", "--in-a", str(path / "f0.rdc"), "--in-b", str(path / "f1.rdc"),
+                     *config, "--out-map", str(path / "map.ram"),
+                     "--out-det", str(path / "det.json")]) == 0
     return path
 
 
-def test_simulate_then_process(workdir):
+def test_simulate_then_process(workdir, tmp_path):
     run_cli("simulate", "--scene", str(workdir / "scene.json"),
             "--params", str(workdir / "params.json"),
             "--geometry", str(workdir / "geometry.json"),
             "--seed", "3",
-            "--out-a", str(workdir / "f0.rdc"), "--out-b", str(workdir / "f1.rdc"),
+            "--out-a", str(tmp_path / "f0.rdc"), "--out-b", str(tmp_path / "f1.rdc"),
             check=True)
-    proc = run_cli("process", "--in-a", str(workdir / "f0.rdc"),
-                   "--in-b", str(workdir / "f1.rdc"),
+    proc = run_cli("process", "--in-a", str(tmp_path / "f0.rdc"),
+                   "--in-b", str(tmp_path / "f1.rdc"),
                    "--params", str(workdir / "params.json"),
                    "--geometry", str(workdir / "geometry.json"),
-                   "--out-map", str(workdir / "map.ram"),
-                   "--out-det", str(workdir / "det.json"), check=True)
-    assert (workdir / "map.ram").exists()
-    assert (workdir / "map_b.ram").exists()
-    dets = json.loads((workdir / "det.json").read_text())["detections"]
+                   "--out-map", str(tmp_path / "map.ram"),
+                   "--out-det", str(tmp_path / "det.json"), check=True)
+    # a CLI subprocess writes the files the in-process CLI wrote
+    for name in ("map.ram", "map_b.ram", "det.json"):
+        assert (tmp_path / name).read_bytes() == (workdir / name).read_bytes()
+    dets = json.loads((tmp_path / "det.json").read_text())["detections"]
     assert len(dets) >= 1
     best = max(dets, key=lambda d: d["power_db"])
     assert abs(best["range_m"] - 20.0) <= 0.3

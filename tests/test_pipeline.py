@@ -1,3 +1,5 @@
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from tdmradar import (
     RadarParams,
     Scene,
     cfar_ca2d,
+    default_params,
     noncoherent_integrate,
     range_doppler_map,
     pipeline,
@@ -200,14 +203,53 @@ def test_non_finite_frame_b_rejected(pipeline_params, geometry, bad):
 
 
 def test_worker_error_raised(pipeline_params, geometry, monkeypatch):
+    # frame b's range/Doppler step and its CFAR both run on the worker thread
     a, b = simulate_frame_pair(single_target_scene(range_m=20.0), pipeline_params, geometry)
-    kernel = pipeline._rd_kernel
+    for stage in ("_rd_kernel", "cfar_ca2d"):
+        original = getattr(pipeline, stage)
 
-    def fail_on_frame_b(sub, *args):
-        if sub.plan.frame_index == 1:
-            raise MemoryError("frame b")
-        return kernel(sub, *args)
+        def fail_on_frame_b(first, *args, **kwargs):
+            frame = kwargs["frame_index"] if stage == "cfar_ca2d" else first.plan.frame_index
+            if frame == 1:
+                raise MemoryError(f"frame b {stage}")
+            return original(first, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "_rd_kernel", fail_on_frame_b)
-    with pytest.raises(MemoryError, match="frame b"):
-        run_pipeline(a, b, pipeline_params, geometry)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, stage, fail_on_frame_b)
+            with pytest.raises(MemoryError, match=f"frame b {stage}"):
+                run_pipeline(a, b, pipeline_params, geometry)
+
+
+def test_frame_detections_match_calling_thread_rebuild(pipeline_params, geometry):
+    # frame b's NCI and CFAR run on the worker thread; both frames'
+    # detections equal a rebuild from the public stages on this thread
+    scene = Scene(targets=(
+        PointTarget(range_m=12.0, velocity_mps=7.0, azimuth_deg=-15.0),
+        PointTarget(range_m=31.0, velocity_mps=-3.0, azimuth_deg=8.0, amplitude=0.6),
+        PointTarget(range_m=24.0, velocity_mps=19.0, azimuth_deg=30.0, amplitude=0.8),
+    ), snr_db=20.0, rng_seed=33)
+    a, b = simulate_frame_pair(scene, pipeline_params, geometry)
+    result = run_pipeline(a, b, pipeline_params, geometry)
+    n_keep = pipeline_params.adc_samples_per_chirp // 2
+    for cube, detections in ((a, result.detections_a), (b, result.detections_b)):
+        rd = range_doppler_map(tdm_demux(cube, cube.plan))
+        rd = replace(rd, values=rd.values[..., :n_keep])
+        rebuilt = cfar_ca2d(noncoherent_integrate(rd), CfarConfig(),
+                            velocity_axis=rd.velocity_axis, frame_index=cube.plan.frame_index)
+        assert len(detections) >= 3
+        assert [astuple(d) for d in detections] == [astuple(d) for d in rebuilt]
+
+
+def test_cube_params_must_match(small_params, geometry):
+    # frames simulated at small_params are refused under default_params()
+    # and under a 76 GHz params, whose wavelength the unfolding would read
+    # while the FFT axes read the cubes'; so is a pair made at two params
+    scene = single_target_scene(range_m=20.0)
+    a, b = simulate_frame_pair(scene, small_params, geometry)
+    at_76ghz = replace(small_params, carrier_frequency_hz=76e9)
+    for params in (default_params(), at_76ghz):
+        with pytest.raises(InvalidParameterError, match="other radar parameters"):
+            run_pipeline(a, b, params, geometry)
+    _, b_76ghz = simulate_frame_pair(scene, at_76ghz, geometry)
+    with pytest.raises(InvalidParameterError, match="other radar parameters"):
+        run_pipeline(a, b_76ghz, small_params, geometry)
