@@ -15,6 +15,7 @@ from .config import (
     InvalidParameterError,
     VirtualArray,
     _averaging_matrix,
+    _check_keys,
     _is_number,
     _require,
     range_resolution,
@@ -79,9 +80,8 @@ class CalibrationVector:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationVector":
-        _require(isinstance(data, dict), "calibration must be a JSON object")
-        missing = sorted({"gains", "n_tx", "n_rx"} - data.keys())
-        _require(not missing, f"calibration: missing fields {missing}")
+        _check_keys("calibration", data, ("gains", "n_tx", "n_rx", "reference"),
+                    ("gains", "n_tx", "n_rx"))
         try:
             gains = np.array([complex(re, im) for re, im in data["gains"]])
         except (TypeError, ValueError) as exc:
@@ -92,7 +92,7 @@ class CalibrationVector:
         _require(gains.size == shape[0] * shape[1],
                  f"calibration lists {gains.size} gains for a {shape} array")
         ref = data.get("reference", {})
-        _require(isinstance(ref, dict), f"calibration reference {ref!r} is not a JSON object")
+        _check_keys("calibration reference", ref, ("range_m", "azimuth_deg"))
         return cls(gains.reshape(shape), ref.get("range_m", 0.0), ref.get("azimuth_deg", 0.0))
 
 

@@ -58,10 +58,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_process(args) -> int:
     params = RadarParams.from_json(args.params)
     geometry = ArrayGeometry.from_json(args.geometry)
-    for path in (args.in_a, args.in_b):
-        if not fileio.digest_matches(path, params):
-            print(f"warning: {path} was simulated with different parameters "
-                  "(digest mismatch)", file=sys.stderr)
     cube_a = fileio.read_cube(args.in_a, params)
     cube_b = fileio.read_cube(args.in_b, params)
     cal = fileio.read_calibration_json(args.cal) if args.cal else None
@@ -70,12 +66,10 @@ def _cmd_process(args) -> int:
     result = run_pipeline(cube_a, cube_b, params, geometry, cal=cal, cfar=cfar,
                           cartesian=args.cartesian)
     map_b_path = _sibling_path(args.out_map, "_b")
-    if args.cartesian:
-        fileio.write_map(result.cartesian_a, args.out_map)
-        fileio.write_map(result.cartesian_b, map_b_path)
-    else:
-        fileio.write_map(result.map_a, args.out_map)
-        fileio.write_map(result.map_b, map_b_path)
+    maps = ((result.cartesian_a, result.cartesian_b) if args.cartesian
+            else (result.map_a, result.map_b))
+    for rmap, path in zip(maps, (args.out_map, map_b_path)):
+        fileio.write_map(rmap, path)
     fileio.write_detections_json(result.detections, args.out_det)
     print(f"wrote {args.out_map}, {map_b_path} and {args.out_det} "
           f"({len(result.detections)} detections)")

@@ -38,6 +38,38 @@ def _is_number(value, integral: bool = False) -> bool:
             and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
+def _check_fields(obj) -> None:
+    """Type-check every ``int``, ``float`` and ``float | None`` field of a
+    dataclass by its annotation: a finite number, an integer where ``int``."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", "float") or (f.type == "float | None" and value is not None):
+            _require(_is_number(value, integral=f.type == "int"),
+                     f"{f.name} must be a finite {f.type}, got {value!r}")
+
+
+def _check_keys(what: str, data, known, required=()) -> None:
+    """Raise unless ``data`` is a JSON object whose keys lie in ``known`` and
+    cover ``required``, naming the unknown and missing ones."""
+    _require(isinstance(data, dict), f"{what} must be a JSON object")
+    unknown = sorted(data.keys() - set(known))
+    missing = [k for k in required if k not in data]
+    _require(not unknown and not missing,
+             f"{what}: unknown fields {unknown}, missing fields {missing}")
+
+
+def _from_dict(cls, data: dict):
+    """Build dataclass ``cls`` from a JSON object holding exactly its fields."""
+    _check_keys(cls.__name__, data, [f.name for f in fields(cls)],
+                [f.name for f in fields(cls) if f.default is MISSING])
+    return cls(**data)
+
+
+def _from_json(cls, path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return cls.from_dict(json.load(fh))
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -57,9 +89,7 @@ class RadarParams:
     pri_frame_b_s: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            _require(_is_number(getattr(self, f.name), integral=f.type == "int"),
-                     f"{f.name} must be a finite {f.type}, got {getattr(self, f.name)!r}")
+        _check_fields(self)
         _require(self.carrier_frequency_hz > 0, "carrier frequency must be positive")
         _require(self.bandwidth_hz > 0, "bandwidth must be positive")
         _require(self.chirp_duration_s > 0, "chirp duration must be positive")
@@ -98,19 +128,8 @@ class RadarParams:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RadarParams":
-        _require(isinstance(data, dict), "params must be a JSON object")
-        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
-        _require(not unknown and not missing,
-                 f"params: unknown fields {unknown}, missing fields {missing}")
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, path) -> "RadarParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+    from_dict = classmethod(_from_dict)
+    from_json = classmethod(_from_json)
 
     def digest(self) -> bytes:
         """SHA-256 over the canonical JSON form, stored in cube file headers."""
@@ -222,29 +241,24 @@ def build_frame_plan(params: RadarParams, frame_index: int) -> FramePlan:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Physical TX/RX element positions in half-wavelength grid units."""
+    """Physical TX/RX element positions in half-wavelength grid units.
+    Lists are accepted and stored as tuples."""
 
     tx_positions: tuple
     rx_positions: tuple
 
     def __post_init__(self) -> None:
-        _require(len(self.tx_positions) > 0, "tx_positions may not be empty")
-        _require(len(self.rx_positions) > 0, "rx_positions may not be empty")
-        for p in tuple(self.tx_positions) + tuple(self.rx_positions):
+        for name in ("tx_positions", "rx_positions"):
+            positions = getattr(self, name)
+            _require(isinstance(positions, (list, tuple)) and len(positions) > 0,
+                     f"{name} must be a non-empty list, got {positions!r}")
+            object.__setattr__(self, name, tuple(positions))
+        for p in self.tx_positions + self.rx_positions:
             _require(_is_number(p, integral=True) and p >= 0,
                      f"position {p!r} is not a non-negative half-wavelength grid index")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArrayGeometry":
-        _require(isinstance(data, dict) and all(
-            isinstance(data.get(k), list) for k in ("tx_positions", "rx_positions")),
-            "geometry must be a JSON object with tx_positions and rx_positions lists")
-        return cls(tuple(data["tx_positions"]), tuple(data["rx_positions"]))
-
-    @classmethod
-    def from_json(cls, path) -> "ArrayGeometry":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+    from_dict = classmethod(_from_dict)
+    from_json = classmethod(_from_json)
 
     def to_dict(self) -> dict:
         return {"tx_positions": list(self.tx_positions),

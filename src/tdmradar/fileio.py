@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -43,16 +43,6 @@ class MapFormatError(RuntimeError):
     """Malformed map file; the message names the failing byte offset."""
 
 
-@dataclass
-class CubeFileHeader:
-    n_rx: int
-    n_chirps: int
-    n_fast: int
-    frame_index: int
-    pri_s: float
-    params_digest: bytes
-
-
 def write_cube(cube: DataCube, path) -> None:
     header = _CUBE_HEADER.pack(
         CUBE_MAGIC, CUBE_VERSION,
@@ -65,54 +55,46 @@ def write_cube(cube: DataCube, path) -> None:
         fh.write(np.ascontiguousarray(cube.samples, dtype="<c8"))
 
 
-def read_cube_header(path) -> CubeFileHeader:
+def read_cube(path, params: RadarParams) -> DataCube:
+    """Read a cube made under ``params`` and bind it to them (exact inverse of
+    ``write_cube`` up to the float32 storage width).  A cube whose header
+    disagrees with ``params`` in dimensions, PRI or params digest raises
+    ``InvalidParameterError``.  The samples come back as a writable complex64
+    array, the width they are stored in."""
     with open(path, "rb") as fh:
         raw = fh.read(_CUBE_HEADER.size)
-    if len(raw) < _CUBE_HEADER.size:
-        raise CubeFormatError(f"truncated header: {len(raw)} bytes at offset 0")
-    magic, version, n_rx, n_chirps, n_fast, frame_index, pri, digest = _CUBE_HEADER.unpack(raw)
-    if magic != CUBE_MAGIC:
-        raise CubeFormatError(f"bad magic {magic!r} at offset 0")
-    if version != CUBE_VERSION:
-        raise CubeFormatError(f"unsupported version {version} at offset 4")
-    if min(n_rx, n_chirps, n_fast) <= 0:
-        raise CubeFormatError("non-positive dimension at offset 6")
-    return CubeFileHeader(n_rx=n_rx, n_chirps=n_chirps, n_fast=n_fast,
-                          frame_index=frame_index, pri_s=pri, params_digest=digest)
+        if len(raw) < _CUBE_HEADER.size:
+            raise CubeFormatError(f"truncated header: {len(raw)} bytes at offset 0")
+        magic, version, n_rx, n_chirps, n_fast, frame_index, pri, digest = _CUBE_HEADER.unpack(raw)
+        if magic != CUBE_MAGIC:
+            raise CubeFormatError(f"bad magic {magic!r} at offset 0")
+        if version != CUBE_VERSION:
+            raise CubeFormatError(f"unsupported version {version} at offset 4")
+        if min(n_rx, n_chirps, n_fast) <= 0:
+            raise CubeFormatError("non-positive dimension at offset 6")
 
+        plan = build_frame_plan(params, frame_index)
+        shape = (n_rx, n_chirps, n_fast)
+        if shape != (params.n_rx, plan.chirp_count_total, params.adc_samples_per_chirp):
+            raise InvalidParameterError(
+                f"cube dimensions {shape} do not match the radar parameters")
+        if abs(pri - plan.slot_interval_s) > 1e-12:
+            raise InvalidParameterError(
+                f"cube PRI {pri} differs from the parameter set's "
+                f"{plan.slot_interval_s} for frame {frame_index}")
+        if digest != params.digest():
+            raise InvalidParameterError(
+                f"{path} was made under other radar parameters (params digest mismatch)")
 
-def read_cube(path, params: RadarParams) -> DataCube:
-    """Read a cube and bind it to the given parameters (exact inverse of
-    ``write_cube`` up to the float32 storage width).  The samples come back
-    as a writable complex64 array, the width they are stored in."""
-    header = read_cube_header(path)
-    plan = build_frame_plan(params, header.frame_index)
-    if (header.n_rx, header.n_chirps, header.n_fast) != (
-            params.n_rx, plan.chirp_count_total, params.adc_samples_per_chirp):
-        raise InvalidParameterError(
-            f"cube dimensions ({header.n_rx}, {header.n_chirps}, {header.n_fast}) "
-            "do not match the radar parameters")
-    if abs(header.pri_s - plan.slot_interval_s) > 1e-12:
-        raise InvalidParameterError(
-            f"cube PRI {header.pri_s} differs from the parameter set's "
-            f"{plan.slot_interval_s} for frame {header.frame_index}")
-
-    shape = (header.n_rx, header.n_chirps, header.n_fast)
-    expected = header.n_rx * header.n_chirps * header.n_fast * 8
-    with open(path, "rb") as fh:
         # Check the size first: a wrong-sized file is rejected unread.
+        expected = n_rx * n_chirps * n_fast * 8
         size = os.fstat(fh.fileno()).st_size - _CUBE_HEADER.size
         if size != expected:
             raise CubeFormatError(
                 f"payload is {size} bytes, expected {expected} "
                 f"at offset {_CUBE_HEADER.size}")
-        fh.seek(_CUBE_HEADER.size)
         samples = np.fromfile(fh, dtype="<c8", count=expected // 8)
     return DataCube(samples=samples.reshape(shape), plan=plan, params=params)
-
-
-def digest_matches(path, params: RadarParams) -> bool:
-    return read_cube_header(path).params_digest == params.digest()
 
 
 def write_map(rmap: RangeAzimuthMap, path) -> None:
@@ -174,20 +156,8 @@ def export_pgm(rmap: RangeAzimuthMap, path) -> None:
 
 
 def write_detections_json(detections, path) -> None:
-    records = [
-        {
-            "range_m": d.range_m,
-            "velocity_mps": d.velocity_mps,
-            "azimuth_deg": d.azimuth_deg,
-            "power_db": d.power_db,
-            "range_bin": d.range_bin,
-            "doppler_bin_a": d.doppler_bin_a,
-            "doppler_bin_b": d.doppler_bin_b,
-        }
-        for d in detections
-    ]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"detections": records}, fh, indent=2)
+        json.dump({"detections": [asdict(d) for d in detections]}, fh, indent=2)
 
 
 def write_calibration_json(cal: CalibrationVector, path) -> None:

@@ -16,9 +16,8 @@ injected.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +27,9 @@ from .config import (
     FramePlan,
     InvalidParameterError,
     RadarParams,
-    _is_number,
+    _check_fields,
+    _from_dict,
+    _from_json,
     _require,
     build_frame_plan,
 )
@@ -42,13 +43,12 @@ class PointTarget:
     """Ideal point scatterer.  Positive velocity recedes from the radar."""
 
     range_m: float
-    velocity_mps: float
-    azimuth_deg: float
+    velocity_mps: float = 0.0
+    azimuth_deg: float = 0.0
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(all(_is_number(v) for v in vars(self).values()),
-                 f"target values must be finite numbers, got {self!r}")
+        _check_fields(self)
         _require(self.range_m > 0, "target range must be positive")
         _require(-90.0 < self.azimuth_deg < 90.0, "azimuth must lie in (-90, 90) degrees")
         _require(self.amplitude > 0, "amplitude must be positive")
@@ -59,32 +59,22 @@ class Scene:
     """Target list plus noise level.  ``snr_db`` is the post-range-FFT SNR of
     a unit-amplitude target; ``None`` means noiseless."""
 
-    targets: tuple
+    targets: tuple = ()
     snr_db: float | None = None
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        _require(self.snr_db is None or _is_number(self.snr_db),
-                 f"snr_db must be a finite number or null, got {self.snr_db!r}")
-        _require(_is_number(self.rng_seed, integral=True) and self.rng_seed >= 0,
-                 f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+        _check_fields(self)
+        _require(self.rng_seed >= 0, f"rng_seed must be non-negative, got {self.rng_seed!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scene":
         _require(isinstance(data, dict) and isinstance(data.get("targets", []), list),
                  "scene must be a JSON object with a list of targets")
-        known = {f.name for f in fields(PointTarget)}
-        for t in data.get("targets", []):
-            _require(isinstance(t, dict) and "range_m" in t and t.keys() <= known,
-                     f"scene target {t!r} needs range_m and takes only {sorted(known)}")
-        targets = tuple(PointTarget(**{"velocity_mps": 0.0, "azimuth_deg": 0.0, **t})
-                        for t in data.get("targets", []))
-        return cls(targets=targets, snr_db=data.get("snr_db"), rng_seed=data.get("rng_seed", 0))
+        targets = tuple(_from_dict(PointTarget, t) for t in data.get("targets", []))
+        return _from_dict(cls, {**data, "targets": targets})
 
-    @classmethod
-    def from_json(cls, path) -> "Scene":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+    from_json = classmethod(_from_json)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "targets": [asdict(t) for t in self.targets]}

@@ -124,6 +124,9 @@ class TestApplyCalibration:
         cases = {"calibration must be a JSON object": [[1, 2], "x"],
                  r"missing fields \['gains', 'n_rx'\]": [
                      {k: v for k, v in data.items() if k not in ("gains", "n_rx")}],
+                 r"calibration: unknown fields \['offset'\]": [{**data, "offset": 1.0}],
+                 r"calibration reference: unknown fields \['range'\]": [
+                     {**data, "reference": {"range": 5.0}}],
                  "must be finite numbers": [
                      {**data, "reference": {"range_m": "far"}},
                      {**data, "reference": {"azimuth_deg": np.nan}},

@@ -124,17 +124,23 @@ def test_simulate_deterministic(workdir):
     assert (workdir / "g1.rdc").read_bytes() == (workdir / "f1.rdc").read_bytes()
 
 
-def test_digest_mismatch_warns(workdir, tmp_path):
+def test_digest_mismatch_exit_2(workdir, tmp_path):
+    # Same dimensions and PRIs, other carrier: velocities would be scaled wrongly.
     params = json.loads((workdir / "params.json").read_text())
-    params["carrier_frequency_hz"] = 76.5e9
+    params["carrier_frequency_hz"] = 70e9
     other = tmp_path / "params2.json"
     other.write_text(json.dumps(params))
+    config = ["--params", str(other), "--geometry", str(workdir / "geometry.json")]
     proc = run_cli("process", "--in-a", str(workdir / "f0.rdc"),
-                   "--in-b", str(workdir / "f1.rdc"),
-                   "--params", str(other),
-                   "--geometry", str(workdir / "geometry.json"),
+                   "--in-b", str(workdir / "f1.rdc"), *config,
                    "--out-map", str(tmp_path / "m.ram"),
-                   "--out-det", str(tmp_path / "d.json"), check=True)
+                   "--out-det", str(tmp_path / "d.json"))
+    _check_data_error(proc, tmp_path / "m.ram")
+    assert "digest mismatch" in proc.stderr
+    assert not (tmp_path / "m_b.ram").exists() and not (tmp_path / "d.json").exists()
+    proc = run_cli("calibrate", "--in", str(workdir / "f0.rdc"), *config,
+                   "--range", "5.0", "--azimuth", "0.0", "--out", str(tmp_path / "cal.json"))
+    _check_data_error(proc, tmp_path / "cal.json")
     assert "digest mismatch" in proc.stderr
 
 
@@ -345,11 +351,14 @@ def test_fuzzed_file_exit_2(workdir, tmp_path, capsys, kind):
         blob, header, dims = (workdir / "f0.rdc").read_bytes(), _CUBE_HEADER, (2, 3, 4)
         errors = (CubeFormatError, InvalidParameterError)
         read = functools.partial(read_cube, params=params)
+        # one flipped byte of the params digest, the header's last field
+        at = _CUBE_HEADER.size - 1
+        extra = [blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]]
     else:
         blob, header, dims = (workdir / "map.ram").read_bytes(), _MAP_HEADER, (2, 3)
-        errors, read = MapFormatError, read_map
+        errors, read, extra = MapFormatError, read_map, []
     out = tmp_path / "out"
-    for variant in _fuzzed(blob, header, dims, rng):
+    for variant in _fuzzed(blob, header, dims, rng) + extra:
         bad = tmp_path / "bad"
         bad.write_bytes(variant)
         tracemalloc.start()
@@ -418,12 +427,21 @@ def test_geometry_positions_not_a_list_exit_2(workdir, tmp_path):
     assert "tx_positions" in proc.stderr
 
 
+def test_geometry_unknown_key_exit_2(workdir, tmp_path):
+    geometry = {**default_geometry().to_dict(), "spacing": 0.5}
+    (tmp_path / "geometry.json").write_text(json.dumps(geometry))
+    proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
+                                tmp_path / "geometry.json")
+    assert "spacing" in proc.stderr
+
+
 @pytest.mark.parametrize("key, value, word", [
     ("targets", [{"range_m": "a"}], "range_m"),
     ("targets", [{"range_m": 20.0, "speed": 5.0}], "speed"),
     ("snr_db", "x", "snr_db"),
     ("rng_seed", 1.7, "rng_seed"),
     ("rng_seed", -1, "rng_seed"),
+    ("snr", 10.0, "snr"),
 ])
 def test_malformed_scene_json_exit_2(workdir, tmp_path, key, value, word):
     scene = json.loads((workdir / "scene.json").read_text())

@@ -4,13 +4,12 @@ import pytest
 from tdmradar import InvalidParameterError, RadarParams, simulate_frame
 from tdmradar.angle import CalibrationVector, RangeAzimuthMap
 from tdmradar.fileio import (
+    _CUBE_HEADER,
     CubeFormatError,
     MapFormatError,
-    digest_matches,
     export_pgm,
     read_calibration_json,
     read_cube,
-    read_cube_header,
     read_map,
     write_calibration_json,
     write_cube,
@@ -61,12 +60,12 @@ class TestCubeFormat:
     def test_header_fields(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
         write_cube(cube, path)
-        header = read_cube_header(path)
-        assert header.n_rx == small_params.n_rx
-        assert header.frame_index == 0
-        assert header.pri_s == small_params.pri_frame_a_s
-        assert header.params_digest == small_params.digest()
-        assert digest_matches(path, small_params)
+        header = _CUBE_HEADER.unpack_from(path.read_bytes())
+        _, _, n_rx, _, _, frame_index, pri_s, digest = header
+        assert n_rx == small_params.n_rx
+        assert frame_index == 0
+        assert pri_s == small_params.pri_frame_a_s
+        assert digest == small_params.digest()
 
     def test_bad_magic(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
@@ -96,12 +95,15 @@ class TestCubeFormat:
         with pytest.raises(CubeFormatError, match="offset"):
             read_cube(path, small_params)
 
-    def test_params_mismatch(self, cube, tmp_path):
+    def test_params_mismatch(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
         write_cube(cube, path)
-        other = RadarParams(77e9, 250e6, 20e-6, 256, 32, 9, 16, 21.0e-6, 27.2e-6)
-        with pytest.raises(InvalidParameterError):
-            read_cube(path, other)
+        # other dimensions, and the same dimensions and PRIs under another carrier
+        other_dims = RadarParams(77e9, 250e6, 20e-6, 256, 32, 9, 16, 21.0e-6, 27.2e-6)
+        other_carrier = RadarParams(**{**small_params.to_dict(), "carrier_frequency_hz": 70e9})
+        for other, message in ((other_dims, "dimensions"), (other_carrier, "digest mismatch")):
+            with pytest.raises(InvalidParameterError, match=message):
+                read_cube(path, other)
 
     def test_pri_mismatch(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"

@@ -230,10 +230,14 @@ def test_shipped_scenes_load_unchanged(name):
     {"rng_seed": 1.7},
     {"rng_seed": -1},
     [],
+    {"snr": 10.0},
 ])
 def test_malformed_scene_rejected(data):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError) as info:
         Scene.from_dict(data)
+    # the error names the offending top-level key
+    for key in set(data) - {"targets"}:
+        assert key in str(info.value)
 
 
 def test_negative_seed_rejected():
