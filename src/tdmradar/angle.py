@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
-from scipy.ndimage import map_coordinates
 
 from .config import (
     ArrayGeometry,
@@ -183,14 +182,6 @@ class AngleSpectrum:
         return float(self.azimuth_deg[int(np.argmax(self.power_db))])
 
 
-def _angle_power(dense: np.ndarray, grid_size: int, axis: int = 0) -> np.ndarray:
-    """|FFT|^2 along ``axis``, zero-padded to ``grid_size``; bins unshifted."""
-    if grid_size < dense.shape[axis]:
-        raise InvalidParameterError(
-            f"grid_size {grid_size} smaller than the {dense.shape[axis]}-slot aperture")
-    return np.abs(scipy.fft.fft(dense, n=grid_size, axis=axis)) ** 2
-
-
 def _to_db(power: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(power, 10.0 ** (FLOOR_DB / 10.0)))
 
@@ -202,7 +193,10 @@ def angle_spectrum(positions: np.ndarray, values: np.ndarray,
     positions = np.asarray(positions, dtype=np.intp)
     dense = np.zeros(int(positions.max()) + 1, dtype=np.complex128)
     dense[positions] = values
-    power_db = _to_db(np.fft.fftshift(_angle_power(dense, grid_size)))
+    if grid_size < dense.size:
+        raise InvalidParameterError(
+            f"grid_size {grid_size} smaller than the {dense.size}-slot aperture")
+    power_db = _to_db(np.fft.fftshift(np.abs(scipy.fft.fft(dense, n=grid_size)) ** 2))
     sin_axis = 2.0 * (np.arange(grid_size) - grid_size // 2) / grid_size
     return AngleSpectrum(power_db=power_db, sin_axis=sin_axis,
                          azimuth_deg=np.degrees(np.arcsin(sin_axis)))
@@ -248,33 +242,36 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
     if velocities.size != n_doppler:
         raise InvalidParameterError("need one velocity per Doppler bin")
 
-    # Averages co-located channels onto the zero-filled ULA grid, with the
-    # columns put in the cube's tx * n_rx + rx channel order.
+    # Per-(tx, rx, Doppler) factor: migration compensation, over the channel
+    # gain when calibrating, times 1 / (sources at the channel's ULA position).
     tx, rx, pos = varray.source_table()
-    collapse = _averaging_matrix(pos, int(pos.max()) + 1)[:, np.argsort(tx * n_rx + rx)]
-    collapse = collapse.astype(values.dtype)
-
-    # Per-(tx, rx, Doppler) factor: migration compensation, divided by the
-    # channel gain when calibrating.
+    position = np.empty((n_tx, n_rx), dtype=np.intp)
+    position[tx, rx] = pos
+    sources = np.bincount(pos)
     scale = migration_rotation(velocities[None, :], np.arange(n_tx)[:, None],
                                rd.plan, rd.params.wavelength_m)[:, None, :]
     if cal is not None:
         scale = scale / cal.gains[:, :, None]
-    scale = np.broadcast_to(scale, (n_tx, n_rx, n_doppler)).astype(values.dtype)
+    scale = (scale * (1.0 / sources[position])[:, :, None]).astype(values.dtype)
 
-    total = 0.0
+    # Per Doppler block, each TX adds its RX rows (at distinct positions) onto
+    # the zero-filled ULA grid, channels last for the angle FFT; the Doppler
+    # max of |F| is squared once at the end (squaring is monotone).
+    peak = 0.0
     for start in range(0, n_doppler, _DOPPLER_BLOCK):
         stop = min(start + _DOPPLER_BLOCK, n_doppler)
-        chunk = values[:, :, start:stop, :] * scale[:, :, start:stop, None]
-        flat = chunk.transpose(2, 0, 1, 3).reshape(stop - start, n_tx * n_rx, n_range)
-        power = _angle_power(collapse @ flat, ANGLE_GRID_SIZE, axis=1)
-        total = np.maximum(total, power.max(axis=0))
+        grid = np.zeros((stop - start, n_range, sources.size), dtype=values.dtype)
+        for k in range(n_tx):
+            rows = values[k, :, start:stop, :] * scale[k, :, start:stop, None]
+            grid[:, :, position[k]] += rows.transpose(1, 2, 0)
+        spectrum = scipy.fft.fft(grid, n=ANGLE_GRID_SIZE, axis=-1, overwrite_x=True)
+        peak = np.maximum(peak, np.abs(spectrum).max(axis=0))
 
     # Shift once, after the Doppler reduction; dB in float64 whatever the
     # cube's precision, so floor cells read FLOOR_DB.
-    power_db = _to_db(np.fft.fftshift(total.astype(float), axes=0))
+    power_db = _to_db(np.fft.fftshift(peak.astype(float) ** 2, axes=1))
     return RangeAzimuthMap(
-        power_db=power_db.T,
+        power_db=power_db,
         kind="polar",
         axis0_bin_width=rd.range_bin_m,
         axis0_origin=0.0,
@@ -297,10 +294,18 @@ def polar_to_cartesian(pmap: RangeAzimuthMap) -> RangeAzimuthMap:
     range_idx = radius / pmap.axis0_bin_width
     sin_idx = (sin_az - pmap.axis1_origin) / pmap.axis1_bin_width
 
-    sampled = map_coordinates(pmap.power_db, [range_idx, sin_idx],
-                              order=1, mode="constant", cval=FLOOR_DB)
+    # Bilinear, its products and sum in the order of scipy.ndimage's order-1
+    # map_coordinates (equal bit for bit); the padding gets only zero weight.
+    n_range, n_sin = pmap.power_db.shape
+    padded = np.pad(pmap.power_db, ((0, 1), (0, 1)), mode="edge")
+    r0 = np.clip(np.floor(range_idx), 0, n_range - 1).astype(np.intp)
+    s0 = np.clip(np.floor(sin_idx), 0, n_sin - 1).astype(np.intp)
+    fr, fs = range_idx - r0, sin_idx - s0
+    sampled = (padded[r0, s0] * (1 - fr) * (1 - fs) + padded[r0, s0 + 1] * (1 - fr) * fs
+               + padded[r0 + 1, s0] * fr * (1 - fs) + padded[r0 + 1, s0 + 1] * fr * fs)
+    outside = (range_idx > n_range - 1) | (sin_idx < 0) | (sin_idx > n_sin - 1)
     azimuth = np.degrees(np.arctan2(grid_x, grid_y))
-    sampled[np.abs(azimuth) > _BEV_FOV_DEG / 2.0] = FLOOR_DB
+    sampled[outside | (np.abs(azimuth) > _BEV_FOV_DEG / 2.0)] = FLOOR_DB
 
     return RangeAzimuthMap(
         power_db=sampled,

@@ -22,7 +22,7 @@ from .config import (
 from .demos import ALL_DEMOS
 from .dsp import CfarConfig
 from .pipeline import run_pipeline
-from .simulate import Scene, simulate_frame_pair
+from .simulate import Scene, _frame_pair, simulate_frame_pair
 from .unfold import UnsupportedGeometryError
 
 USAGE_EXIT = 1
@@ -48,9 +48,11 @@ def _cmd_simulate(args) -> int:
     scene = Scene.from_json(args.scene)
     if args.seed is not None:
         scene = Scene(targets=scene.targets, snr_db=scene.snr_db, rng_seed=args.seed)
+    # Both frames are made before either is written, so a data error writes
+    # nothing; then each is written by the thread that made it.
     frame_a, frame_b = simulate_frame_pair(scene, params, geometry)
-    fileio.write_cube(frame_a, args.out_a)
-    fileio.write_cube(frame_b, args.out_b)
+    _frame_pair(lambda: fileio.write_cube(frame_a, args.out_a),
+                lambda: fileio.write_cube(frame_b, args.out_b))
     print(f"wrote {args.out_a} and {args.out_b}")
     return 0
 

@@ -66,8 +66,15 @@ def _from_dict(cls, data: dict):
 
 
 def _from_json(cls, path):
+    """``cls.from_dict`` of a JSON file; a key repeated within one object is a data error."""
+    def unique_keys(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        _require(not repeated, f"{path}: duplicate keys {repeated}")
+        return dict(pairs)
+
     with open(path, "r", encoding="utf-8") as fh:
-        return cls.from_dict(json.load(fh))
+        return cls.from_dict(json.load(fh, object_pairs_hook=unique_keys))
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import (
     FramePlan,
@@ -206,9 +206,12 @@ def cfar_ca2d(power_map: np.ndarray, config: CfarConfig,
     threshold = np.maximum(alpha * sums / counts, 0.0)
 
     hits = (power_map > threshold) & (power_map > 0.0)
-    local_max = ndimage.maximum_filter(
-        power_map, size=(2 * g_d + 1, 2 * g_r + 1),
-        mode=("wrap", "constant"), cval=0.0)
+    # Max over the guard window, one axis at a time: Doppler wraps, range is
+    # zero-padded (the map is non-negative).
+    local_max = np.pad(power_map, ((g_d, g_d), (0, 0)), mode="wrap")
+    local_max = sliding_window_view(local_max, 2 * g_d + 1, axis=0).max(axis=-1)
+    local_max = np.pad(local_max, ((0, 0), (g_r, g_r)))
+    local_max = sliding_window_view(local_max, 2 * g_r + 1, axis=1).max(axis=-1)
     hits &= power_map >= local_max
 
     detections = []

@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .angle import FLOOR_DB, CalibrationVector, RangeAzimuthMap
-from .config import InvalidParameterError, RadarParams, build_frame_plan
+from .config import InvalidParameterError, RadarParams, _from_json, build_frame_plan
 from .simulate import DataCube
 
 CUBE_MAGIC = b"RDC1"
@@ -30,6 +30,9 @@ _CUBE_HEADER = struct.Struct("<4sHIIIId32s")
 
 MAP_MAGIC = b"RAM1"
 _MAP_HEADER = struct.Struct("<4sBIIdddd")
+
+# Samples cast to <c8 per write_cube step: one 4 MB buffer, however large the cube.
+_CAST_BLOCK = 1 << 19
 
 _MAP_KINDS = {"polar": 0, "cartesian": 1}
 _MAP_KIND_NAMES = {v: k for k, v in _MAP_KINDS.items()}
@@ -43,6 +46,15 @@ class MapFormatError(RuntimeError):
     """Malformed map file; the message names the failing byte offset."""
 
 
+def _read_payload(fh, offset: int, dtype: str, count: int, error) -> np.ndarray:
+    """The ``count`` values after the header; a wrong-sized file is rejected unread."""
+    size = os.fstat(fh.fileno()).st_size - offset
+    expected = count * np.dtype(dtype).itemsize
+    if size != expected:
+        raise error(f"payload is {size} bytes, expected {expected} at offset {offset}")
+    return np.fromfile(fh, dtype=dtype, count=count)
+
+
 def write_cube(cube: DataCube, path) -> None:
     header = _CUBE_HEADER.pack(
         CUBE_MAGIC, CUBE_VERSION,
@@ -50,9 +62,14 @@ def write_cube(cube: DataCube, path) -> None:
         cube.params.adc_samples_per_chirp, cube.plan.frame_index,
         cube.plan.slot_interval_s, cube.params.digest(),
     )
+    flat = cube.samples.reshape(-1)
+    buf = np.empty(min(flat.size, _CAST_BLOCK), dtype="<c8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(cube.samples, dtype="<c8"))
+        for start in range(0, flat.size, _CAST_BLOCK):
+            block = buf[:flat.size - start]
+            block[...] = flat[start:start + block.size]
+            fh.write(block)
 
 
 def read_cube(path, params: RadarParams) -> DataCube:
@@ -86,14 +103,8 @@ def read_cube(path, params: RadarParams) -> DataCube:
             raise InvalidParameterError(
                 f"{path} was made under other radar parameters (params digest mismatch)")
 
-        # Check the size first: a wrong-sized file is rejected unread.
-        expected = n_rx * n_chirps * n_fast * 8
-        size = os.fstat(fh.fileno()).st_size - _CUBE_HEADER.size
-        if size != expected:
-            raise CubeFormatError(
-                f"payload is {size} bytes, expected {expected} "
-                f"at offset {_CUBE_HEADER.size}")
-        samples = np.fromfile(fh, dtype="<c8", count=expected // 8)
+        samples = _read_payload(fh, _CUBE_HEADER.size, "<c8", n_rx * n_chirps * n_fast,
+                                CubeFormatError)
     return DataCube(samples=samples.reshape(shape), plan=plan, params=params)
 
 
@@ -112,24 +123,17 @@ def write_map(rmap: RangeAzimuthMap, path) -> None:
 def read_map(path) -> RangeAzimuthMap:
     with open(path, "rb") as fh:
         raw = fh.read(_MAP_HEADER.size)
-        size = os.fstat(fh.fileno()).st_size - _MAP_HEADER.size
-    if len(raw) < _MAP_HEADER.size:
-        raise MapFormatError(f"truncated header: {len(raw)} bytes at offset 0")
-    magic, kind, dim0, dim1, w0, o0, w1, o1 = _MAP_HEADER.unpack(raw)
-    if magic != MAP_MAGIC:
-        raise MapFormatError(f"bad magic {magic!r} at offset 0")
-    if kind not in _MAP_KIND_NAMES:
-        raise MapFormatError(f"unknown map kind {kind} at offset 4")
-    if dim0 <= 0 or dim1 <= 0:
-        raise MapFormatError("non-positive dimension at offset 5")
-    expected = dim0 * dim1 * 4
-    # As in read_cube: a wrong-sized file is rejected unread.
-    if size != expected:
-        raise MapFormatError(
-            f"payload is {size} bytes, expected {expected} "
-            f"at offset {_MAP_HEADER.size}")
-    power = np.fromfile(path, dtype="<f4", count=dim0 * dim1,
-                        offset=_MAP_HEADER.size).reshape(dim0, dim1).astype(float)
+        if len(raw) < _MAP_HEADER.size:
+            raise MapFormatError(f"truncated header: {len(raw)} bytes at offset 0")
+        magic, kind, dim0, dim1, w0, o0, w1, o1 = _MAP_HEADER.unpack(raw)
+        if magic != MAP_MAGIC:
+            raise MapFormatError(f"bad magic {magic!r} at offset 0")
+        if kind not in _MAP_KIND_NAMES:
+            raise MapFormatError(f"unknown map kind {kind} at offset 4")
+        if dim0 <= 0 or dim1 <= 0:
+            raise MapFormatError("non-positive dimension at offset 5")
+        power = _read_payload(fh, _MAP_HEADER.size, "<f4", dim0 * dim1, MapFormatError)
+    power = power.reshape(dim0, dim1).astype(float)
     bad = np.flatnonzero(~np.isfinite(power))
     if bad.size:
         raise MapFormatError(f"non-finite dB value at offset {_MAP_HEADER.size + 4 * bad[0]}")
@@ -166,5 +170,4 @@ def write_calibration_json(cal: CalibrationVector, path) -> None:
 
 
 def read_calibration_json(path) -> CalibrationVector:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CalibrationVector.from_dict(json.load(fh))
+    return _from_json(CalibrationVector, path)

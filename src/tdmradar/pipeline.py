@@ -4,7 +4,6 @@ phase compensation, angle estimation and range-azimuth map generation."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ from .dsp import (
     parabolic_offset,
     tdm_demux,
 )
-from .simulate import DataCube
+from .simulate import DataCube, _frame_pair
 from .unfold import (
     UnsupportedGeometryError,
     compensate_tdm_phase,
@@ -157,12 +156,9 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
         raise UnsupportedGeometryError(
             "velocity unfolding needs overlapped virtual elements from distinct TXs")
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # Frame b runs on the worker while frame a runs here; reading the
-        # future raises a worker error.
-        future_b = pool.submit(_process_frame, cube_b, cfar)
-        rd_a, power_a, detections_a = _process_frame(cube_a, cfar)
-        rd_b, _, detections_b = future_b.result()
+    # Frame b runs on the frame-b worker while frame a runs here.
+    (rd_a, power_a, detections_a), (rd_b, _, detections_b) = _frame_pair(
+        lambda: _process_frame(cube_a, cfar), lambda: _process_frame(cube_b, cfar))
 
     velocities_a = rd_a.velocity_axis.copy()
     velocities_b = rd_b.velocity_axis.copy()
@@ -188,12 +184,12 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
             doppler_bin_b=det_b.doppler_bin if det_b is not None else None,
         ))
 
-    map_a, map_b = (range_azimuth_map(rd_x, varray, cal=cal, velocities=v)
-                    for rd_x, v in ((rd_a, velocities_a), (rd_b, velocities_b)))
+    def maps(rd, velocities):
+        polar = range_azimuth_map(rd, varray, cal=cal, velocities=velocities)
+        return polar, polar_to_cartesian(polar) if cartesian else None
 
-    result = PipelineResult(map_a=map_a, map_b=map_b, detections=resolved,
-                            detections_a=detections_a, detections_b=detections_b)
-    if cartesian:
-        result.cartesian_a = polar_to_cartesian(map_a)
-        result.cartesian_b = polar_to_cartesian(map_b)
-    return result
+    (map_a, cartesian_a), (map_b, cartesian_b) = _frame_pair(
+        lambda: maps(rd_a, velocities_a), lambda: maps(rd_b, velocities_b))
+    return PipelineResult(map_a=map_a, map_b=map_b, detections=resolved,
+                          detections_a=detections_a, detections_b=detections_b,
+                          cartesian_a=cartesian_a, cartesian_b=cartesian_b)

@@ -16,7 +16,8 @@ injected.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,6 +37,29 @@ from .config import (
 
 _SLOT_BLOCK = 64        # slots per matrix product: the rows hold T * 64 * n_fast samples
 _NOISE_BLOCK = 1 << 16  # noise samples per draw: a 512 KB float64 buffer
+
+
+# The executor of _frame_pair, made by the first pair and then kept: a fresh
+# thread per pair can take a fresh malloc arena and hold on to its memory.
+# A forked child has no copy of the worker thread, so it drops the executor.
+_frame_b = {}
+os.register_at_fork(after_in_child=_frame_b.clear)
+
+
+def _frame_pair(fn_a, fn_b) -> tuple:
+    """``(fn_a(), fn_b())``, with ``fn_b`` run on the frame-b worker thread while
+    ``fn_a`` runs on this one.  Returns or raises only once ``fn_b`` is done, so
+    an error in ``fn_a`` never leaves frame-b work running.  ``fn_b`` may not
+    call ``_frame_pair``: the one worker would wait on itself."""
+    # setdefault is atomic: first pairs that race still share one executor.
+    worker = _frame_b.get("worker") or _frame_b.setdefault(
+        "worker", ThreadPoolExecutor(max_workers=1, thread_name_prefix="frame-b"))
+    future_b = worker.submit(fn_b)
+    try:
+        result_a = fn_a()
+    finally:
+        wait([future_b])
+    return result_a, future_b.result()
 
 
 @dataclass(frozen=True)
@@ -163,12 +187,11 @@ def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
 def simulate_frame_pair(scene: Scene, params: RadarParams,
                         geometry: ArrayGeometry) -> tuple:
     """Two back-to-back frames with staggered PRIs (frame 0 then frame 1).
-    Frame b is simulated on a second thread; each frame draws its own noise
-    stream, so the result does not depend on the threads."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        frame_b = pool.submit(simulate_frame, scene, params, geometry, 1,
-                              params.frame_duration_s(0))
-        return simulate_frame(scene, params, geometry, 0), frame_b.result()
+    Frame b is simulated on the frame-b worker thread; each frame draws its own
+    noise stream, so the result does not depend on the threads."""
+    return _frame_pair(lambda: simulate_frame(scene, params, geometry, 0),
+                       lambda: simulate_frame(scene, params, geometry, 1,
+                                              params.frame_duration_s(0)))
 
 
 def inject_channel_errors(cube: DataCube, gains) -> DataCube:

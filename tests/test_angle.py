@@ -2,12 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
+from scipy.ndimage import map_coordinates
 
 from tdmradar import (
     CalibrationError,
     CalibrationVector,
     InvalidParameterError,
+    PointTarget,
     RadarParams,
+    Scene,
     VirtualSnapshot,
     angle_spectrum,
     apply_calibration,
@@ -22,10 +26,13 @@ from tdmradar import (
     range_azimuth_map,
     range_doppler_map,
     simulate_frame,
+    simulate_frame_pair,
     tdm_demux,
 )
+from tdmradar import angle
 from tdmradar.angle import FLOOR_DB, RangeAzimuthMap, steering_vector
 from tdmradar.config import ArrayGeometry
+from tdmradar.unfold import migration_rotation
 
 from conftest import peak_cell, single_target_scene
 
@@ -296,6 +303,42 @@ class TestRangeAzimuthMap:
             np.testing.assert_allclose(pmap.power_db[r, above], spectrum.power_db[above],
                                        rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("dtype, tolerance_db", [(np.complex128, 1e-9),
+                                                     (np.complex64, 1e-5)])
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_matches_dense_averaging_matrix(self, small_params, geometry, varray,
+                                            dtype, tolerance_db, calibrated):
+        # the map as it was first written: per Doppler bin, a dense
+        # (positions x channels) averaging-matrix product, then |FFT|^2
+        scene = Scene(targets=(PointTarget(12.0, 7.0, -15.0), PointTarget(24.0, -3.0, 8.0, 0.6),
+                               PointTarget(31.0, 19.0, 30.0, 0.8)), snr_db=20.0, rng_seed=21)
+        cube, _ = simulate_frame_pair(scene, small_params, geometry)
+        gains = np.exp(1j * np.linspace(-3.0, 3.0, 144)).reshape(9, 16) * np.linspace(0.5, 2, 16)
+        cal = CalibrationVector(gains, 5.0, 0.0) if calibrated else None
+        if calibrated:
+            cube = inject_channel_errors(cube, gains)
+        rd = range_doppler_map(tdm_demux(cube, cube.plan))
+        rd = replace(rd, values=rd.values.astype(dtype))
+
+        n_tx, n_rx, n_doppler, n_range = rd.values.shape
+        tx, rx, pos = varray.source_table()
+        collapse = np.zeros((pos.max() + 1, n_tx * n_rx))
+        collapse[pos, tx * n_rx + rx] = 1.0 / np.bincount(pos)[pos]
+        scale = migration_rotation(rd.velocity_axis[None, :], np.arange(n_tx)[:, None],
+                                   rd.plan, small_params.wavelength_m)[:, None, :]
+        if calibrated:
+            scale = scale / gains[:, :, None]
+        scale = np.broadcast_to(scale, (n_tx, n_rx, n_doppler)).astype(dtype)
+        flat = (rd.values * scale[..., None]).transpose(2, 0, 1, 3)
+        flat = flat.reshape(n_doppler, n_tx * n_rx, n_range)
+        power = np.abs(scipy.fft.fft(collapse.astype(dtype) @ flat, n=256, axis=1)) ** 2
+        power = np.fft.fftshift(power.max(axis=0).astype(float), axes=0).T
+        expected_db = 10.0 * np.log10(np.maximum(power, 10.0 ** (FLOOR_DB / 10.0)))
+
+        pmap = range_azimuth_map(rd, varray, cal=cal)
+        assert pmap.power_db.shape == (n_range, 256)
+        np.testing.assert_allclose(pmap.power_db, expected_db, rtol=0, atol=tolerance_db)
+
     @pytest.mark.parametrize("shape", [(10, 17), (2, 3)])
     def test_calibration_shape_mismatch(self, small_params, geometry, varray, shape):
         _, rd = process_frame(single_target_scene(range_m=20.0), small_params, geometry)
@@ -356,6 +399,22 @@ class TestPolarToCartesian:
         cart = polar_to_cartesian(pmap)
         # 60 deg is outside the 70 deg FOV: nothing may leak past the clamp
         np.testing.assert_allclose(cart.power_db, FLOOR_DB, atol=1e-9)
+
+    @pytest.mark.parametrize("origin, n_range", [(-1.0, 128), (-0.9, 60), (-1.3, 300)])
+    def test_equals_ndimage_bilinear(self, origin, n_range):
+        # the numpy gather equals order-1 map_coordinates bit for bit, with
+        # grid cells beyond the map's range and sin-azimuth edges
+        rng = np.random.default_rng(n_range)
+        pmap = RangeAzimuthMap(power_db=rng.uniform(-110.0, 0.0, (n_range, 256)), kind="polar",
+                               axis0_bin_width=0.5996, axis0_origin=0.0,
+                               axis1_bin_width=2.0 / 256, axis1_origin=origin)
+        x, y = np.meshgrid(angle._BEV_X_M, angle._BEV_Y_M, indexing="ij")
+        radius = np.hypot(x, y)
+        coordinates = [radius / pmap.axis0_bin_width, (x / radius - origin) / pmap.axis1_bin_width]
+        expected = map_coordinates(pmap.power_db, coordinates, order=1, mode="constant",
+                                   cval=FLOOR_DB)
+        expected[np.abs(np.degrees(np.arctan2(x, y))) > 35.0] = FLOOR_DB
+        assert np.array_equal(polar_to_cartesian(pmap).power_db, expected)
 
     def test_requires_polar(self):
         pmap = self._point_map(r_bin=4, sin_value=0.0)

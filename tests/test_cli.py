@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,14 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
                            "[m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # the CFAR local maximum and the Cartesian resample are numpy only
+    proc = subprocess.run([sys.executable, "-c", "import sys, tdmradar.cli; "
+                           "print('scipy.ndimage' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +131,20 @@ def test_simulate_deterministic(workdir):
             check=True)
     assert (workdir / "g0.rdc").read_bytes() == (workdir / "f0.rdc").read_bytes()
     assert (workdir / "g1.rdc").read_bytes() == (workdir / "f1.rdc").read_bytes()
+
+
+def test_simulate_keeps_one_worker_thread(workdir, tmp_path):
+    # both cubes are written on the frame pair's threads, the one worker kept
+    threads = threading.active_count()
+    config = ["--params", str(workdir / "params.json"),
+              "--geometry", str(workdir / "geometry.json")]
+    for _ in range(3):
+        assert cli.main(["simulate", "--scene", str(workdir / "scene.json"), *config,
+                         "--seed", "3", "--out-a", str(tmp_path / "a.rdc"),
+                         "--out-b", str(tmp_path / "b.rdc")]) == 0
+    assert threading.active_count() <= threads + 1
+    assert (tmp_path / "a.rdc").read_bytes() == (workdir / "f0.rdc").read_bytes()
+    assert (tmp_path / "b.rdc").read_bytes() == (workdir / "f1.rdc").read_bytes()
 
 
 def test_digest_mismatch_exit_2(workdir, tmp_path):
@@ -456,3 +479,38 @@ def test_negative_seed_exit_2(workdir, tmp_path):
     proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
                                 workdir / "geometry.json", None, "--seed", "-1")
     assert "rng_seed" in proc.stderr
+
+
+def test_target_leaving_range_in_frame_b_writes_nothing(workdir, tmp_path):
+    # 38.0 m at +50 m/s stays below the 38.4 m limit through frame a and
+    # crosses it during frame b: neither cube is written
+    scene = {"targets": [{"range_m": 38.0, "velocity_mps": 50.0}], "snr_db": 20.0}
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
+                                workdir / "geometry.json", tmp_path / "scene.json")
+    assert "leaves" in proc.stderr
+    assert not (tmp_path / "b.rdc").exists()
+
+
+@pytest.mark.parametrize("name, key", [("params.json", "n_tx"), ("geometry.json", "tx_positions"),
+                                       ("scene.json", "snr_db"), ("scene.json", "range_m"),
+                                       ("cal.json", "n_rx"), ("cal.json", "range_m")])
+def test_duplicate_json_key_exit_2(workdir, tmp_path, name, key):
+    # json.load keeps the last of two values without a word; every JSON input
+    # refuses the document instead (scene "range_m" sits in a target, the
+    # calibration's in its reference)
+    paths = {n: workdir / n for n in ("params.json", "geometry.json", "scene.json")}
+    paths["cal.json"] = tmp_path / "cal.json"
+    write_calibration_json(CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0),
+                           paths["cal.json"])
+    text = paths[name].read_text()
+    member = re.search(rf'"{key}": (\[[^\]]*\]|[^,}}\n]*)', text).group(0)
+    paths[name] = tmp_path / f"repeated_{name}"
+    paths[name].write_text(text.replace(member, f"{member}, {member}", 1))
+    if name == "cal.json":
+        proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
+                                   "--cal", str(paths[name]))
+    else:
+        proc = _simulate_data_error(workdir, tmp_path, paths["params.json"],
+                                    paths["geometry.json"], paths["scene.json"])
+    assert f"duplicate keys ['{key}']" in proc.stderr

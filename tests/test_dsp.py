@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+from scipy import ndimage
 from scipy.signal import get_window
 
 from tdmradar import (
@@ -222,6 +223,19 @@ class TestCfar:
         base = [(d.doppler_bin, d.range_bin) for d in cfar_ca2d(power, cfg)]
         scaled = [(d.doppler_bin, d.range_bin) for d in cfar_ca2d(1e6 * power, cfg)]
         assert base == scaled and (10, 30) in base
+
+    @pytest.mark.parametrize("guard", [(4, 2), (0, 3), (2, 0), (0, 0)])
+    def test_local_max_equals_ndimage_maximum_filter(self, guard):
+        # with pfa just below 1 every cell passes the threshold, so the
+        # detections are the cells that are the maximum of their guard window;
+        # rounding makes ties, which count as maxima
+        rng = np.random.default_rng(sum(guard))
+        power = np.round(rng.standard_exponential((32, 64)), 1) + 0.05
+        cfg = CfarConfig(training=(3, 2), guard=guard, pfa=1.0 - 1e-12)
+        local_max = ndimage.maximum_filter(power, size=(2 * guard[1] + 1, 2 * guard[0] + 1),
+                                           mode=("wrap", "constant"), cval=0.0)
+        expected = [tuple(cell) for cell in np.argwhere(power >= local_max)]
+        assert [(d.doppler_bin, d.range_bin) for d in cfar_ca2d(power, cfg)] == expected
 
     def test_false_alarm_rate_monte_carlo(self):
         # homogeneous complex-Gaussian power (exponential) over >= 1e6 cells

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tdmradar import InvalidParameterError, RadarParams, simulate_frame
+from tdmradar import InvalidParameterError, RadarParams, fileio, simulate_frame
 from tdmradar.angle import CalibrationVector, RangeAzimuthMap
 from tdmradar.fileio import (
     _CUBE_HEADER,
@@ -41,6 +41,17 @@ class TestCubeFormat:
         assert np.array_equal(loaded.samples, again.samples)
         assert path.read_bytes() == path2.read_bytes()
         np.testing.assert_allclose(loaded.samples, cube.samples, rtol=1e-6, atol=1e-5)
+
+    @pytest.mark.parametrize("block", [None, 1000])
+    def test_streamed_cast_equals_one_shot_cast(self, cube, tmp_path, monkeypatch, block):
+        # the cast goes through one fixed buffer; the cube's 589,824 samples
+        # are a multiple of neither the default block nor 1000
+        if block is not None:
+            monkeypatch.setattr(fileio, "_CAST_BLOCK", block)
+        assert cube.samples.size % fileio._CAST_BLOCK != 0
+        write_cube(cube, tmp_path / "frame.rdc")
+        payload = (tmp_path / "frame.rdc").read_bytes()[_CUBE_HEADER.size:]
+        assert payload == np.ascontiguousarray(cube.samples, dtype="<c8").tobytes()
 
     def test_read_returns_writable_complex64(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -10,11 +11,14 @@ from tdmradar import (
     PointTarget,
     RadarParams,
     Scene,
+    build_virtual_array,
     cfar_ca2d,
     default_params,
     noncoherent_integrate,
     range_doppler_map,
     pipeline,
+    polar_to_cartesian,
+    range_azimuth_map,
     run_pipeline,
     simulate_frame_pair,
     tdm_demux,
@@ -253,3 +257,26 @@ def test_cube_params_must_match(small_params, geometry):
     _, b_76ghz = simulate_frame_pair(scene, at_76ghz, geometry)
     with pytest.raises(InvalidParameterError, match="other radar parameters"):
         run_pipeline(a, b_76ghz, small_params, geometry)
+
+
+def test_pipeline_keeps_one_worker_thread(small_params, geometry):
+    # both halves of every call run frame b on the one long-lived worker;
+    # frame b's maps, made there, equal a rebuild on this thread
+    threads = threading.active_count()
+    scene = Scene(targets=(PointTarget(range_m=12.0, velocity_mps=7.0, azimuth_deg=-15.0),
+                           PointTarget(range_m=24.0, velocity_mps=-3.0, azimuth_deg=8.0)),
+                  snr_db=20.0, rng_seed=8)
+    a, b = simulate_frame_pair(scene, small_params, geometry)
+    for cartesian in (False, True, True):
+        result = run_pipeline(a, b, small_params, geometry, cartesian=cartesian)
+    assert threading.active_count() <= threads + 1
+    assert result.cartesian_a is not None
+
+    rd_b = pipeline._process_frame(b, CfarConfig())[0]
+    velocities = rd_b.velocity_axis.copy()
+    for det in result.detections:
+        if det.doppler_bin_b is not None:
+            velocities[det.doppler_bin_b] = det.velocity_mps
+    polar_b = range_azimuth_map(rd_b, build_virtual_array(geometry), velocities=velocities)
+    assert np.array_equal(polar_b.power_db, result.map_b.power_db)
+    assert np.array_equal(polar_to_cartesian(polar_b).power_db, result.cartesian_b.power_db)

@@ -1,4 +1,11 @@
+import hashlib
 import json
+import multiprocessing
+import queue
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +127,96 @@ def test_pair_raises_worker_error(small_params, geometry, monkeypatch):
     monkeypatch.setattr(simulate, "_add_noise", failing)
     with pytest.raises(RuntimeError, match="noise failed"):
         simulate_frame_pair(Scene(targets=(), snr_db=10.0), small_params, geometry)
+
+
+def test_frame_pair_keeps_one_worker_thread(small_params, geometry):
+    # every pair runs frame b on the same long-lived thread, never this one
+    threads = threading.active_count()
+    scene = Scene(targets=(PointTarget(12.0, 3.0, -10.0),), snr_db=15.0, rng_seed=2)
+    for _ in range(3):
+        simulate_frame_pair(scene, small_params, geometry)
+    idents = {simulate._frame_pair(lambda: None, threading.get_ident)[1] for _ in range(5)}
+    assert len(idents) == 1 and threading.get_ident() not in idents
+    assert threading.active_count() <= threads + 1
+
+
+def test_frame_a_error_raised_after_frame_b_finished():
+    finished = threading.Event()
+
+    def slow_frame_b():
+        time.sleep(0.2)
+        finished.set()
+
+    def failing_frame_a():
+        raise RuntimeError("frame a failed")
+
+    with pytest.raises(RuntimeError, match="frame a failed"):
+        simulate._frame_pair(failing_frame_a, slow_frame_b)
+    assert finished.is_set()
+    # the worker is still usable after the error
+    assert simulate._frame_pair(lambda: "a", lambda: "b") == ("a", "b")
+
+
+def _pair_digests(scene, params, geometry, results=None):
+    digests = [hashlib.sha256(c.samples.tobytes()).hexdigest()
+               for c in simulate_frame_pair(scene, params, geometry)]
+    if results is not None:
+        results.put(digests)
+    return digests
+
+
+def test_forked_child_makes_its_own_worker(small_params, geometry):
+    # the parent's worker thread is not copied into a forked child; without a
+    # worker of its own the child's first pair would wait forever
+    scene = Scene(targets=(PointTarget(12.0, 3.0, -10.0),), snr_db=15.0, rng_seed=4)
+    expected = _pair_digests(scene, small_params, geometry)
+    context = multiprocessing.get_context("fork")
+    results = context.Queue()
+    child = context.Process(target=_pair_digests, args=(scene, small_params, geometry, results))
+    child.start()
+    try:
+        digests = results.get(timeout=60)
+    except queue.Empty:
+        digests = None
+    child.join(timeout=10)
+    if child.is_alive():
+        child.kill()
+    assert digests == expected, "the forked child's frame pair did not finish"
+    assert child.exitcode == 0
+
+
+def test_concurrent_first_pairs_share_one_worker(monkeypatch):
+    # callers racing to make the worker (each made slowly, so all of them find
+    # none), with frequent thread switches, all get their own results back
+    # and all use one worker thread
+    def slow_executor(**kwargs):
+        time.sleep(0.05)
+        return ThreadPoolExecutor(**kwargs)
+
+    monkeypatch.setattr(simulate, "_frame_b", {})
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", slow_executor)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    outcomes = []
+
+    def caller(index):
+        for call in range(20):
+            outcomes.append((index, call, simulate._frame_pair(
+                lambda: (index, call), lambda: (index, call, threading.get_ident()))))
+
+    try:
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in callers)
+    finally:
+        sys.setswitchinterval(interval)
+        simulate._frame_b["worker"].shutdown()
+    assert len(outcomes) == 120
+    assert all(a == (i, c) and b[:2] == (i, c) for i, c, (a, b) in outcomes)
+    assert len({b[2] for _, _, (_, b) in outcomes}) == 1
 
 
 def test_many_target_superposition(small_params, geometry):
