@@ -248,6 +248,9 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
     position = np.empty((n_tx, n_rx), dtype=np.intp)
     position[tx, rx] = pos
     sources = np.bincount(pos)
+    if sources.size > ANGLE_GRID_SIZE:
+        raise InvalidParameterError(
+            f"grid_size {ANGLE_GRID_SIZE} smaller than the {sources.size}-slot aperture")
     scale = migration_rotation(velocities[None, :], np.arange(n_tx)[:, None],
                                rd.plan, rd.params.wavelength_m)[:, None, :]
     if cal is not None:

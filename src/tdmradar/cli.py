@@ -43,6 +43,9 @@ def _sibling_path(path: str, suffix: str) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    if Path(args.out_a).resolve() == Path(args.out_b).resolve():
+        print(f"tdmradar: error: --out-a and --out-b both name {args.out_a}", file=sys.stderr)
+        return USAGE_EXIT
     params = RadarParams.from_json(args.params)
     geometry = ArrayGeometry.from_json(args.geometry)
     scene = Scene.from_json(args.scene)

@@ -259,10 +259,12 @@ class ArrayGeometry:
             positions = getattr(self, name)
             _require(isinstance(positions, (list, tuple)) and len(positions) > 0,
                      f"{name} must be a non-empty list, got {positions!r}")
+            for p in positions:
+                _require(_is_number(p, integral=True) and p >= 0,
+                         f"position {p!r} is not a non-negative half-wavelength grid index")
+            _require(len(set(positions)) == len(positions),
+                     f"{name} {list(positions)} put two elements at one position")
             object.__setattr__(self, name, tuple(positions))
-        for p in self.tx_positions + self.rx_positions:
-            _require(_is_number(p, integral=True) and p >= 0,
-                     f"position {p!r} is not a non-negative half-wavelength grid index")
 
     from_dict = classmethod(_from_dict)
     from_json = classmethod(_from_json)

@@ -39,11 +39,16 @@ _SLOT_BLOCK = 64        # slots per matrix product: the rows hold T * 64 * n_fas
 _NOISE_BLOCK = 1 << 16  # noise samples per draw: a 512 KB float64 buffer
 
 
-# The executor of _frame_pair, made by the first pair and then kept: a fresh
-# thread per pair can take a fresh malloc arena and hold on to its memory.
-# A forked child has no copy of the worker thread, so it drops the executor.
-_frame_b = {}
-os.register_at_fork(after_in_child=_frame_b.clear)
+def _start_frame_b() -> None:
+    """One executor for every pair: a fresh thread per pair can take a fresh
+    malloc arena and hold on to its memory.  It starts its thread at the first
+    pair; a forked child, which has no copy of that thread, gets a new one."""
+    global _frame_b
+    _frame_b = ThreadPoolExecutor(max_workers=1, thread_name_prefix="frame-b")
+
+
+_start_frame_b()
+os.register_at_fork(after_in_child=_start_frame_b)
 
 
 def _frame_pair(fn_a, fn_b) -> tuple:
@@ -51,10 +56,7 @@ def _frame_pair(fn_a, fn_b) -> tuple:
     ``fn_a`` runs on this one.  Returns or raises only once ``fn_b`` is done, so
     an error in ``fn_a`` never leaves frame-b work running.  ``fn_b`` may not
     call ``_frame_pair``: the one worker would wait on itself."""
-    # setdefault is atomic: first pairs that race still share one executor.
-    worker = _frame_b.get("worker") or _frame_b.setdefault(
-        "worker", ThreadPoolExecutor(max_workers=1, thread_name_prefix="frame-b"))
-    future_b = worker.submit(fn_b)
+    future_b = _frame_b.submit(fn_b)
     try:
         result_a = fn_a()
     finally:

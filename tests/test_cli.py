@@ -221,6 +221,19 @@ def test_usage_error_exit_1():
     assert proc.returncode == 1
 
 
+def test_simulate_one_output_for_both_frames_exit_1(workdir, tmp_path):
+    # the two frames are written at the same time, so one file for both is
+    # refused before anything is made; "./" spells the same path differently
+    proc = run_cli("simulate", "--scene", str(workdir / "scene.json"),
+                   "--params", str(workdir / "params.json"),
+                   "--geometry", str(workdir / "geometry.json"),
+                   "--out-a", str(tmp_path / "f.rdc"), "--out-b", f"{tmp_path}/./f.rdc")
+    assert proc.returncode == 1
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "--out-a and --out-b" in proc.stderr
+    assert not (tmp_path / "f.rdc").exists()
+
+
 def test_missing_file_exit_2(workdir, tmp_path):
     proc = run_cli("process", "--in-a", str(tmp_path / "nope.rdc"),
                    "--in-b", str(tmp_path / "nope2.rdc"),
@@ -439,6 +452,15 @@ def test_malformed_geometry_json_exit_2(workdir, tmp_path, position):
     proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
                                 tmp_path / "geometry.json")
     assert repr(position) in proc.stderr
+
+
+def test_geometry_repeated_rx_position_exit_2(workdir, tmp_path):
+    geometry = default_geometry().to_dict()
+    geometry["rx_positions"][1] = geometry["rx_positions"][0]
+    (tmp_path / "geometry.json").write_text(json.dumps(geometry))
+    proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
+                                tmp_path / "geometry.json")
+    assert "rx_positions" in proc.stderr
 
 
 def test_geometry_positions_not_a_list_exit_2(workdir, tmp_path):

@@ -224,6 +224,11 @@ class TestParamsValidation:
         with pytest.raises(InvalidParameterError):
             ArrayGeometry((-1,), (0,))
 
+    @pytest.mark.parametrize("tx, rx", [((0, 4, 0), (0, 1)), ((0, 4), (0, 0, 1, 2, 3))])
+    def test_geometry_rejects_repeated_position(self, tx, rx):
+        with pytest.raises(InvalidParameterError, match="two elements at one position"):
+            ArrayGeometry(tx, rx)
+
     def test_geometry_rejects_empty(self):
         with pytest.raises(InvalidParameterError):
             ArrayGeometry((), (0,))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tdmradar import (
+    ArrayGeometry,
     CalibrationVector,
     CfarConfig,
     InvalidParameterError,
@@ -280,3 +281,14 @@ def test_pipeline_keeps_one_worker_thread(small_params, geometry):
     polar_b = range_azimuth_map(rd_b, build_virtual_array(geometry), velocities=velocities)
     assert np.array_equal(polar_b.power_db, result.map_b.power_db)
     assert np.array_equal(polar_to_cartesian(polar_b).power_db, result.cartesian_b.power_db)
+
+
+def test_aperture_wider_than_angle_grid_rejected(small_params):
+    # 305 ULA slots do not fit the 256-point angle FFT: the map is refused,
+    # not cut to the first 256 slots (an empty scene has no detection whose
+    # angle spectrum would refuse them first)
+    geometry = ArrayGeometry((0, 4), (0, 1, 2, 3, 4, 300))
+    params = replace(small_params, n_tx=2, n_rx=6)
+    a, b = simulate_frame_pair(Scene(targets=()), params, geometry)
+    with pytest.raises(InvalidParameterError, match="grid_size 256 smaller than the 305-slot"):
+        run_pipeline(a, b, params, geometry)

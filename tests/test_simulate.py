@@ -2,10 +2,8 @@ import hashlib
 import json
 import multiprocessing
 import queue
-import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -183,40 +181,6 @@ def test_forked_child_makes_its_own_worker(small_params, geometry):
         child.kill()
     assert digests == expected, "the forked child's frame pair did not finish"
     assert child.exitcode == 0
-
-
-def test_concurrent_first_pairs_share_one_worker(monkeypatch):
-    # callers racing to make the worker (each made slowly, so all of them find
-    # none), with frequent thread switches, all get their own results back
-    # and all use one worker thread
-    def slow_executor(**kwargs):
-        time.sleep(0.05)
-        return ThreadPoolExecutor(**kwargs)
-
-    monkeypatch.setattr(simulate, "_frame_b", {})
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", slow_executor)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    outcomes = []
-
-    def caller(index):
-        for call in range(20):
-            outcomes.append((index, call, simulate._frame_pair(
-                lambda: (index, call), lambda: (index, call, threading.get_ident()))))
-
-    try:
-        callers = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
-        for thread in callers:
-            thread.start()
-        for thread in callers:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in callers)
-    finally:
-        sys.setswitchinterval(interval)
-        simulate._frame_b["worker"].shutdown()
-    assert len(outcomes) == 120
-    assert all(a == (i, c) and b[:2] == (i, c) for i, c, (a, b) in outcomes)
-    assert len({b[2] for _, _, (_, b) in outcomes}) == 1
 
 
 def test_many_target_superposition(small_params, geometry):
