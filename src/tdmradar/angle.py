@@ -13,7 +13,6 @@ from .config import (
     ArrayGeometry,
     InvalidParameterError,
     VirtualArray,
-    _averaging_matrix,
     _check_keys,
     _is_number,
     _require,
@@ -146,8 +145,9 @@ def estimate_calibration(cube: DataCube, truth_range_m: float, truth_azimuth_deg
 def apply_calibration(snapshot: VirtualSnapshot,
                       cal: CalibrationVector) -> VirtualSnapshot:
     """Divide each snapshot source by its channel's calibration gain."""
-    cal.check_shape(int(snapshot.source_tx.max()) + 1, int(snapshot.source_rx.max()) + 1)
-    corrected = snapshot.values / cal.gains[snapshot.source_tx, snapshot.source_rx]
+    varray = snapshot.varray
+    cal.check_shape(*varray.position.shape)
+    corrected = snapshot.values / cal.gains[varray.source_tx, varray.source_rx]
     return replace(snapshot, values=corrected)
 
 
@@ -158,17 +158,20 @@ def assemble_snapshot(rd: RangeDopplerCube, cell: tuple,
     range_bin, doppler_bin = cell
     if not (0 <= range_bin < rd.n_range and 0 <= doppler_bin < rd.n_doppler):
         raise InvalidParameterError(f"cell {cell} outside the {rd.values.shape} cube")
-    tx, rx, pos = varray.source_table()
-    values = rd.values[tx, rx, doppler_bin, range_bin]
-    return VirtualSnapshot(values=values, source_tx=tx, source_rx=rx,
-                           source_position=pos, cell=(int(range_bin), int(doppler_bin)),
-                           frame_index=rd.plan.frame_index)
+    return VirtualSnapshot(rd.values[varray.source_tx, varray.source_rx, doppler_bin, range_bin],
+                           varray)
 
 
 def collapse_snapshot(snapshot: VirtualSnapshot):
-    """Average co-located sources: returns (unique positions, mean values)."""
-    positions, inverse = np.unique(snapshot.source_position, return_inverse=True)
-    return positions, _averaging_matrix(inverse, positions.size) @ snapshot.values
+    """Average co-located sources, each weighted source added onto its slot
+    in TX order: returns (unique positions, mean values)."""
+    varray = snapshot.varray
+    tx, rx = varray.source_tx, varray.source_rx
+    slots = varray.position[tx, rx]
+    means = np.zeros(slots[-1] + 1, dtype=np.complex128)
+    np.add.at(means, slots, varray.weight[tx, rx] * snapshot.values)
+    positions = np.asarray(varray.virtual_positions)
+    return positions, means[positions]
 
 
 @dataclass
@@ -243,19 +246,17 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
         raise InvalidParameterError("need one velocity per Doppler bin")
 
     # Per-(tx, rx, Doppler) factor: migration compensation, over the channel
-    # gain when calibrating, times 1 / (sources at the channel's ULA position).
-    tx, rx, pos = varray.source_table()
-    position = np.empty((n_tx, n_rx), dtype=np.intp)
-    position[tx, rx] = pos
-    sources = np.bincount(pos)
-    if sources.size > ANGLE_GRID_SIZE:
+    # gain when calibrating, times the channel's averaging weight.
+    position = varray.position
+    n_slots = int(position.max()) + 1
+    if n_slots > ANGLE_GRID_SIZE:
         raise InvalidParameterError(
-            f"grid_size {ANGLE_GRID_SIZE} smaller than the {sources.size}-slot aperture")
+            f"grid_size {ANGLE_GRID_SIZE} smaller than the {n_slots}-slot aperture")
     scale = migration_rotation(velocities[None, :], np.arange(n_tx)[:, None],
                                rd.plan, rd.params.wavelength_m)[:, None, :]
     if cal is not None:
         scale = scale / cal.gains[:, :, None]
-    scale = (scale * (1.0 / sources[position])[:, :, None]).astype(values.dtype)
+    scale = (scale * varray.weight[:, :, None]).astype(values.dtype)
 
     # Per Doppler block, each TX adds its RX rows (at distinct positions) onto
     # the zero-filled ULA grid, channels last for the angle FFT; the Doppler
@@ -263,7 +264,7 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
     peak = 0.0
     for start in range(0, n_doppler, _DOPPLER_BLOCK):
         stop = min(start + _DOPPLER_BLOCK, n_doppler)
-        grid = np.zeros((stop - start, n_range, sources.size), dtype=values.dtype)
+        grid = np.zeros((stop - start, n_range, n_slots), dtype=values.dtype)
         for k in range(n_tx):
             rows = values[k, :, start:stop, :] * scale[k, :, start:stop, None]
             grid[:, :, position[k]] += rows.transpose(1, 2, 0)

@@ -63,8 +63,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_process(args) -> int:
     params = RadarParams.from_json(args.params)
     geometry = ArrayGeometry.from_json(args.geometry)
-    cube_a = fileio.read_cube(args.in_a, params)
-    cube_b = fileio.read_cube(args.in_b, params)
+    cube_a, cube_b = _frame_pair(lambda: fileio.read_cube(args.in_a, params),
+                                 lambda: fileio.read_cube(args.in_b, params))
     cal = fileio.read_calibration_json(args.cal) if args.cal else None
     cfar = CfarConfig(pfa=args.pfa) if args.pfa is not None else CfarConfig()
 
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidParameterError, UnsupportedGeometryError, CalibrationError,
             fileio.CubeFormatError, fileio.MapFormatError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"tdmradar: error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

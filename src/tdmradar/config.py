@@ -283,46 +283,22 @@ def default_geometry() -> ArrayGeometry:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VirtualArray:
-    """MIMO virtual array: every (tx, rx) pair contributes one element at
-    position tx + rx.  ``element_sources[i]`` lists the (tx, rx) index pairs
-    that land on ``virtual_positions[i]``; ``overlapped_pairs`` holds one
-    (position, source_a, source_b) entry per position reachable from at
-    least two distinct TX antennas."""
+    """MIMO virtual array, the one table of its channels: TX t and RX r form
+    the channel at slot ``position[t, r]`` (tx + rx position).
+    ``source_tx``/``source_rx`` list the channels by (slot, tx, rx), the
+    element order of every snapshot; ``weight[t, r]`` is 1 / (channels on
+    that slot), so adding weighted channels onto their slots averages
+    co-located ones.  ``overlapped_pairs`` holds one (slot, source_a,
+    source_b) entry per slot reached from at least two distinct TXs."""
 
     virtual_positions: tuple
-    element_sources: tuple
+    position: np.ndarray
+    source_tx: np.ndarray
+    source_rx: np.ndarray
+    weight: np.ndarray
     overlapped_pairs: tuple
-    aperture: int
-
-    @property
-    def n_positions(self) -> int:
-        return len(self.virtual_positions)
-
-    def source_table(self):
-        """Flat source arrays (tx, rx, position) ordered by (position, tx, rx).
-
-        This ordering defines the element order of every snapshot extracted
-        from a range-Doppler cube.
-        """
-        tx, rx, pos = [], [], []
-        for p, sources in zip(self.virtual_positions, self.element_sources):
-            for t, r in sources:
-                tx.append(t)
-                rx.append(r)
-                pos.append(p)
-        return (np.asarray(tx, dtype=np.intp),
-                np.asarray(rx, dtype=np.intp),
-                np.asarray(pos, dtype=np.intp))
-
-
-def _averaging_matrix(labels: np.ndarray, n_groups: int) -> np.ndarray:
-    """(n_groups, labels.size) matrix whose row g holds 1/count at the
-    entries labelled g: a product with it averages each group."""
-    matrix = np.zeros((n_groups, labels.size))
-    matrix[labels, np.arange(labels.size)] = 1.0 / np.bincount(labels, minlength=n_groups)[labels]
-    return matrix
 
 
 def build_virtual_array(geometry: ArrayGeometry) -> VirtualArray:
@@ -332,18 +308,18 @@ def build_virtual_array(geometry: ArrayGeometry) -> VirtualArray:
             by_position.setdefault(tp + rp, []).append((ti, ri))
 
     positions = tuple(sorted(by_position))
-    sources = tuple(tuple(sorted(by_position[p])) for p in positions)
-
-    overlapped = []
-    for p, srcs in zip(positions, sources):
-        tx_seen = srcs[0][0]
-        for cand in srcs[1:]:
-            if cand[0] != tx_seen:
-                overlapped.append((p, srcs[0], cand))
-                break
+    source_tx, source_rx = np.array([s for p in positions for s in by_position[p]],
+                                    dtype=np.intp).T
+    position = np.add.outer(np.asarray(geometry.tx_positions, dtype=np.intp),
+                            geometry.rx_positions)
+    # ArrayGeometry refuses a repeated position, so each (slot, TX) holds one
+    # channel and a slot's first two channels come from distinct TXs.
     return VirtualArray(
         virtual_positions=positions,
-        element_sources=sources,
-        overlapped_pairs=tuple(overlapped),
-        aperture=positions[-1] - positions[0],
+        position=position,
+        source_tx=source_tx,
+        source_rx=source_rx,
+        weight=1.0 / np.bincount(position.ravel())[position],
+        overlapped_pairs=tuple((p, *by_position[p][:2]) for p in positions
+                               if len(by_position[p]) > 1),
     )

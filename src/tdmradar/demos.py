@@ -118,8 +118,8 @@ def demo_unfold() -> DemoResult:
     frame_a, _ = simulate_frame_pair(scene, params, geometry)
     rd = range_doppler_map(tdm_demux(frame_a, frame_a.plan))
     snapshot = assemble_snapshot(rd, _strongest_cell(rd), varray)
-    picked = resolve_velocity(snapshot, np.asarray(_PRINTED_NARROWED), varray,
-                              rd.plan, params.wavelength_m)
+    picked = resolve_velocity(snapshot, np.asarray(_PRINTED_NARROWED), rd.plan,
+                              params.wavelength_m)
     result.check(abs(picked - 6.0) < 1e-9,
                  f"overlapped-array comparison resolves the final velocity to {picked:.1f} m/s")
     return result
@@ -152,7 +152,7 @@ def demo_compensation() -> DemoResult:
 
     folded = rd.velocity_axis[cell[1]]
     candidates = crt_candidates(folded, rd.folded_vmax_mps, params.n_tx)
-    velocity = resolve_velocity(snapshot, candidates, varray, rd.plan, params.wavelength_m)
+    velocity = resolve_velocity(snapshot, candidates, rd.plan, params.wavelength_m)
     result.note(f"folded measurement {folded:+.3f} m/s resolves to {velocity:+.3f} m/s")
 
     compensated = compensate_tdm_phase(snapshot, velocity, rd.plan, params.wavelength_m)

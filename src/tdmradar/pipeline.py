@@ -117,7 +117,7 @@ def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params,
     snapshot = assemble_snapshot(rd_a, (det_a.range_bin, det_a.doppler_bin), varray)
     if cal is not None:
         snapshot = apply_calibration(snapshot, cal)
-    velocity = resolve_velocity(snapshot, candidates, varray, rd_a.plan, wavelength)
+    velocity = resolve_velocity(snapshot, candidates, rd_a.plan, wavelength)
     compensated = compensate_tdm_phase(snapshot, velocity, rd_a.plan, wavelength)
     return velocity, compensated
 
@@ -152,6 +152,9 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
         raise InvalidParameterError("need one even and one odd frame of a staggered pair")
 
     varray = build_virtual_array(geometry)
+    if varray.position.shape != (params.n_tx, params.n_rx):
+        raise InvalidParameterError(f"geometry of {varray.position.shape} elements for a "
+                                    f"{(params.n_tx, params.n_rx)} TX x RX radar")
     if not varray.overlapped_pairs:
         raise UnsupportedGeometryError(
             "velocity unfolding needs overlapped virtual elements from distinct TXs")

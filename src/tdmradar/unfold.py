@@ -9,8 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (FramePlan, InvalidParameterError, VirtualArray, _averaging_matrix,
-                     phase_migration)
+from .config import FramePlan, InvalidParameterError, VirtualArray, phase_migration
 
 
 class UnsupportedGeometryError(ValueError):
@@ -49,21 +48,18 @@ def crt_intersect(set_a: np.ndarray, set_b: np.ndarray, tolerance: float) -> np.
 
 @dataclass
 class VirtualSnapshot:
-    """Complex response of every physical (tx, rx) source at one
-    range/Doppler cell, ordered by virtual position (co-located sources kept
+    """Complex response of every (tx, rx) channel of ``varray`` at one
+    range/Doppler cell, in the array's source order (co-located channels kept
     separate so the overlap phases remain observable)."""
 
     values: np.ndarray
-    source_tx: np.ndarray
-    source_rx: np.ndarray
-    source_position: np.ndarray
-    cell: tuple
-    frame_index: int
+    varray: VirtualArray
 
     def __post_init__(self) -> None:
-        n = self.values.size
-        if not (self.source_tx.size == self.source_rx.size == self.source_position.size == n):
-            raise InvalidParameterError("snapshot source arrays must have equal length")
+        if self.values.shape != self.varray.source_tx.shape:
+            raise InvalidParameterError(
+                f"snapshot has {self.values.size} values for a "
+                f"{self.varray.source_tx.size}-channel array")
         if not np.all(np.isfinite(self.values)):
             raise InvalidParameterError("snapshot values must be finite")
 
@@ -81,48 +77,37 @@ def compensate_tdm_phase(snapshot: VirtualSnapshot, velocity_mps: float,
     by ``migration_rotation(v, k)``."""
     if not np.isfinite(velocity_mps):
         raise InvalidParameterError("velocity must be finite")
-    rotated = snapshot.values * migration_rotation(velocity_mps, snapshot.source_tx,
+    rotated = snapshot.values * migration_rotation(velocity_mps, snapshot.varray.source_tx,
                                                    plan, wavelength_m)
     return replace(snapshot, values=rotated)
 
 
-def _overlap_groups(snapshot: VirtualSnapshot, varray: VirtualArray):
-    """Averaging matrices for the two TX groups of every overlapped pair."""
-    n_pairs = len(varray.overlapped_pairs)
-    labels = np.full(snapshot.values.size, 2 * n_pairs)  # sources in no pair
-    for row, (pos, (tx_a, _), (tx_b, _)) in enumerate(varray.overlapped_pairs):
-        at_pos = snapshot.source_position == pos
-        labels[at_pos & (snapshot.source_tx == tx_a)] = 2 * row
-        labels[at_pos & (snapshot.source_tx == tx_b)] = 2 * row + 1
-    groups = _averaging_matrix(labels, 2 * n_pairs + 1)[:-1]
-    if not groups.any(axis=1).all():
-        raise InvalidParameterError(
-            "snapshot does not cover the virtual array's overlapped pairs")
-    return groups[0::2], groups[1::2]
-
-
-def resolve_velocity(snapshot: VirtualSnapshot, candidates, varray: VirtualArray,
-                     plan: FramePlan, wavelength_m: float) -> float:
+def resolve_velocity(snapshot: VirtualSnapshot, candidates, plan: FramePlan,
+                     wavelength_m: float) -> float:
     """Pick the candidate whose migration compensation best aligns the
     phases of overlapped elements (sum of |wrapped phase difference| over
-    the overlapped pairs; ties go to the smallest |v|)."""
+    the snapshot array's overlapped pairs; ties go to the smallest |v|)."""
     candidates = np.atleast_1d(np.asarray(candidates, dtype=float))
     if candidates.size == 0:
         raise InvalidParameterError("candidate list may not be empty")
     if candidates.size == 1:
         return float(candidates[0])
+    varray = snapshot.varray
     if not varray.overlapped_pairs:
         raise UnsupportedGeometryError(
             "geometry has no overlapped elements from distinct TXs")
 
-    side_a, side_b = _overlap_groups(snapshot, varray)
+    # Each side of a pair is one channel: its index in the snapshot order.
+    index = np.empty(varray.position.shape, dtype=np.intp)
+    index[varray.source_tx, varray.source_rx] = np.arange(varray.source_tx.size)
+    pairs = np.array([(a, b) for _, a, b in varray.overlapped_pairs])  # (pair, side, tx/rx)
+    side_a, side_b = index[pairs[..., 0], pairs[..., 1]].T
     # (n_candidates, n_sources) compensated snapshots in one shot
-    rotations = migration_rotation(candidates[:, None], snapshot.source_tx[None, :],
+    rotations = migration_rotation(candidates[:, None], varray.source_tx[None, :],
                                    plan, wavelength_m)
     compensated = rotations * snapshot.values[None, :]
-    mean_a = compensated @ side_a.T
-    mean_b = compensated @ side_b.T
-    scores = np.sum(np.abs(np.angle(mean_a * np.conj(mean_b))), axis=1)
+    scores = np.sum(np.abs(np.angle(compensated[:, side_a] * np.conj(compensated[:, side_b]))),
+                    axis=1)
 
     best = np.min(scores)
     tied = np.abs(scores - best) <= 1e-9

@@ -144,6 +144,7 @@ def test_criterion_5_velocity_unfolding(geometry, varray):
         set_a = crt_candidates(det_a.folded_velocity_mps, vmax_a, _MC_PARAMS.n_tx)
         snapshot = assemble_snapshot(rds["a"], (det_a.range_bin, det_a.doppler_bin),
                                      varray)
+        single = replace(snapshot, varray=varray_single)
         plan, lam = rds["a"].plan, _MC_PARAMS.wavelength_m
         candidates = set_a
         if det_b is not None:
@@ -152,12 +153,9 @@ def test_criterion_5_velocity_unfolding(geometry, varray):
             narrowed = crt_intersect(set_a, set_b, tol)
             candidates = narrowed if narrowed.size else np.union1d(set_a, set_b)
         picks = {
-            "single-pair overlap-only": resolve_velocity(
-                snapshot, set_a, varray_single, plan, lam),
-            "single-pair + CRT prior": resolve_velocity(
-                snapshot, candidates, varray_single, plan, lam),
-            "all-pairs overlap-only": resolve_velocity(
-                snapshot, set_a, varray, plan, lam),
+            "single-pair overlap-only": resolve_velocity(single, set_a, plan, lam),
+            "single-pair + CRT prior": resolve_velocity(single, candidates, plan, lam),
+            "all-pairs overlap-only": resolve_velocity(snapshot, set_a, plan, lam),
         }
         for key, value in picks.items():
             wrong[key] += abs(value - v_true) > half_bin + 1e-9
@@ -276,10 +274,8 @@ def test_criterion_7_numerical_invariants(geometry, varray):
            + b * tr.range_doppler_map(tr.tdm_demux(cube2, plan)).values)
     linear_ok = np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
-    tx, rx, pos = varray.source_table()
-    snapshot = tr.VirtualSnapshot(
-        values=rng.normal(size=tx.size) + 1j * rng.normal(size=tx.size),
-        source_tx=tx, source_rx=rx, source_position=pos, cell=(0, 0), frame_index=0)
+    n = varray.source_tx.size
+    snapshot = tr.VirtualSnapshot(rng.normal(size=n) + 1j * rng.normal(size=n), varray)
     forward = tr.compensate_tdm_phase(snapshot, 13.7, plan, params.wavelength_m)
     back = tr.compensate_tdm_phase(forward, -13.7, plan, params.wavelength_m)
     comp_ok = np.abs(back.values - snapshot.values).max() <= 1e-12 * np.abs(snapshot.values).max()

@@ -116,7 +116,7 @@ class TestApplyCalibration:
         snapshot = assemble_snapshot(rd, peak_cell(noncoherent_integrate(rd)), varray)
         restored = apply_calibration(snapshot, cal)
 
-        ideal = steering_vector(geometry, 17.0)[snapshot.source_tx, snapshot.source_rx]
+        ideal = steering_vector(geometry, 17.0)[varray.source_tx, varray.source_rx]
         ratio = restored.values / ideal
         np.testing.assert_allclose(ratio / ratio[0], np.ones_like(ratio), rtol=1e-9)
 
@@ -165,7 +165,8 @@ class TestAssembleSnapshot:
         _, rd = process_frame(scene, small_params, geometry)
         snapshot = assemble_snapshot(rd, (10, 5), varray)
         assert snapshot.values.size == 144
-        assert np.unique(snapshot.source_position).size == 86
+        assert snapshot.varray is varray
+        assert np.unique(varray.position).size == 86
 
     def test_small_geometry(self):
         p = RadarParams(77e9, 250e6, 20e-6, 64, 8, 1, 4, 21e-6, 27.2e-6)
@@ -176,14 +177,14 @@ class TestAssembleSnapshot:
         rd = range_doppler_map(tdm_demux(cube, cube.plan))
         snapshot = assemble_snapshot(rd, (5, 2), va)
         assert snapshot.values.size == 4
-        assert np.unique(snapshot.source_position).size == 4
+        assert np.unique(va.position).size == 4
 
     def test_values_match_direct_indexing(self, small_params, geometry, varray):
         scene = single_target_scene(range_m=12.0, azimuth_deg=3.0)
         _, rd = process_frame(scene, small_params, geometry)
         snapshot = assemble_snapshot(rd, (7, 9), varray)
         for i in range(0, snapshot.values.size, 17):
-            t, r = snapshot.source_tx[i], snapshot.source_rx[i]
+            t, r = varray.source_tx[i], varray.source_rx[i]
             assert snapshot.values[i] == rd.values[t, r, 9, 7]
 
     def test_out_of_bounds_cell(self, small_params, geometry, varray):
@@ -201,13 +202,23 @@ class TestCollapseSnapshot:
     ])
     def test_unequal_multiplicity_means(self, tx_positions, means):
         va = build_virtual_array(ArrayGeometry(tx_positions, (0, 1, 2)))
-        tx, rx, pos = va.source_table()
-        values = (1.0 + 10.0 * tx + rx) * (1.0 - 2.0j)
-        snapshot = VirtualSnapshot(values=values, source_tx=tx, source_rx=rx,
-                                   source_position=pos, cell=(0, 0), frame_index=0)
+        values = (1.0 + 10.0 * va.source_tx + va.source_rx) * (1.0 - 2.0j)
+        snapshot = VirtualSnapshot(values, va)
         positions, collapsed = collapse_snapshot(snapshot)
         np.testing.assert_array_equal(positions, np.arange(len(means)))
         np.testing.assert_allclose(collapsed, np.asarray(means) * (1.0 - 2.0j), rtol=1e-15)
+
+    def test_default_array_equals_averaging_matrix_bit_for_bit(self, varray):
+        # no slot of the default array holds more than two channels, so the
+        # sum onto the slot is exact whichever way it is ordered
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=144) + 1j * rng.normal(size=144)
+        slot = varray.position[varray.source_tx, varray.source_rx]
+        matrix = np.zeros((86, 144))
+        matrix[slot, np.arange(144)] = 1.0 / np.bincount(slot)[slot]
+        positions, collapsed = collapse_snapshot(VirtualSnapshot(values, varray))
+        np.testing.assert_array_equal(positions, np.arange(86))
+        np.testing.assert_array_equal(collapsed, matrix @ values)
 
 
 class TestAngleSpectrum:
@@ -321,7 +332,8 @@ class TestRangeAzimuthMap:
         rd = replace(rd, values=rd.values.astype(dtype))
 
         n_tx, n_rx, n_doppler, n_range = rd.values.shape
-        tx, rx, pos = varray.source_table()
+        tx, rx = varray.source_tx, varray.source_rx
+        pos = varray.position[tx, rx]
         collapse = np.zeros((pos.max() + 1, n_tx * n_rx))
         collapse[pos, tx * n_rx + rx] = 1.0 / np.bincount(pos)[pos]
         scale = migration_rotation(rd.velocity_axis[None, :], np.arange(n_tx)[:, None],

@@ -536,3 +536,51 @@ def test_duplicate_json_key_exit_2(workdir, tmp_path, name, key):
         proc = _simulate_data_error(workdir, tmp_path, paths["params.json"],
                                     paths["geometry.json"], paths["scene.json"])
     assert f"duplicate keys ['{key}']" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["process", "simulate", "calibrate"])
+def test_directory_as_input_exit_2(workdir, tmp_path, command):
+    # a directory where a file is read: --in-a, --params and --in
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if command == "process":
+        proc = _process_data_error(workdir, tmp_path, folder, workdir / "f1.rdc")
+    elif command == "simulate":
+        proc = _simulate_data_error(workdir, tmp_path, folder, workdir / "geometry.json")
+    else:
+        proc = _check_data_error(
+            run_cli("calibrate", "--in", str(folder), "--params", str(workdir / "params.json"),
+                    "--geometry", str(workdir / "geometry.json"), "--range", "5.0",
+                    "--azimuth", "0.0", "--out", str(tmp_path / "cal.json")),
+            tmp_path / "cal.json")
+    assert "Is a directory" in proc.stderr
+
+
+def test_process_reports_frame_a_error_first(workdir, tmp_path):
+    # both cubes are read at the same time; frame a's error is the one shown
+    proc = _process_data_error(workdir, tmp_path, tmp_path, tmp_path / "missing.rdc")
+    assert "Is a directory" in proc.stderr
+    proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", tmp_path / "missing.rdc")
+    assert "missing.rdc" in proc.stderr
+
+
+def test_directory_as_output_exit_2(workdir, tmp_path):
+    # the two cubes are written at the same time, so frame b's may still land
+    (tmp_path / "a.rdc").mkdir()
+    proc = run_cli("simulate", "--scene", str(workdir / "scene.json"),
+                   "--params", str(workdir / "params.json"),
+                   "--geometry", str(workdir / "geometry.json"),
+                   "--out-a", str(tmp_path / "a.rdc"), "--out-b", str(tmp_path / "b.rdc"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("tdmradar: error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Is a directory" in proc.stderr
+
+
+def test_params_not_utf8_exit_2(workdir, tmp_path):
+    # a UTF-16 file starts with the byte-order mark \xff\xfe
+    params = tmp_path / "params.json"
+    params.write_bytes((workdir / "params.json").read_text().encode("utf-16"))
+    assert params.read_bytes().startswith(b"\xff\xfe")
+    proc = _simulate_data_error(workdir, tmp_path, params, workdir / "geometry.json")
+    assert "utf-8" in proc.stderr

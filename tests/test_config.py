@@ -162,7 +162,7 @@ class TestVirtualArray:
     def test_default_geometry_tiles_full_ula(self):
         va = build_virtual_array(default_geometry())
         assert va.virtual_positions == tuple(range(86))
-        assert va.aperture == 85
+        assert va.position.min() == 0 and va.position.max() == 85
 
     def test_default_geometry_has_overlap_with_distinct_tx(self):
         va = build_virtual_array(default_geometry())
@@ -175,11 +175,11 @@ class TestVirtualArray:
     def test_position_count_bound(self):
         geom = ArrayGeometry((0, 1), (0, 1, 2))
         va = build_virtual_array(geom)
-        assert va.n_positions <= 2 * 3
+        assert len(va.virtual_positions) <= 2 * 3
 
     def test_every_pair_maps_once(self):
         va = build_virtual_array(default_geometry())
-        sources = [s for group in va.element_sources for s in group]
+        sources = list(zip(va.source_tx.tolist(), va.source_rx.tolist()))
         assert len(sources) == 9 * 16
         assert len(set(sources)) == 9 * 16
 
@@ -188,8 +188,40 @@ class TestVirtualArray:
         shuffled = ArrayGeometry(geom.tx_positions[::-1], geom.rx_positions[::-1])
         va, vb = build_virtual_array(geom), build_virtual_array(shuffled)
         assert va.virtual_positions == vb.virtual_positions
-        assert [len(g) for g in va.element_sources] == [len(g) for g in vb.element_sources]
+        np.testing.assert_array_equal(np.bincount(va.position.ravel()),
+                                      np.bincount(vb.position.ravel()))
         assert {p for p, _, _ in va.overlapped_pairs} == {p for p, _, _ in vb.overlapped_pairs}
+
+    def test_table_order_weights_and_pairs(self):
+        va = build_virtual_array(ArrayGeometry((0, 1, 2), (0, 1, 2)))
+        slot = va.position[va.source_tx, va.source_rx]
+        order = np.lexsort((va.source_rx, va.source_tx, slot))
+        np.testing.assert_array_equal(order, np.arange(9))  # by (slot, tx, rx)
+        np.testing.assert_array_equal(va.position, [[0, 1, 2], [1, 2, 3], [2, 3, 4]])
+        np.testing.assert_array_equal(va.weight * np.bincount(slot)[va.position], 1.0)
+        assert va.overlapped_pairs == ((1, (0, 1), (1, 0)), (2, (0, 2), (1, 1)),
+                                       (3, (1, 2), (2, 1)))
+
+    def test_each_slot_and_tx_holds_one_channel(self):
+        # every geometry ArrayGeometry accepts: the overlap score compares
+        # single channels, and a slot's channels come from distinct TXs
+        rng = np.random.default_rng(5)
+        geometries = [default_geometry(), ArrayGeometry((0,), (0, 1, 2, 3)),
+                      ArrayGeometry((0, 1), (0, 1, 2)), ArrayGeometry((0, 1, 2), (0, 1, 2)),
+                      ArrayGeometry((0, 1, 2), (5, 0, 3, 1))]
+        for _ in range(30):
+            tx = rng.choice(40, size=rng.integers(1, 10), replace=False)
+            rx = rng.choice(60, size=rng.integers(1, 17), replace=False)
+            geometries.append(ArrayGeometry(tx.tolist(), rx.tolist()))
+        for geometry in geometries:
+            va = build_virtual_array(geometry)
+            n_tx, n_rx = len(geometry.tx_positions), len(geometry.rx_positions)
+            assert va.position.shape == (n_tx, n_rx)
+            slot_tx = set(zip(va.position.ravel().tolist(), np.repeat(range(n_tx), n_rx)))
+            assert len(slot_tx) == n_tx * n_rx
+            for pos, (tx_a, rx_a), (tx_b, rx_b) in va.overlapped_pairs:
+                assert tx_a != tx_b
+                assert va.position[tx_a, rx_a] == va.position[tx_b, rx_b] == pos
 
 
 class TestParamsValidation:

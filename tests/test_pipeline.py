@@ -292,3 +292,13 @@ def test_aperture_wider_than_angle_grid_rejected(small_params):
     a, b = simulate_frame_pair(Scene(targets=()), params, geometry)
     with pytest.raises(InvalidParameterError, match="grid_size 256 smaller than the 305-slot"):
         run_pipeline(a, b, params, geometry)
+
+
+@pytest.mark.parametrize("tx_positions", [(0, 4), tuple(range(0, 40, 4))])
+def test_geometry_must_match_params(small_params, geometry, tx_positions):
+    # the maps take their channel count from the array; 2 or 10 TX against
+    # the 9-TX params is refused, not indexed out of bounds or cut short
+    a, b = simulate_frame_pair(single_target_scene(range_m=20.0), small_params, geometry)
+    other = ArrayGeometry(tx_positions, geometry.rx_positions)
+    with pytest.raises(InvalidParameterError, match=r"geometry of \(\d+, 16\) elements"):
+        run_pipeline(a, b, small_params, other)

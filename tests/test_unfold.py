@@ -10,6 +10,7 @@ from tdmradar import (
     crt_candidates,
     crt_intersect,
     fold_velocity,
+    folded_vmax,
     noncoherent_integrate,
     phase_migration,
     range_doppler_map,
@@ -19,7 +20,7 @@ from tdmradar import (
 )
 from tdmradar.angle import assemble_snapshot
 from tdmradar.config import ArrayGeometry
-from tdmradar.unfold import VirtualSnapshot
+from tdmradar.unfold import VirtualSnapshot, migration_rotation
 
 from conftest import peak_cell, single_target_scene
 
@@ -129,7 +130,49 @@ def _simulated_snapshot(params, geometry, varray, scene):
     cube = simulate_frame(scene, params, geometry, 0)
     rd = range_doppler_map(tdm_demux(cube, cube.plan))
     cell = peak_cell(noncoherent_integrate(rd))
-    return rd, assemble_snapshot(rd, cell, varray)
+    return rd, cell, assemble_snapshot(rd, cell, varray)
+
+
+def _random_snapshot(varray, seed):
+    rng = np.random.default_rng(seed)
+    n = varray.source_tx.size
+    return VirtualSnapshot(rng.normal(size=n) + 1j * rng.normal(size=n), varray)
+
+
+class TestSnapshot:
+    def test_values_of_wrong_length_raise(self, varray):
+        for n in (143, 145, 0):
+            with pytest.raises(InvalidParameterError, match="144-channel array"):
+                VirtualSnapshot(np.ones(n, dtype=complex), varray)
+        with pytest.raises(InvalidParameterError):
+            VirtualSnapshot(np.ones((9, 16), dtype=complex), varray)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_values_raise(self, varray, bad):
+        values = np.ones(varray.source_tx.size, dtype=complex)
+        values[17] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            VirtualSnapshot(values, varray)
+
+
+def _reference_scores(snapshot, candidates, plan, wavelength_m):
+    """The overlap score as first written: per pair, the mean of each TX
+    group at the pair's slot through a dense averaging matrix."""
+    varray = snapshot.varray
+    slot = varray.position[varray.source_tx, varray.source_rx]
+    n_pairs = len(varray.overlapped_pairs)
+    labels = np.full(slot.size, 2 * n_pairs)  # sources in no pair
+    for row, (pos, (tx_a, _), (tx_b, _)) in enumerate(varray.overlapped_pairs):
+        labels[(slot == pos) & (varray.source_tx == tx_a)] = 2 * row
+        labels[(slot == pos) & (varray.source_tx == tx_b)] = 2 * row + 1
+    groups = np.zeros((2 * n_pairs + 1, slot.size))
+    groups[labels, np.arange(slot.size)] = 1.0 / np.bincount(labels)[labels]
+    rotations = migration_rotation(np.asarray(candidates)[:, None],
+                                   varray.source_tx[None, :], plan, wavelength_m)
+    compensated = rotations * snapshot.values[None, :]
+    mean_a = compensated @ groups[0:-1:2].T
+    mean_b = compensated @ groups[1:-1:2].T
+    return np.sum(np.abs(np.angle(mean_a * np.conj(mean_b))), axis=1)
 
 
 class TestResolve:
@@ -138,93 +181,96 @@ class TestResolve:
 
         params = _params_for_vmax(3.6, 2.2)
         scene = single_target_scene(range_m=20.0, velocity_mps=6.0, azimuth_deg=10.0)
-        rd, snapshot = _simulated_snapshot(params, geometry, varray, scene)
-        v = resolve_velocity(snapshot, [-15.6, 6.0], varray, rd.plan, params.wavelength_m)
+        rd, _, snapshot = _simulated_snapshot(params, geometry, varray, scene)
+        v = resolve_velocity(snapshot, [-15.6, 6.0], rd.plan, params.wavelength_m)
         assert v == 6.0
 
     def test_single_candidate_unconditional(self, varray, small_params):
         plan = build_frame_plan(small_params, 0)
-        tx, rx, pos = varray.source_table()
-        snapshot = VirtualSnapshot(values=np.zeros(tx.size, dtype=complex) + 1.0,
-                                   source_tx=tx, source_rx=rx, source_position=pos,
-                                   cell=(0, 0), frame_index=0)
-        assert resolve_velocity(snapshot, [42.0], varray, plan, 4e-3) == 42.0
+        snapshot = VirtualSnapshot(np.ones(varray.source_tx.size, dtype=complex), varray)
+        assert resolve_velocity(snapshot, [42.0], plan, 4e-3) == 42.0
 
     def test_static_target_resolves_to_zero(self, geometry, varray, small_params):
         scene = single_target_scene(range_m=20.0, velocity_mps=0.0, azimuth_deg=-8.0)
-        rd, snapshot = _simulated_snapshot(small_params, geometry, varray, scene)
+        rd, _, snapshot = _simulated_snapshot(small_params, geometry, varray, scene)
         vmax = rd.folded_vmax_mps
         candidates = crt_candidates(0.0, vmax, small_params.n_tx)
-        assert resolve_velocity(snapshot, candidates, varray, rd.plan,
+        assert resolve_velocity(snapshot, candidates, rd.plan,
                                 small_params.wavelength_m) == 0.0
 
     def test_global_scaling_invariance(self, geometry, varray, small_params):
         scene = single_target_scene(range_m=15.0, velocity_mps=3.0, azimuth_deg=6.0,
                                     snr_db=25.0, seed=5)
-        rd, snapshot = _simulated_snapshot(small_params, geometry, varray, scene)
-        candidates = crt_candidates(rd.velocity_axis[snapshot.cell[1]],
+        rd, cell, snapshot = _simulated_snapshot(small_params, geometry, varray, scene)
+        candidates = crt_candidates(rd.velocity_axis[cell[1]],
                                     rd.folded_vmax_mps, small_params.n_tx)
-        v1 = resolve_velocity(snapshot, candidates, varray, rd.plan,
-                              small_params.wavelength_m)
+        v1 = resolve_velocity(snapshot, candidates, rd.plan, small_params.wavelength_m)
         from dataclasses import replace
 
         scaled = replace(snapshot, values=snapshot.values * (3.7 * np.exp(1j * 0.9)))
-        v2 = resolve_velocity(scaled, candidates, varray, rd.plan, small_params.wavelength_m)
+        v2 = resolve_velocity(scaled, candidates, rd.plan, small_params.wavelength_m)
         assert v1 == v2
+
+    @pytest.mark.parametrize("default", [True, False])
+    def test_matches_averaging_matrix_reference(self, small_params, geometry, default):
+        # the default geometry, and one whose middle slot holds three channels
+        from dataclasses import replace
+
+        geometry = geometry if default else ArrayGeometry((0, 1, 2), (0, 1, 2))
+        params = replace(small_params, n_tx=len(geometry.tx_positions),
+                         n_rx=len(geometry.rx_positions))
+        varray = build_virtual_array(geometry)
+        rng = np.random.default_rng(41)
+        span = 3.0 * folded_vmax(params, 0)
+        for seed in range(6):
+            scene = single_target_scene(range_m=rng.uniform(6.0, 30.0),
+                                        velocity_mps=rng.uniform(-span, span),
+                                        azimuth_deg=rng.uniform(-30.0, 30.0),
+                                        snr_db=5.0, seed=seed)
+            rd, cell, snapshot = _simulated_snapshot(params, geometry, varray, scene)
+            candidates = crt_candidates(rd.velocity_axis[cell[1]], rd.folded_vmax_mps,
+                                        params.n_tx)
+            picked = resolve_velocity(snapshot, candidates, rd.plan, params.wavelength_m)
+            scores = _reference_scores(snapshot, candidates, rd.plan, params.wavelength_m)
+            tied = candidates[np.abs(scores - scores.min()) <= 1e-9]
+            assert picked == tied[np.argmin(np.abs(tied))]
+            assert scores[candidates == picked][0] == scores.min()
 
     def test_empty_candidates_error(self, varray, small_params):
         plan = build_frame_plan(small_params, 0)
-        tx, rx, pos = varray.source_table()
-        snapshot = VirtualSnapshot(values=np.ones(tx.size, dtype=complex),
-                                   source_tx=tx, source_rx=rx, source_position=pos,
-                                   cell=(0, 0), frame_index=0)
+        snapshot = VirtualSnapshot(np.ones(varray.source_tx.size, dtype=complex), varray)
         with pytest.raises(InvalidParameterError):
-            resolve_velocity(snapshot, [], varray, plan, 4e-3)
+            resolve_velocity(snapshot, [], plan, 4e-3)
 
     def test_no_overlap_geometry_error(self, small_params):
-        geom = ArrayGeometry((0,), (0, 1, 2, 3))
-        va = build_virtual_array(geom)
+        va = build_virtual_array(ArrayGeometry((0,), (0, 1, 2, 3)))
         plan = build_frame_plan(small_params, 0)
-        tx, rx, pos = va.source_table()
-        snapshot = VirtualSnapshot(values=np.ones(tx.size, dtype=complex),
-                                   source_tx=tx, source_rx=rx, source_position=pos,
-                                   cell=(0, 0), frame_index=0)
+        snapshot = VirtualSnapshot(np.ones(va.source_tx.size, dtype=complex), va)
         with pytest.raises(UnsupportedGeometryError):
-            resolve_velocity(snapshot, [0.0, 1.0], va, plan, 4e-3)
+            resolve_velocity(snapshot, [0.0, 1.0], plan, 4e-3)
 
 
 class TestCompensate:
     def test_zero_velocity_identity(self, varray, small_params):
         plan = build_frame_plan(small_params, 0)
-        tx, rx, pos = varray.source_table()
-        rng = np.random.default_rng(2)
-        snapshot = VirtualSnapshot(
-            values=rng.normal(size=tx.size) + 1j * rng.normal(size=tx.size),
-            source_tx=tx, source_rx=rx, source_position=pos, cell=(0, 0), frame_index=0)
+        snapshot = _random_snapshot(varray, 2)
         out = compensate_tdm_phase(snapshot, 0.0, plan, small_params.wavelength_m)
         np.testing.assert_array_equal(out.values, snapshot.values)
 
     def test_round_trip_identity(self, varray, small_params):
         plan = build_frame_plan(small_params, 0)
-        tx, rx, pos = varray.source_table()
-        rng = np.random.default_rng(3)
-        snapshot = VirtualSnapshot(
-            values=rng.normal(size=tx.size) + 1j * rng.normal(size=tx.size),
-            source_tx=tx, source_rx=rx, source_position=pos, cell=(0, 0), frame_index=0)
+        snapshot = _random_snapshot(varray, 3)
         forward = compensate_tdm_phase(snapshot, 7.3, plan, small_params.wavelength_m)
         back = compensate_tdm_phase(forward, -7.3, plan, small_params.wavelength_m)
         np.testing.assert_allclose(back.values, snapshot.values, rtol=1e-12, atol=1e-12)
 
     def test_applied_phase_matches_migration_formula(self, varray, small_params):
         plan = build_frame_plan(small_params, 0)
-        tx, rx, pos = varray.source_table()
-        snapshot = VirtualSnapshot(values=np.ones(tx.size, dtype=complex),
-                                   source_tx=tx, source_rx=rx, source_position=pos,
-                                   cell=(0, 0), frame_index=0)
+        snapshot = VirtualSnapshot(np.ones(varray.source_tx.size, dtype=complex), varray)
         v = 4.2
         out = compensate_tdm_phase(snapshot, v, plan, small_params.wavelength_m)
         for k in range(small_params.n_tx):
-            member = np.nonzero(tx == k)[0][0]
+            member = np.nonzero(varray.source_tx == k)[0][0]
             expected = -phase_migration(v, k * plan.slot_interval_s,
                                         small_params.wavelength_m)
             applied = np.angle(out.values[member])
@@ -232,10 +278,7 @@ class TestCompensate:
 
     def test_tx0_unchanged(self, varray, small_params):
         plan = build_frame_plan(small_params, 0)
-        tx, rx, pos = varray.source_table()
-        rng = np.random.default_rng(4)
-        snapshot = VirtualSnapshot(
-            values=rng.normal(size=tx.size) + 1j * rng.normal(size=tx.size),
-            source_tx=tx, source_rx=rx, source_position=pos, cell=(0, 0), frame_index=0)
+        snapshot = _random_snapshot(varray, 4)
         out = compensate_tdm_phase(snapshot, 9.9, plan, small_params.wavelength_m)
-        np.testing.assert_array_equal(out.values[tx == 0], snapshot.values[tx == 0])
+        tx0 = varray.source_tx == 0
+        np.testing.assert_array_equal(out.values[tx0], snapshot.values[tx0])
