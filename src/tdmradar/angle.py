@@ -4,6 +4,7 @@ polar and Cartesian coordinates."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,6 +113,7 @@ def estimate_calibration(cube: DataCube, truth_range_m: float, truth_azimuth_deg
     response of the truth angle, and the result is normalized so the first
     element is 1+0j.
     """
+    geometry.check_shape(cube.params.n_tx, cube.params.n_rx)
     _require(_is_number(truth_range_m), f"reference range must be finite, got {truth_range_m!r}")
     _require(_is_number(truth_azimuth_deg) and -90.0 < truth_azimuth_deg < 90.0,
              f"reference azimuth must lie in (-90, 90) degrees, got {truth_azimuth_deg!r}")
@@ -284,32 +286,49 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _bev_lookup(shape: tuple, widths: tuple, origins: tuple) -> tuple:
+    """Where the bird's-eye-view grid samples a polar map of this layout:
+    the mask of the grid cells inside the field of view and the map's
+    extent, for each such cell the flat index of its lower-left neighbour in
+    the edge-padded map, and its bilinear fractions along range and sin
+    azimuth.  The arrays are shared by every call, so they are read-only."""
+    n_range, n_sin = shape
+    grid_x, grid_y = np.meshgrid(_BEV_X_M, _BEV_Y_M, indexing="ij")
+    radius = np.hypot(grid_x, grid_y)
+    sin_az = np.divide(grid_x, radius, out=np.zeros_like(grid_x), where=radius > 0)
+    range_idx = (radius - origins[0]) / widths[0]
+    sin_idx = (sin_az - origins[1]) / widths[1]
+    outside = (range_idx > n_range - 1) | (sin_idx < 0) | (sin_idx > n_sin - 1)
+    azimuth = np.degrees(np.arctan2(grid_x, grid_y))
+    inside = ~(outside | (np.abs(azimuth) > _BEV_FOV_DEG / 2.0))
+    range_idx, sin_idx = range_idx[inside], sin_idx[inside]
+    r0 = np.clip(np.floor(range_idx), 0, n_range - 1).astype(np.int32)
+    s0 = np.clip(np.floor(sin_idx), 0, n_sin - 1).astype(np.int32)
+    lookup = (inside, r0 * (n_sin + 1) + s0, range_idx - r0, sin_idx - s0)
+    for array in lookup:
+        array.flags.writeable = False
+    return lookup
+
+
 def polar_to_cartesian(pmap: RangeAzimuthMap) -> RangeAzimuthMap:
     """Resample a polar map onto the fixed bird's-eye-view grid, bilinear in
     (range, sin azimuth); cells outside the field of view or the range
     extent are set to the floor."""
     if pmap.kind != "polar":
         raise InvalidParameterError("input map must be polar")
-
-    grid_x, grid_y = np.meshgrid(_BEV_X_M, _BEV_Y_M, indexing="ij")
-
-    radius = np.hypot(grid_x, grid_y)
-    sin_az = np.divide(grid_x, radius, out=np.zeros_like(grid_x), where=radius > 0)
-    range_idx = radius / pmap.axis0_bin_width
-    sin_idx = (sin_az - pmap.axis1_origin) / pmap.axis1_bin_width
+    inside, corner, fr, fs = _bev_lookup(pmap.power_db.shape,
+                                         (pmap.axis0_bin_width, pmap.axis1_bin_width),
+                                         (pmap.axis0_origin, pmap.axis1_origin))
 
     # Bilinear, its products and sum in the order of scipy.ndimage's order-1
     # map_coordinates (equal bit for bit); the padding gets only zero weight.
-    n_range, n_sin = pmap.power_db.shape
-    padded = np.pad(pmap.power_db, ((0, 1), (0, 1)), mode="edge")
-    r0 = np.clip(np.floor(range_idx), 0, n_range - 1).astype(np.intp)
-    s0 = np.clip(np.floor(sin_idx), 0, n_sin - 1).astype(np.intp)
-    fr, fs = range_idx - r0, sin_idx - s0
-    sampled = (padded[r0, s0] * (1 - fr) * (1 - fs) + padded[r0, s0 + 1] * (1 - fr) * fs
-               + padded[r0 + 1, s0] * fr * (1 - fs) + padded[r0 + 1, s0 + 1] * fr * fs)
-    outside = (range_idx > n_range - 1) | (sin_idx < 0) | (sin_idx > n_sin - 1)
-    azimuth = np.degrees(np.arctan2(grid_x, grid_y))
-    sampled[outside | (np.abs(azimuth) > _BEV_FOV_DEG / 2.0)] = FLOOR_DB
+    padded = np.pad(pmap.power_db, ((0, 1), (0, 1)), mode="edge").ravel()
+    row = pmap.power_db.shape[1] + 1
+    sampled = np.full(inside.shape, FLOOR_DB)
+    sampled[inside] = (padded[corner] * (1 - fr) * (1 - fs) + padded[corner + 1] * (1 - fr) * fs
+                       + padded[corner + row] * fr * (1 - fs)
+                       + padded[corner + row + 1] * fr * fs)
 
     return RangeAzimuthMap(
         power_db=sampled,

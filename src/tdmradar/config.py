@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -266,6 +266,12 @@ class ArrayGeometry:
                      f"{name} {list(positions)} put two elements at one position")
             object.__setattr__(self, name, tuple(positions))
 
+    def check_shape(self, n_tx: int, n_rx: int) -> None:
+        """Raise unless the array has exactly ``n_tx`` TX and ``n_rx`` RX elements."""
+        shape = (len(self.tx_positions), len(self.rx_positions))
+        _require(shape == (n_tx, n_rx),
+                 f"geometry of {shape} elements for a {(n_tx, n_rx)} TX x RX radar")
+
     from_dict = classmethod(_from_dict)
     from_json = classmethod(_from_json)
 
@@ -291,7 +297,9 @@ class VirtualArray:
     element order of every snapshot; ``weight[t, r]`` is 1 / (channels on
     that slot), so adding weighted channels onto their slots averages
     co-located ones.  ``overlapped_pairs`` holds one (slot, source_a,
-    source_b) entry per slot reached from at least two distinct TXs."""
+    source_b) entry per slot reached from at least two distinct TXs;
+    ``pair_index`` is derived from it: row i holds the snapshot indices of
+    pair i's two channels."""
 
     virtual_positions: tuple
     position: np.ndarray
@@ -299,6 +307,14 @@ class VirtualArray:
     source_rx: np.ndarray
     weight: np.ndarray
     overlapped_pairs: tuple
+    pair_index: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        index = np.empty(self.position.shape, dtype=np.intp)
+        index[self.source_tx, self.source_rx] = np.arange(self.source_tx.size)
+        pairs = np.array([(a, b) for _, a, b in self.overlapped_pairs],
+                         dtype=np.intp).reshape(-1, 2, 2)         # (pair, side, tx/rx)
+        object.__setattr__(self, "pair_index", index[pairs[..., 0], pairs[..., 1]])
 
 
 def build_virtual_array(geometry: ArrayGeometry) -> VirtualArray:

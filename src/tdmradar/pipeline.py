@@ -151,10 +151,8 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
     if {cube_a.plan.frame_index % 2, cube_b.plan.frame_index % 2} != {0, 1}:
         raise InvalidParameterError("need one even and one odd frame of a staggered pair")
 
+    geometry.check_shape(params.n_tx, params.n_rx)
     varray = build_virtual_array(geometry)
-    if varray.position.shape != (params.n_tx, params.n_rx):
-        raise InvalidParameterError(f"geometry of {varray.position.shape} elements for a "
-                                    f"{(params.n_tx, params.n_rx)} TX x RX radar")
     if not varray.overlapped_pairs:
         raise UnsupportedGeometryError(
             "velocity unfolding needs overlapped virtual elements from distinct TXs")

@@ -35,7 +35,7 @@ from .config import (
     build_frame_plan,
 )
 
-_SLOT_BLOCK = 64        # slots per matrix product: the rows hold T * 64 * n_fast samples
+_SLOT_BLOCK = 64        # slots per block: the chirp rows hold T * 64 * n_fast samples
 _NOISE_BLOCK = 1 << 16  # noise samples per draw: a 512 KB float64 buffer
 
 
@@ -140,10 +140,14 @@ def _add_noise(cube: DataCube, scene: Scene) -> None:
 
 def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
                    frame_index: int, start_time_s: float = 0.0) -> DataCube:
-    """Synthesize one frame: per block of slots, one product of the (n_rx, T)
-    receive gains with the (T, slots * n_fast) transmit-phased chirp rows,
-    then the scene's noise.  ``start_time_s`` keeps the target state
-    continuous when frames are chained."""
+    """Synthesize one frame, then add the scene's noise.  Per block of slots,
+    each target's chirp rows (carrier, TX and beat phase) are built from two
+    short exps, and each RX row of the cube adds them up, each times its
+    (RX, target) gain, through one scratch row.  Elementwise products only:
+    a BLAS call here would compete with the other frame's thread for the
+    cores.  ``start_time_s`` keeps the target state continuous when frames
+    are chained."""
+    geometry.check_shape(params.n_tx, params.n_rx)
     plan = build_frame_plan(params, frame_index)
     n_fast = params.adc_samples_per_chirp
     n_slots = plan.chirp_count_total
@@ -158,7 +162,11 @@ def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
                      f"(0, {r_max:.1f}) m during the frame and would alias")
 
     slot_times = start_time_s + np.arange(n_slots) * plan.slot_interval_s
-    fast_times = np.arange(n_fast) / params.sample_rate_hz
+    # Fast-time sample f = n_lo * hi + lo: a chirp's phasor is the outer
+    # product of n_fast / n_lo high-digit and n_lo low-digit phasors.
+    n_lo = 1 << (n_fast.bit_length() // 2)
+    fast_hi = np.arange(0, n_fast, n_lo) / params.sample_rate_hz
+    fast_lo = np.arange(n_lo) / params.sample_rate_hz
     tx_pos = np.asarray(geometry.tx_positions, dtype=float)
     rx_pos = np.asarray(geometry.rx_positions, dtype=float)
 
@@ -166,21 +174,24 @@ def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
         [(t.range_m, t.velocity_mps, t.azimuth_deg, t.amplitude) for t in scene.targets]
     ).reshape(-1, 4).T[:, :, None]
     u = np.sin(np.radians(azimuths))                                          # (T, 1)
-    tx_phasor = np.exp(1j * np.pi * tx_pos * u)                               # (T, n_tx)
-    rx_gain = amplitudes.T * np.exp(1j * np.pi * rx_pos[:, None] * u.T)       # (n_rx, T)
+    tx_phase = np.pi * tx_pos[plan.tx_order] * u                              # (T, n_slots)
+    rx_gain = (amplitudes * np.exp(1j * np.pi * rx_pos * u)).T.tolist()       # n_rx x T
 
-    cube = np.empty((params.n_rx, n_slots, n_fast), dtype=np.complex128)
+    cube = np.zeros((params.n_rx, n_slots, n_fast), dtype=np.complex128)
+    scratch = np.empty((_SLOT_BLOCK, n_fast), dtype=np.complex128)
     for s0 in range(0, n_slots, _SLOT_BLOCK):
         s1 = min(s0 + _SLOT_BLOCK, n_slots)
         r_slot = ranges + velocities * slot_times[s0:s1]
         carrier_phase = 2.0 * np.pi * 2.0 * params.carrier_frequency_hz * r_slot / SPEED_OF_LIGHT
         beat_hz = 2.0 * params.bandwidth_hz * r_slot / (params.chirp_duration_s * SPEED_OF_LIGHT)
-        rows = np.exp(1j * (carrier_phase[..., None]
-                            + 2.0 * np.pi * beat_hz[..., None] * fast_times))
-        rows *= tx_phasor[:, plan.tx_order[s0:s1], None]
-        # With no targets the product has an empty inner dimension and writes zeros.
-        np.matmul(rx_gain, rows.reshape(len(u), (s1 - s0) * n_fast),
-                  out=cube.reshape(params.n_rx, -1)[:, s0 * n_fast:s1 * n_fast])
+        high = np.exp(1j * ((carrier_phase + tx_phase[:, s0:s1])[..., None]
+                            + 2.0 * np.pi * beat_hz[..., None] * fast_hi))
+        low = np.exp(2j * np.pi * beat_hz[..., None] * fast_lo)
+        rows = (high[..., None] * low[..., None, :]).reshape(len(u), s1 - s0, n_fast)
+        tmp = scratch[:s1 - s0]
+        for out, gains in zip(cube[:, s0:s1], rx_gain):
+            for row, g in zip(rows, gains):
+                out += np.multiply(row, g, out=tmp)
     frame = DataCube(samples=cube, plan=plan, params=params)
     _add_noise(frame, scene)
     return frame

@@ -97,11 +97,7 @@ def resolve_velocity(snapshot: VirtualSnapshot, candidates, plan: FramePlan,
         raise UnsupportedGeometryError(
             "geometry has no overlapped elements from distinct TXs")
 
-    # Each side of a pair is one channel: its index in the snapshot order.
-    index = np.empty(varray.position.shape, dtype=np.intp)
-    index[varray.source_tx, varray.source_rx] = np.arange(varray.source_tx.size)
-    pairs = np.array([(a, b) for _, a, b in varray.overlapped_pairs])  # (pair, side, tx/rx)
-    side_a, side_b = index[pairs[..., 0], pairs[..., 1]].T
+    side_a, side_b = varray.pair_index.T
     # (n_candidates, n_sources) compensated snapshots in one shot
     rotations = migration_rotation(candidates[:, None], varray.source_tx[None, :],
                                    plan, wavelength_m)

@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -427,6 +429,47 @@ class TestPolarToCartesian:
                                    cval=FLOOR_DB)
         expected[np.abs(np.degrees(np.arctan2(x, y))) > 35.0] = FLOOR_DB
         assert np.array_equal(polar_to_cartesian(pmap).power_db, expected)
+
+    def test_lookup_cached_and_read_only(self):
+        pmap = self._point_map(r_bin=16, sin_value=0.2)
+        angle._bev_lookup.cache_clear()
+        fresh = polar_to_cartesian(pmap)
+        cached = polar_to_cartesian(pmap)
+        assert angle._bev_lookup.cache_info().hits == 1
+        assert np.array_equal(cached.power_db, fresh.power_db)
+        key = (pmap.power_db.shape, (pmap.axis0_bin_width, pmap.axis1_bin_width),
+               (pmap.axis0_origin, pmap.axis1_origin))
+        for array, recomputed in zip(angle._bev_lookup(*key), angle._bev_lookup.__wrapped__(*key)):
+            assert np.array_equal(array, recomputed)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # another layout is another entry: 60 range bins cover fewer cells
+        flat = [RangeAzimuthMap(np.zeros((n_range, 256)), "polar", pmap.axis0_bin_width, 0.0,
+                                pmap.axis1_bin_width, pmap.axis1_origin) for n_range in (128, 60)]
+        covered = [np.count_nonzero(polar_to_cartesian(m).power_db == 0.0) for m in flat]
+        assert 0 < covered[1] < covered[0]
+        assert angle._bev_lookup.cache_info().currsize == 2
+
+    def test_lookup_shared_by_threads(self):
+        # the two frame threads resample at once: more threads than cores,
+        # layouts that collide in the cache, and frequent thread switches
+        rng = np.random.default_rng(2)
+        maps = [RangeAzimuthMap(rng.uniform(-110.0, 0.0, (n_range, 256)), "polar", 0.5996, 0.0,
+                                2.0 / 256, -1.0) for n_range in (128, 60, 128, 60, 90, 128)]
+        angle._bev_lookup.cache_clear()
+        expected = [polar_to_cartesian(m).power_db for m in maps]
+        angle._bev_lookup.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(polar_to_cartesian, m) for m in maps * 3]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result, power in zip(results, expected * 3):
+            assert np.array_equal(result.power_db, power)
+        assert angle._bev_lookup.cache_info().currsize == 3
 
     def test_requires_polar(self):
         pmap = self._point_map(r_bin=4, sin_value=0.0)

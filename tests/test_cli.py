@@ -472,6 +472,26 @@ def test_geometry_positions_not_a_list_exit_2(workdir, tmp_path):
     assert "tx_positions" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+@pytest.mark.parametrize("n_tx", [2, 10])
+def test_geometry_tx_count_mismatch_exit_2(workdir, tmp_path, command, n_tx):
+    # the params have 9 TX: a 2-TX geometry used to end in an IndexError
+    # traceback, a 10-TX one in cubes made from its first 9 TX positions
+    geometry = {**default_geometry().to_dict(), "tx_positions": list(range(0, 4 * n_tx, 4))}
+    (tmp_path / "geometry.json").write_text(json.dumps(geometry))
+    if command == "simulate":
+        proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
+                                    tmp_path / "geometry.json")
+        assert not (tmp_path / "b.rdc").exists()
+    else:
+        proc = run_cli("calibrate", "--in", str(workdir / "f0.rdc"),
+                       "--params", str(workdir / "params.json"),
+                       "--geometry", str(tmp_path / "geometry.json"),
+                       "--range", "5.0", "--azimuth", "0.0", "--out", str(tmp_path / "cal.json"))
+        _check_data_error(proc, tmp_path / "cal.json")
+    assert f"geometry of ({n_tx}, 16) elements for a (9, 16) TX x RX radar" in proc.stderr
+
+
 def test_geometry_unknown_key_exit_2(workdir, tmp_path):
     geometry = {**default_geometry().to_dict(), "spacing": 0.5}
     (tmp_path / "geometry.json").write_text(json.dumps(geometry))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,25 @@ class TestVirtualArray:
         np.testing.assert_array_equal(va.weight * np.bincount(slot)[va.position], 1.0)
         assert va.overlapped_pairs == ((1, (0, 1), (1, 0)), (2, (0, 2), (1, 1)),
                                        (3, (1, 2), (2, 1)))
+        # snapshot indices of each pair's channels, in the (slot, tx, rx) order
+        np.testing.assert_array_equal(va.pair_index, [[1, 2], [3, 4], [6, 7]])
+
+    def test_pair_index_follows_replaced_pairs(self):
+        va = build_virtual_array(default_geometry())
+        fewer = replace(va, overlapped_pairs=va.overlapped_pairs[3:5])
+        assert fewer.pair_index.shape == (2, 2)
+        np.testing.assert_array_equal(fewer.pair_index, va.pair_index[3:5])
+        for (_, a, b), (ia, ib) in zip(fewer.overlapped_pairs, fewer.pair_index):
+            assert (fewer.source_tx[ia], fewer.source_rx[ia]) == a
+            assert (fewer.source_tx[ib], fewer.source_rx[ib]) == b
+        assert replace(va, overlapped_pairs=()).pair_index.shape == (0, 2)
+
+    def test_geometry_check_shape(self):
+        geometry = default_geometry()
+        geometry.check_shape(9, 16)
+        for n_tx, n_rx in ((2, 16), (10, 16), (9, 15)):
+            with pytest.raises(InvalidParameterError, match=r"geometry of \(9, 16\) elements"):
+                geometry.check_shape(n_tx, n_rx)
 
     def test_each_slot_and_tx_holds_one_channel(self):
         # every geometry ArrayGeometry accepts: the overlap score compares

@@ -23,6 +23,7 @@ from tdmradar import (
     tdm_demux,
 )
 from tdmradar import simulate
+from tdmradar.config import SPEED_OF_LIGHT
 
 from conftest import peak_cell, single_target_scene
 
@@ -194,6 +195,33 @@ def test_many_target_superposition(small_params, geometry):
     singles = sum(simulate_frame(Scene(targets=(t,)), small_params, geometry, 1, 0.01).samples
                   for t in targets)
     np.testing.assert_allclose(both.samples, singles, rtol=0, atol=1e-12)
+
+
+def test_matches_signal_model_sample_by_sample(small_params, geometry):
+    # the module docstring's phase, evaluated for every sample on its own;
+    # frame 1 starts 4 ms in, and its 288 slots end on a partial slot block
+    p = small_params
+    targets = (PointTarget(12.0, 0.0, -20.0, 0.7), PointTarget(21.5, 6.0, 5.0),
+               PointTarget(31.0, -9.5, 33.0, 1.6))
+    start = 0.004
+    cube = simulate_frame(Scene(targets=targets), p, geometry, 1, start)
+    n_slots = cube.plan.chirp_count_total
+    assert n_slots % simulate._SLOT_BLOCK != 0
+
+    slot, fast = np.arange(n_slots)[:, None], np.arange(p.adc_samples_per_chirp)[None, :]
+    t_s = start + slot * p.pri_frame_b_s
+    t = fast / p.sample_rate_hz
+    pos_tx = np.asarray(geometry.tx_positions)[slot % p.n_tx]
+    expected = np.zeros_like(cube.samples)
+    for rx, pos_rx in enumerate(geometry.rx_positions):
+        for target in targets:
+            r = target.range_m + target.velocity_mps * t_s
+            beat_hz = 2 * p.bandwidth_hz * r / (p.chirp_duration_s * SPEED_OF_LIGHT)
+            phase = (2 * np.pi * 2 * p.carrier_frequency_hz * r / SPEED_OF_LIGHT
+                     + 2 * np.pi * beat_hz * t
+                     + np.pi * (pos_tx + pos_rx) * np.sin(np.radians(target.azimuth_deg)))
+            expected[rx] += target.amplitude * (np.cos(phase) + 1j * np.sin(phase))
+    np.testing.assert_allclose(cube.samples, expected, rtol=0, atol=1e-9)
 
 
 def test_static_scene_constant_slow_time_phase(small_params, geometry):
