@@ -15,6 +15,7 @@ from .config import (
     InvalidParameterError,
     VirtualArray,
     _check_keys,
+    _from_json,
     _is_number,
     _require,
     range_resolution,
@@ -93,6 +94,8 @@ class CalibrationVector:
         ref = data.get("reference", {})
         _check_keys("calibration reference", ref, ("range_m", "azimuth_deg"))
         return cls(gains.reshape(shape), ref.get("range_m", 0.0), ref.get("azimuth_deg", 0.0))
+
+    from_json = classmethod(_from_json)
 
 
 def steering_vector(geometry: ArrayGeometry, azimuth_deg: float) -> np.ndarray:
@@ -191,18 +194,21 @@ def _to_db(power: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(power, 10.0 ** (FLOOR_DB / 10.0)))
 
 
-def angle_spectrum(positions: np.ndarray, values: np.ndarray,
-                   grid_size: int = ANGLE_GRID_SIZE) -> AngleSpectrum:
-    """Zero-padded spatial FFT over the half-wavelength ULA grid, with bins
-    uniform in sin(azimuth) over [-1, 1); gaps in the ULA are zero-filled."""
+def _check_aperture(n_slots: int) -> None:
+    _require(n_slots <= ANGLE_GRID_SIZE,
+             f"{ANGLE_GRID_SIZE}-bin angle grid smaller than the {n_slots}-slot aperture")
+
+
+def angle_spectrum(positions: np.ndarray, values: np.ndarray) -> AngleSpectrum:
+    """Zero-padded spatial FFT over the half-wavelength ULA grid, with
+    ``ANGLE_GRID_SIZE`` bins uniform in sin(azimuth) over [-1, 1); gaps in
+    the ULA are zero-filled."""
     positions = np.asarray(positions, dtype=np.intp)
     dense = np.zeros(int(positions.max()) + 1, dtype=np.complex128)
     dense[positions] = values
-    if grid_size < dense.size:
-        raise InvalidParameterError(
-            f"grid_size {grid_size} smaller than the {dense.size}-slot aperture")
-    power_db = _to_db(np.fft.fftshift(np.abs(scipy.fft.fft(dense, n=grid_size)) ** 2))
-    sin_axis = 2.0 * (np.arange(grid_size) - grid_size // 2) / grid_size
+    _check_aperture(dense.size)
+    power_db = _to_db(np.fft.fftshift(np.abs(scipy.fft.fft(dense, n=ANGLE_GRID_SIZE)) ** 2))
+    sin_axis = 2.0 * (np.arange(ANGLE_GRID_SIZE) - ANGLE_GRID_SIZE // 2) / ANGLE_GRID_SIZE
     return AngleSpectrum(power_db=power_db, sin_axis=sin_axis,
                          azimuth_deg=np.degrees(np.arcsin(sin_axis)))
 
@@ -251,9 +257,7 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
     # gain when calibrating, times the channel's averaging weight.
     position = varray.position
     n_slots = int(position.max()) + 1
-    if n_slots > ANGLE_GRID_SIZE:
-        raise InvalidParameterError(
-            f"grid_size {ANGLE_GRID_SIZE} smaller than the {n_slots}-slot aperture")
+    _check_aperture(n_slots)
     scale = migration_rotation(velocities[None, :], np.arange(n_tx)[:, None],
                                rd.plan, rd.params.wavelength_m)[:, None, :]
     if cal is not None:

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import fileio
-from .angle import CalibrationError, estimate_calibration
+from .angle import CalibrationError, CalibrationVector, estimate_calibration
 from .config import (
     ArrayGeometry,
     InvalidParameterError,
@@ -65,7 +65,7 @@ def _cmd_process(args) -> int:
     geometry = ArrayGeometry.from_json(args.geometry)
     cube_a, cube_b = _frame_pair(lambda: fileio.read_cube(args.in_a, params),
                                  lambda: fileio.read_cube(args.in_b, params))
-    cal = fileio.read_calibration_json(args.cal) if args.cal else None
+    cal = CalibrationVector.from_json(args.cal) if args.cal else None
     cfar = CfarConfig(pfa=args.pfa) if args.pfa is not None else CfarConfig()
 
     result = run_pipeline(cube_a, cube_b, params, geometry, cal=cal, cfar=cfar,

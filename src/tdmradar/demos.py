@@ -145,7 +145,7 @@ def demo_compensation() -> DemoResult:
     snapshot = assemble_snapshot(rd, cell, varray)
 
     positions, collapsed = collapse_snapshot(snapshot)
-    before = angle_spectrum(positions, collapsed, grid_size=512).peak_azimuth_deg
+    before = angle_spectrum(positions, collapsed).peak_azimuth_deg
     result.check(abs(before - truth_az) > 2.0,
                  f"uncompensated spectrum peaks at {before:+.2f} deg "
                  f"({abs(before - truth_az):.2f} deg off the true {truth_az} deg)")
@@ -157,7 +157,7 @@ def demo_compensation() -> DemoResult:
 
     compensated = compensate_tdm_phase(snapshot, velocity, rd.plan, params.wavelength_m)
     positions, collapsed = collapse_snapshot(compensated)
-    after = angle_spectrum(positions, collapsed, grid_size=512).peak_azimuth_deg
+    after = angle_spectrum(positions, collapsed).peak_azimuth_deg
     result.check(abs(after - truth_az) <= 0.3,
                  f"compensated spectrum peaks at {after:+.2f} deg "
                  f"({abs(after - truth_az):.2f} deg off)")
@@ -186,7 +186,7 @@ def demo_resolution_angle() -> DemoResult:
     rd = range_doppler_map(tdm_demux(cube, cube.plan))
     snapshot = assemble_snapshot(rd, _strongest_cell(rd), varray)
     positions, collapsed = collapse_snapshot(snapshot)
-    spectrum = angle_spectrum(positions, collapsed, grid_size=256)
+    spectrum = angle_spectrum(positions, collapsed)
 
     window = np.abs(spectrum.azimuth_deg) <= 5.0
     power = spectrum.power_db[window]

@@ -148,6 +148,7 @@ class Detection:
     folded_velocity_mps: float
     power_db: float
     frame_index: int
+    range_offset: float  # sub-bin range peak offset in bins, 0.0 at the end bins
 
 
 def parabolic_offset(powers: np.ndarray) -> float:
@@ -176,7 +177,9 @@ def cfar_ca2d(power_map: np.ndarray, config: CfarConfig,
     alpha = N * (pfa^(-1/N) - 1) for the N training cells actually present:
     the Doppler axis wraps, the range axis is clamped so edge cells use a
     truncated ring with a locally recomputed alpha.  Cells over threshold
-    are kept only if they are the maximum of their guard window.
+    are kept only if they are the maximum of their guard window.  Each hit's
+    range, and with ``velocity_axis`` its folded velocity, is refined below
+    the bin on the float64 map.
     """
     power_map = np.asarray(power_map, dtype=float)
     n_dop, n_rng = power_map.shape
@@ -185,6 +188,8 @@ def cfar_ca2d(power_map: np.ndarray, config: CfarConfig,
     half_d, half_r = tr_d + g_d, tr_r + g_r
     _require(2 * half_d + 1 <= n_dop and 2 * half_r + 1 <= n_rng,
              "CFAR window larger than the power map")
+    _require(velocity_axis is None or len(velocity_axis) == n_dop,
+             "need one velocity per Doppler bin")
 
     def ring_sums(arr: np.ndarray) -> np.ndarray:
         padded = np.pad(arr, ((half_d, half_d), (0, 0)), mode="wrap")
@@ -220,13 +225,16 @@ def cfar_ca2d(power_map: np.ndarray, config: CfarConfig,
         if velocity_axis is not None:
             # refine the folded velocity below bin quantization (Doppler wraps)
             around = power_map[[(d_bin - 1) % n_dop, d_bin, (d_bin + 1) % n_dop], r_bin]
-            step = velocity_axis[1] - velocity_axis[0] if velocity_axis.size > 1 else 0.0
+            step = velocity_axis[1] - velocity_axis[0]
             vel = float(velocity_axis[d_bin] + parabolic_offset(around) * step)
+        offset = (parabolic_offset(power_map[d_bin, r_bin - 1:r_bin + 2])
+                  if 0 < r_bin < n_rng - 1 else 0.0)
         detections.append(Detection(
             range_bin=int(r_bin),
             doppler_bin=int(d_bin),
             folded_velocity_mps=vel,
             power_db=float(10.0 * np.log10(power_map[d_bin, r_bin])),
             frame_index=frame_index,
+            range_offset=offset,
         ))
     return detections

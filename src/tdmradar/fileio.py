@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .angle import FLOOR_DB, CalibrationVector, RangeAzimuthMap
-from .config import InvalidParameterError, RadarParams, _from_json, build_frame_plan
+from .config import InvalidParameterError, RadarParams, build_frame_plan
 from .simulate import DataCube
 
 CUBE_MAGIC = b"RDC1"
@@ -95,7 +95,7 @@ def read_cube(path, params: RadarParams) -> DataCube:
         if shape != (params.n_rx, plan.chirp_count_total, params.adc_samples_per_chirp):
             raise InvalidParameterError(
                 f"cube dimensions {shape} do not match the radar parameters")
-        if abs(pri - plan.slot_interval_s) > 1e-12:
+        if not abs(pri - plan.slot_interval_s) <= 1e-12:  # also refuses a NaN PRI
             raise InvalidParameterError(
                 f"cube PRI {pri} differs from the parameter set's "
                 f"{plan.slot_interval_s} for frame {frame_index}")
@@ -132,6 +132,11 @@ def read_map(path) -> RangeAzimuthMap:
             raise MapFormatError(f"unknown map kind {kind} at offset 4")
         if dim0 <= 0 or dim1 <= 0:
             raise MapFormatError("non-positive dimension at offset 5")
+        # the four axis floats start at offset 13
+        for i, (what, value) in enumerate((("width", w0), ("origin", o0),
+                                           ("width", w1), ("origin", o1))):
+            if not np.isfinite(value) or (what == "width" and value <= 0):
+                raise MapFormatError(f"bad axis{i // 2} {what} {value} at offset {13 + 8 * i}")
         power = _read_payload(fh, _MAP_HEADER.size, "<f4", dim0 * dim1, MapFormatError)
     power = power.reshape(dim0, dim1).astype(float)
     bad = np.flatnonzero(~np.isfinite(power))
@@ -167,7 +172,3 @@ def write_detections_json(detections, path) -> None:
 def write_calibration_json(cal: CalibrationVector, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cal.to_dict(), fh, indent=2)
-
-
-def read_calibration_json(path) -> CalibrationVector:
-    return _from_json(CalibrationVector, path)

@@ -29,7 +29,6 @@ from .dsp import (
     _rd_kernel,
     cfar_ca2d,
     noncoherent_integrate,
-    parabolic_offset,
     tdm_demux,
 )
 from .simulate import DataCube, _frame_pair
@@ -66,14 +65,6 @@ class PipelineResult:
     detections_b: list = field(default_factory=list)
     cartesian_a: RangeAzimuthMap | None = None
     cartesian_b: RangeAzimuthMap | None = None
-
-
-def _refined_range_m(power_map, detection, range_bin_m: float) -> float:
-    """Range with sub-bin parabolic refinement along the range axis."""
-    r = detection.range_bin
-    if not 0 < r < power_map.shape[1] - 1:
-        return r * range_bin_m
-    return (r + parabolic_offset(power_map[detection.doppler_bin, r - 1:r + 2])) * range_bin_m
 
 
 def _match_across_frames(dets_a, dets_b):
@@ -124,7 +115,7 @@ def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params,
 
 def _process_frame(cube: DataCube, cfar: CfarConfig):
     """Demux, one-sided range/Doppler FFTs (Hann), noncoherent integration
-    and CFAR of one frame: returns (rd, power, detections)."""
+    and CFAR of one frame: returns (rd, detections)."""
     sub = tdm_demux(cube, cube.plan)
     # Keep the one-sided beat spectrum: bins from n_fast/2 on are the
     # negative-beat mirror, beyond max_unambiguous_range_m.
@@ -133,16 +124,16 @@ def _process_frame(cube: DataCube, cfar: CfarConfig):
     # A NaN or inf sample spreads through both FFTs into this small map.
     if not np.isfinite(power).all():
         raise InvalidParameterError(f"frame {cube.plan.frame_index} has non-finite samples")
-    return rd, power, cfar_ca2d(power, cfar, velocity_axis=rd.velocity_axis,
-                                frame_index=cube.plan.frame_index)
+    return rd, cfar_ca2d(power, cfar, velocity_axis=rd.velocity_axis,
+                         frame_index=cube.plan.frame_index)
 
 
 def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
                  geometry: ArrayGeometry, cal: CalibrationVector | None = None,
                  cfar: CfarConfig | None = None, *, cartesian: bool = False) -> PipelineResult:
-    """Process one staggered frame pair (default angle grid); cubes simulated
-    or read under other params, a mismatched calibration or non-finite
-    samples raise."""
+    """Process one staggered frame pair (``ANGLE_GRID_SIZE`` angle grid);
+    cubes simulated or read under other params, a mismatched calibration or
+    non-finite samples raise."""
     if cube_a.params != params or cube_b.params != params:
         raise InvalidParameterError("the frame pair was made under other radar parameters")
     if cal is not None:
@@ -158,7 +149,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
             "velocity unfolding needs overlapped virtual elements from distinct TXs")
 
     # Frame b runs on the frame-b worker while frame a runs here.
-    (rd_a, power_a, detections_a), (rd_b, _, detections_b) = _frame_pair(
+    (rd_a, detections_a), (rd_b, detections_b) = _frame_pair(
         lambda: _process_frame(cube_a, cfar), lambda: _process_frame(cube_b, cfar))
 
     velocities_a = rd_a.velocity_axis.copy()
@@ -176,7 +167,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
         if det_b is not None:
             velocities_b[det_b.doppler_bin] = velocity
         resolved.append(ResolvedDetection(
-            range_m=_refined_range_m(power_a, det_a, rd_a.range_bin_m),
+            range_m=(det_a.range_bin + det_a.range_offset) * rd_a.range_bin_m,
             velocity_mps=velocity,
             azimuth_deg=spectrum.peak_azimuth_deg,
             power_db=det_a.power_db,

@@ -236,7 +236,7 @@ class TestAngleSpectrum:
             scene = single_target_scene(range_m=15.0, azimuth_deg=az)
             _, rd = process_frame(scene, small_params, geometry)
             snapshot = assemble_snapshot(rd, peak_cell(noncoherent_integrate(rd)), varray)
-            spec = angle_spectrum(*collapse_snapshot(snapshot), grid_size=256)
+            spec = angle_spectrum(*collapse_snapshot(snapshot))
             peak_sin = spec.sin_axis[int(np.argmax(spec.power_db))]
             assert abs(peak_sin - np.sin(np.radians(az))) <= 2.0 / 256
 
@@ -250,9 +250,10 @@ class TestAngleSpectrum:
         assert base == scaled
 
     def test_grid_too_small(self, varray):
-        positions = np.arange(86)
-        with pytest.raises(InvalidParameterError):
-            angle_spectrum(positions, np.ones(86, dtype=complex), grid_size=64)
+        # a 257-slot aperture does not fit the 256-bin angle grid; 256 slots do
+        assert angle_spectrum(np.arange(256), np.ones(256, dtype=complex)).power_db.size == 256
+        with pytest.raises(InvalidParameterError, match="256-bin angle grid smaller than the 257"):
+            angle_spectrum(np.arange(257), np.ones(257, dtype=complex))
 
 
 class TestRangeAzimuthMap:

@@ -32,7 +32,7 @@ from tdmradar.fileio import (
 
 # The suite's warning policy (pyproject.toml) applies inside CLI runs too.
 CLI = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
-       "-W", "error::FutureWarning", "-m", "tdmradar.cli"]
+       "-W", "error::FutureWarning", "-W", "error::ResourceWarning", "-m", "tdmradar.cli"]
 
 
 def run_cli(*args, check=False):

@@ -15,7 +15,7 @@ from tdmradar import (
     simulate_frame,
     tdm_demux,
 )
-from tdmradar.dsp import _rd_kernel, _window
+from tdmradar.dsp import _rd_kernel, _window, parabolic_offset
 from tdmradar.fileio import read_cube, write_cube
 from tdmradar.simulate import DataCube
 
@@ -250,6 +250,28 @@ class TestCfar:
         assert cells >= 1_000_000
         rate = alarms / cells
         assert 1e-3 / 3 <= rate <= 3e-3
+
+    def test_range_offset_on_float64_map(self):
+        # range is refined like velocity, on the float64 map: a zero-power
+        # neighbour in a float32 map reads the 1e-300 floor, not log10(0);
+        # the first and last range bins keep offset 0
+        power = np.ones((64, 128), dtype=np.float32)
+        power[20, 40], power[20, 41] = 1000.0, 0.0
+        power[30, 0] = power[40, 127] = 1000.0
+        dets = cfar_ca2d(power, CfarConfig(training=(6, 4), guard=(2, 2), pfa=1e-3))
+        offsets = {(d.doppler_bin, d.range_bin): d.range_offset for d in dets}
+        assert offsets[20, 40] == parabolic_offset(np.array([1.0, 1000.0, 0.0])) < 0.0
+        assert offsets[30, 0] == offsets[40, 127] == 0.0
+
+    @pytest.mark.parametrize("n_velocities", [10, 63, 65, 100])
+    def test_velocity_axis_must_match_doppler_bins(self, n_velocities):
+        # too short used to end in an IndexError, too long in wrong velocities
+        power = np.ones((64, 128))
+        power[20, 40] = 1000.0
+        cfg = CfarConfig(training=(6, 4), guard=(2, 2), pfa=1e-3)
+        assert len(cfar_ca2d(power, cfg, velocity_axis=np.arange(64) * 0.1)) == 1
+        with pytest.raises(InvalidParameterError, match="one velocity per Doppler bin"):
+            cfar_ca2d(power, cfg, velocity_axis=np.arange(n_velocities) * 0.1)
 
     def test_window_too_large(self):
         with pytest.raises(InvalidParameterError):

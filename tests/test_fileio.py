@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from tdmradar.fileio import (
     CubeFormatError,
     MapFormatError,
     export_pgm,
-    read_calibration_json,
     read_cube,
     read_map,
     write_calibration_json,
@@ -123,6 +124,17 @@ class TestCubeFormat:
         with pytest.raises(InvalidParameterError, match="PRI"):
             read_cube(path, other)
 
+    @pytest.mark.parametrize("pri", [np.nan, np.inf])
+    def test_non_finite_pri(self, cube, small_params, tmp_path, pri):
+        # a NaN PRI fails no "differs by more than" test; it is refused too
+        path = tmp_path / "frame.rdc"
+        write_cube(cube, path)
+        data = bytearray(path.read_bytes())
+        data[22:30] = struct.pack("<d", pri)
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidParameterError, match=f"cube PRI {pri} differs"):
+            read_cube(path, small_params)
+
 
 class TestMapFormat:
     def _map(self):
@@ -155,6 +167,20 @@ class TestMapFormat:
         write_map(self._map(), path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(MapFormatError, match="offset"):
+            read_map(path)
+
+    @pytest.mark.parametrize("field, value", [(0, 0.0), (0, np.nan), (0, -0.6), (1, np.inf),
+                                              (2, -np.inf), (2, -0.0), (3, np.nan)])
+    def test_bad_axis_float(self, tmp_path, field, value):
+        # the fields are axis0 width, axis0 origin, axis1 width, axis1
+        # origin: a width must be finite and positive, an origin finite
+        path = tmp_path / "m.ram"
+        write_map(self._map(), path)
+        data = bytearray(path.read_bytes())
+        offset = 13 + 8 * field
+        data[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(MapFormatError, match=f"at offset {offset}$"):
             read_map(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -204,6 +230,6 @@ class TestJson:
         cal = CalibrationVector(gains, 5.0, 0.0)
         path = tmp_path / "cal.json"
         write_calibration_json(cal, path)
-        loaded = read_calibration_json(path)
+        loaded = CalibrationVector.from_json(path)
         np.testing.assert_allclose(loaded.gains, gains)
         assert loaded.reference_range_m == 5.0

@@ -290,7 +290,7 @@ def test_aperture_wider_than_angle_grid_rejected(small_params):
     geometry = ArrayGeometry((0, 4), (0, 1, 2, 3, 4, 300))
     params = replace(small_params, n_tx=2, n_rx=6)
     a, b = simulate_frame_pair(Scene(targets=()), params, geometry)
-    with pytest.raises(InvalidParameterError, match="grid_size 256 smaller than the 305-slot"):
+    with pytest.raises(InvalidParameterError, match="256-bin angle grid smaller than the 305-slot"):
         run_pipeline(a, b, params, geometry)
 
 
