@@ -26,6 +26,7 @@ from .config import (
     beat_frequency,
     build_frame_plan,
     build_virtual_array,
+    crt_margin,
     default_geometry,
     default_params,
     folded_vmax,

@@ -202,8 +202,13 @@ def _check_aperture(n_slots: int) -> None:
 def angle_spectrum(positions: np.ndarray, values: np.ndarray) -> AngleSpectrum:
     """Zero-padded spatial FFT over the half-wavelength ULA grid, with
     ``ANGLE_GRID_SIZE`` bins uniform in sin(azimuth) over [-1, 1); gaps in
-    the ULA are zero-filled."""
+    the ULA are zero-filled.  Positions are non-negative slot indices, one
+    per value."""
     positions = np.asarray(positions, dtype=np.intp)
+    _require(positions.size > 0 and positions.min() >= 0,
+             f"angle spectrum needs non-negative slot positions, got {positions}")
+    _require(np.shape(values) == positions.shape,
+             f"{np.shape(values)} values for {positions.shape} positions")
     dense = np.zeros(int(positions.max()) + 1, dtype=np.complex128)
     dense[positions] = values
     _check_aperture(dense.size)

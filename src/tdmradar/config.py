@@ -181,6 +181,20 @@ def folded_vmax(params: RadarParams, frame_index: int) -> float:
     return params.wavelength_m / (4.0 * params.n_tx * pri)
 
 
+def crt_margin(params: RadarParams) -> float:
+    """Smallest gap |2*va*i - 2*vb*j| between the two frames' alias grids
+    (va, vb the folded vmax of frames a and b) over the offset differences
+    their candidate sets can produce, |i|, |j| <= 2*(n_tx//2) and
+    (i, j) != (0, 0); inf with one TX.  Two wrong candidates can agree in
+    the CRT intersection only where this gap is within its tolerance."""
+    reach = 2 * (params.n_tx // 2)
+    offsets = np.arange(-reach, reach + 1)
+    gaps = np.abs(2.0 * folded_vmax(params, 0) * offsets[:, None]
+                  - 2.0 * folded_vmax(params, 1) * offsets[None, :])
+    gaps[reach, reach] = np.inf
+    return float(gaps.min())
+
+
 def beat_frequency(range_m: float, velocity_mps: float, params: RadarParams) -> float:
     """Mixer output frequency f_R + f_D for a point target."""
     _require(range_m >= 0, "range must be non-negative")

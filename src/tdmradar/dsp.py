@@ -91,24 +91,30 @@ def _window(name: str, n: int) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
-def _rd_kernel(sub: TxSubCubes, window: str, n_keep: int) -> RangeDopplerCube:
+def _rd_kernel(sub: TxSubCubes, window: str, n_keep: int,
+               dtype=None) -> RangeDopplerCube:
     """``range_doppler_map`` keeping only the first ``n_keep`` range bins,
-    which are all the Doppler FFT runs on.  One TX block at a time goes
-    through a single scratch buffer, windowed and transformed in place."""
+    which are all the Doppler FFT runs on, computed in complex ``dtype``
+    (default: the precision of ``sub.values``).  One TX block at a time goes
+    through a single scratch buffer, windowed and transformed in place.  The
+    samples are rounded to ``dtype`` before the window multiply, as
+    ``write_cube`` rounds them, so a complex128 cube transformed in complex64
+    gives the bits of its file copy."""
     params = sub.params
     n_tx, n_rx, n_slow, n_fast = sub.values.shape
+    dtype = np.result_type(sub.values, np.complex64) if dtype is None else np.dtype(dtype)
     wf = _window(window, n_fast)
     # Both windows are applied up front (the FFTs are linear).  The (-1)^n
     # factor moves Doppler bin 0 to -vmax, an fftshift that is exact because
     # the chirp count is a power of two.
     ws = _window(window, n_slow) * (-1.0) ** np.arange(n_slow)
-    w = (ws[:, None] * wf[None, :]).astype(sub.values.real.dtype)
-    buf = np.empty((n_rx, n_slow, n_fast), dtype=np.result_type(sub.values, w))
-    out = np.empty((n_tx, n_rx, n_slow, n_keep), dtype=np.result_type(buf, np.complex64))
+    w = (ws[:, None] * wf[None, :]).astype(np.finfo(dtype).dtype)
+    buf = np.empty((n_rx, n_slow, n_fast), dtype=dtype)
+    out = np.empty((n_tx, n_rx, n_slow, n_keep), dtype=dtype)
     # inf times the window's zero imaginary part is NaN; run_pipeline reports it
     with np.errstate(invalid="ignore"):
         for k in range(n_tx):
-            np.multiply(sub.values[k], w, out=buf)
+            np.multiply(sub.values[k], w, out=buf, dtype=dtype, casting="same_kind")
             x = scipy.fft.fft(buf, axis=-1, overwrite_x=True)
             out[k] = scipy.fft.fft(x[..., :n_keep], axis=-2, overwrite_x=True)
 

@@ -23,6 +23,8 @@ from .config import (
     InvalidParameterError,
     RadarParams,
     build_virtual_array,
+    crt_margin,
+    folded_vmax,
 )
 from .dsp import (
     CfarConfig,
@@ -115,11 +117,12 @@ def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params,
 
 def _process_frame(cube: DataCube, cfar: CfarConfig):
     """Demux, one-sided range/Doppler FFTs (Hann), noncoherent integration
-    and CFAR of one frame: returns (rd, detections)."""
+    and CFAR of one frame: returns (rd, detections).  Every cube is
+    processed in complex64, the precision cube files store."""
     sub = tdm_demux(cube, cube.plan)
     # Keep the one-sided beat spectrum: bins from n_fast/2 on are the
     # negative-beat mirror, beyond max_unambiguous_range_m.
-    rd = _rd_kernel(sub, "hann", sub.values.shape[-1] // 2)
+    rd = _rd_kernel(sub, "hann", sub.values.shape[-1] // 2, np.complex64)
     power = noncoherent_integrate(rd)
     # A NaN or inf sample spreads through both FFTs into this small map.
     if not np.isfinite(power).all():
@@ -132,10 +135,18 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
                  geometry: ArrayGeometry, cal: CalibrationVector | None = None,
                  cfar: CfarConfig | None = None, *, cartesian: bool = False) -> PipelineResult:
     """Process one staggered frame pair (``ANGLE_GRID_SIZE`` angle grid);
-    cubes simulated or read under other params, a mismatched calibration or
+    cubes simulated or read under other params, params whose CRT margin is
+    not above the intersection tolerance, a mismatched calibration or
     non-finite samples raise."""
     if cube_a.params != params or cube_b.params != params:
         raise InvalidParameterError("the frame pair was made under other radar parameters")
+    # half the wider Doppler bin, the tolerance unfold_detection intersects with
+    margin = crt_margin(params)
+    tolerance = max(folded_vmax(params, 0), folded_vmax(params, 1)) / params.chirps_per_tx_per_frame
+    if not margin > tolerance:
+        raise InvalidParameterError(
+            f"CRT margin {margin:.3g} m/s is not above the {tolerance:.3g} m/s "
+            "intersection tolerance, so wrong alias candidates of the two frames can agree")
     if cal is not None:
         cal.check_shape(params.n_tx, params.n_rx)
     cfar = CfarConfig() if cfar is None else cfar

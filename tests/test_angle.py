@@ -255,6 +255,19 @@ class TestAngleSpectrum:
         with pytest.raises(InvalidParameterError, match="256-bin angle grid smaller than the 257"):
             angle_spectrum(np.arange(257), np.ones(257, dtype=complex))
 
+    def test_negative_position_rejected(self):
+        # a negative slot used to wrap onto the last slot (a -70.96 deg peak)
+        with pytest.raises(InvalidParameterError, match="non-negative slot positions"):
+            angle_spectrum(np.array([-1, 2]), np.ones(2))
+
+    def test_empty_positions_rejected(self):
+        with pytest.raises(InvalidParameterError, match="non-negative slot positions"):
+            angle_spectrum(np.array([], dtype=int), np.ones(0))
+
+    def test_values_length_must_match_positions(self):
+        with pytest.raises(InvalidParameterError, match=r"\(3,\) values for \(2,\) positions"):
+            angle_spectrum(np.array([0, 2]), np.ones(3))
+
 
 class TestRangeAzimuthMap:
     def test_empty_scene_floor(self, small_params, geometry, varray):

@@ -13,6 +13,7 @@ from tdmradar import (
     beat_frequency,
     build_frame_plan,
     build_virtual_array,
+    crt_margin,
     default_geometry,
     default_params,
     folded_vmax,
@@ -64,6 +65,34 @@ class TestFoldedVmax:
     def test_staggered_frames_differ(self):
         p = params_with()
         assert folded_vmax(p, 0) != folded_vmax(p, 1)
+
+
+class TestCrtMargin:
+    def test_default_small_and_criterion_5_params(self):
+        # smallest alias-grid gap at (i, j) = (3, 4): |6*va - 8*vb|, far above
+        # the half-bin tolerances max(va, vb)/chirps of 0.040 and 0.161 m/s
+        for p in (default_params(), params_with(), params_with(adc_samples_per_chirp=64)):
+            va, vb = folded_vmax(p, 0), folded_vmax(p, 1)
+            assert crt_margin(p) == pytest.approx(abs(6 * va - 8 * vb))
+            assert crt_margin(p) == pytest.approx(0.909, abs=1e-3)
+            assert crt_margin(p) > max(va, vb) / p.chirps_per_tx_per_frame
+
+    def test_offsets_reach_twice_the_candidate_order(self):
+        # 18 * va = 11 * vb would need i = 11; with 9 TX offsets reach 8, so
+        # the smallest gap is |6*va - 10*vb| at (i, j) = (3, 5)
+        p = params_with(pri_frame_a_s=22e-6, pri_frame_b_s=36e-6)
+        va, vb = folded_vmax(p, 0), folded_vmax(p, 1)
+        offsets = np.arange(-8, 9)
+        gaps = np.abs(2 * va * offsets[:, None] - 2 * vb * offsets[None, :])
+        gaps[8, 8] = np.inf
+        assert crt_margin(p) == gaps.min() == pytest.approx(abs(6 * va - 10 * vb))
+
+    def test_doubled_pri_has_no_margin(self):
+        p = params_with(pri_frame_b_s=2 * 21.0e-6)
+        assert crt_margin(p) == 0.0
+
+    def test_single_tx_has_no_alias_offsets(self):
+        assert crt_margin(params_with(n_tx=1, pri_frame_a_s=50e-6, pri_frame_b_s=60e-6)) == math.inf
 
 
 class TestBeatFrequency:

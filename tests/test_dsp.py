@@ -149,6 +149,22 @@ class TestRangeDopplerMap:
         ref = scipy.fft.fft(scipy.fft.fft(sub.values * w, axis=-1), axis=-2)
         np.testing.assert_array_equal(full.values, np.fft.fftshift(ref, axes=-2))
 
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    def test_complex64_kernel_equals_file_copy(self, small_params, tmp_path, window):
+        # in complex64 the kernel rounds a complex128 cube's samples before
+        # the window multiply, as write_cube does, so it gives the bits of the
+        # cube's file copy; the default keeps complex128
+        cube = synthetic_cube(small_params, seed=8)
+        write_cube(cube, tmp_path / "c.rdc")
+        copy = read_cube(tmp_path / "c.rdc", small_params)
+        n_keep = small_params.adc_samples_per_chirp // 2
+        sub = tdm_demux(cube, cube.plan)
+        rd = _rd_kernel(sub, window, n_keep, np.complex64)
+        ref = _rd_kernel(tdm_demux(copy, copy.plan), window, n_keep)
+        assert rd.values.dtype == ref.values.dtype == np.complex64
+        np.testing.assert_array_equal(rd.values, ref.values)
+        assert _rd_kernel(sub, window, n_keep).values.dtype == np.complex128
+
     def test_velocity_axis_convention(self, small_params):
         rd = range_doppler_map(tdm_demux(synthetic_cube(small_params),
                                          build_frame_plan(small_params, 0)))

@@ -117,6 +117,36 @@ def test_file_cubes_match_in_memory_cubes(pipeline_params, geometry, tmp_path):
         assert fil.azimuth_deg == pytest.approx(mem.azimuth_deg, abs=0.5)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_in_memory_run_equals_file_cube_run(small_params, geometry, tmp_path, seed):
+    # the chain computes in complex64 from the range FFT on, so a simulated
+    # complex128 pair and its complex64 file copy give the same detections
+    # and maps, bit for bit
+    from tdmradar import folded_vmax
+    from tdmradar.fileio import read_cube, write_cube
+
+    rng = np.random.default_rng(seed)
+    v_span = 0.9 * 9 * min(folded_vmax(small_params, 0), folded_vmax(small_params, 1))
+    scene = Scene(targets=tuple(
+        PointTarget(rng.uniform(4.0, small_params.max_unambiguous_range_m - 4.0),
+                    rng.uniform(-v_span, v_span), rng.uniform(-40.0, 40.0))
+        for _ in range(12)), snr_db=20.0, rng_seed=int(rng.integers(2**31)))
+    a, b = simulate_frame_pair(scene, small_params, geometry)
+    loaded = []
+    for tag, cube in (("a", a), ("b", b)):
+        write_cube(cube, tmp_path / f"{tag}.rdc")
+        loaded.append(read_cube(tmp_path / f"{tag}.rdc", small_params))
+    in_memory = run_pipeline(a, b, small_params, geometry)
+    from_files = run_pipeline(*loaded, small_params, geometry)
+
+    assert len(in_memory.detections) >= 6
+    for field_name in ("detections", "detections_a", "detections_b"):
+        assert ([astuple(d) for d in getattr(in_memory, field_name)]
+                == [astuple(d) for d in getattr(from_files, field_name)])
+    np.testing.assert_array_equal(in_memory.map_a.power_db, from_files.map_a.power_db)
+    np.testing.assert_array_equal(in_memory.map_b.power_db, from_files.map_b.power_db)
+
+
 def test_frame_parity_validated(pipeline_params, geometry):
     scene = single_target_scene(range_m=20.0)
     a, _ = simulate_frame_pair(scene, pipeline_params, geometry)
@@ -237,12 +267,23 @@ def test_frame_detections_match_calling_thread_rebuild(pipeline_params, geometry
     result = run_pipeline(a, b, pipeline_params, geometry)
     n_keep = pipeline_params.adc_samples_per_chirp // 2
     for cube, detections in ((a, result.detections_a), (b, result.detections_b)):
+        # the pipeline transforms in complex64, the samples rounded first
+        cube = replace(cube, samples=cube.samples.astype(np.complex64))
         rd = range_doppler_map(tdm_demux(cube, cube.plan))
         rd = replace(rd, values=rd.values[..., :n_keep])
         rebuilt = cfar_ca2d(noncoherent_integrate(rd), CfarConfig(),
                             velocity_axis=rd.velocity_axis, frame_index=cube.plan.frame_index)
         assert len(detections) >= 3
         assert [astuple(d) for d in detections] == [astuple(d) for d in rebuilt]
+
+
+def test_params_without_crt_margin_rejected(small_params, geometry):
+    # with frame b's PRI twice frame a's, vb = va/2 and every frame-a alias
+    # candidate meets a frame-b one: the CRT margin is 0
+    params = replace(small_params, pri_frame_b_s=2 * small_params.pri_frame_a_s)
+    a, b = simulate_frame_pair(single_target_scene(range_m=20.0), params, geometry)
+    with pytest.raises(InvalidParameterError, match="CRT margin 0 m/s is not above"):
+        run_pipeline(a, b, params, geometry)
 
 
 def test_cube_params_must_match(small_params, geometry):
