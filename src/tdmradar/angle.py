@@ -5,7 +5,7 @@ polar and Cartesian coordinates."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -147,13 +147,12 @@ def estimate_calibration(cube: DataCube, truth_range_m: float, truth_azimuth_deg
                              reference_azimuth_deg=truth_azimuth_deg)
 
 
-def apply_calibration(snapshot: VirtualSnapshot,
-                      cal: CalibrationVector) -> VirtualSnapshot:
-    """Divide each snapshot source by its channel's calibration gain."""
-    varray = snapshot.varray
-    cal.check_shape(*varray.position.shape)
-    corrected = snapshot.values / cal.gains[varray.source_tx, varray.source_rx]
-    return replace(snapshot, values=corrected)
+def apply_calibration(rd: RangeDopplerCube, cal: CalibrationVector) -> RangeDopplerCube:
+    """Divide each (tx, rx) channel of the cube by its calibration gain, in
+    place (a multiply by 1/gain in the cube's precision); returns ``rd``."""
+    cal.check_shape(*rd.values.shape[:2])
+    rd.values *= (1.0 / cal.gains).astype(rd.values.dtype)[:, :, None, None]
+    return rd
 
 
 def assemble_snapshot(rd: RangeDopplerCube, cell: tuple,
@@ -239,34 +238,27 @@ class RangeAzimuthMap:
 
 
 def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
-                      cal: CalibrationVector | None = None,
                       velocities: np.ndarray | None = None) -> RangeAzimuthMap:
     """Polar range-azimuth power map of one frame.
 
-    For every Doppler bin the per-channel responses are calibrated,
-    migration-compensated with that bin's velocity (resolved if available,
-    otherwise the folded bin-center velocity), collapsed onto the virtual
-    ULA and transformed to an angle spectrum; each (range, azimuth) cell
-    keeps its strongest Doppler bin.
+    For every Doppler bin the per-channel responses are migration-compensated
+    with that bin's velocity (resolved if available, else the folded
+    bin-center velocity), collapsed onto the virtual ULA and transformed to an
+    angle spectrum; each (range, azimuth) cell keeps its strongest Doppler bin.
     """
     values = rd.values
-    n_tx, n_rx, n_doppler, n_range = values.shape
-    if cal is not None:
-        cal.check_shape(n_tx, n_rx)
+    n_tx, _, n_doppler, n_range = values.shape
     velocities = np.asarray(rd.velocity_axis if velocities is None else velocities,
                             dtype=float)
     if velocities.size != n_doppler:
         raise InvalidParameterError("need one velocity per Doppler bin")
 
-    # Per-(tx, rx, Doppler) factor: migration compensation, over the channel
-    # gain when calibrating, times the channel's averaging weight.
+    # Per-(tx, rx, Doppler) factor: migration compensation times averaging weight.
     position = varray.position
     n_slots = int(position.max()) + 1
     _check_aperture(n_slots)
     scale = migration_rotation(velocities[None, :], np.arange(n_tx)[:, None],
                                rd.plan, rd.params.wavelength_m)[:, None, :]
-    if cal is not None:
-        scale = scale / cal.gains[:, :, None]
     scale = (scale * varray.weight[:, :, None]).astype(values.dtype)
 
     # Per Doppler block, each TX adds its RX rows (at distinct positions) onto

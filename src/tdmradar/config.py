@@ -195,6 +195,11 @@ def crt_margin(params: RadarParams) -> float:
     return float(gaps.min())
 
 
+def crt_tolerance(params: RadarParams) -> float:
+    """CRT intersection tolerance: half the wider of the two frames' Doppler bins."""
+    return max(folded_vmax(params, 0), folded_vmax(params, 1)) / params.chirps_per_tx_per_frame
+
+
 def beat_frequency(range_m: float, velocity_mps: float, params: RadarParams) -> float:
     """Mixer output frequency f_R + f_D for a point target."""
     _require(range_m >= 0, "range must be non-negative")

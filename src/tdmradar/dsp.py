@@ -118,11 +118,12 @@ def _rd_kernel(sub: TxSubCubes, window: str, n_keep: int,
             x = scipy.fft.fft(buf, axis=-1, overwrite_x=True)
             out[k] = scipy.fft.fft(x[..., :n_keep], axis=-2, overwrite_x=True)
 
+    vmax = folded_vmax(params, sub.plan.frame_index)
     return RangeDopplerCube(
         values=out,
         range_bin_m=range_resolution(params),
-        velocity_bin_mps=params.wavelength_m / (2.0 * sub.plan.tx_revisit_interval_s * n_slow),
-        folded_vmax_mps=folded_vmax(params, sub.plan.frame_index),
+        velocity_bin_mps=2.0 * vmax / n_slow,
+        folded_vmax_mps=vmax,
         plan=sub.plan,
         params=params,
     )

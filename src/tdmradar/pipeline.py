@@ -24,7 +24,7 @@ from .config import (
     RadarParams,
     build_virtual_array,
     crt_margin,
-    folded_vmax,
+    crt_tolerance,
 )
 from .dsp import (
     CfarConfig,
@@ -87,8 +87,7 @@ def _match_across_frames(dets_a, dets_b):
     return pairs
 
 
-def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params,
-                     cal: CalibrationVector | None = None):
+def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params):
     """Resolve one detection's true velocity from a frame pair.
 
     Candidate aliases come from frame a; when frame b has a matching
@@ -101,24 +100,21 @@ def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params,
     candidates = crt_candidates(det_a.folded_velocity_mps, rd_a.folded_vmax_mps, params.n_tx)
     if det_b is not None:
         set_b = crt_candidates(det_b.folded_velocity_mps, rd_b.folded_vmax_mps, params.n_tx)
-        tolerance = max(rd_a.velocity_bin_mps, rd_b.velocity_bin_mps) / 2.0
-        narrowed = crt_intersect(candidates, set_b, tolerance)
+        narrowed = crt_intersect(candidates, set_b, crt_tolerance(params))
         # Noisy folds can miss the tolerance; fall back to scoring the
         # union of both alias sets with the overlap phases.
         candidates = narrowed if narrowed.size else np.union1d(candidates, set_b)
 
     snapshot = assemble_snapshot(rd_a, (det_a.range_bin, det_a.doppler_bin), varray)
-    if cal is not None:
-        snapshot = apply_calibration(snapshot, cal)
     velocity = resolve_velocity(snapshot, candidates, rd_a.plan, wavelength)
     compensated = compensate_tdm_phase(snapshot, velocity, rd_a.plan, wavelength)
     return velocity, compensated
 
 
-def _process_frame(cube: DataCube, cfar: CfarConfig):
+def _process_frame(cube: DataCube, cfar: CfarConfig, cal: CalibrationVector | None):
     """Demux, one-sided range/Doppler FFTs (Hann), noncoherent integration
-    and CFAR of one frame: returns (rd, detections).  Every cube is
-    processed in complex64, the precision cube files store."""
+    and CFAR of one frame in complex64 (the precision cube files store), then
+    calibration with ``cal``: returns (rd, detections)."""
     sub = tdm_demux(cube, cube.plan)
     # Keep the one-sided beat spectrum: bins from n_fast/2 on are the
     # negative-beat mirror, beyond max_unambiguous_range_m.
@@ -127,8 +123,11 @@ def _process_frame(cube: DataCube, cfar: CfarConfig):
     # A NaN or inf sample spreads through both FFTs into this small map.
     if not np.isfinite(power).all():
         raise InvalidParameterError(f"frame {cube.plan.frame_index} has non-finite samples")
-    return rd, cfar_ca2d(power, cfar, velocity_axis=rd.velocity_axis,
-                         frame_index=cube.plan.frame_index)
+    detections = cfar_ca2d(power, cfar, velocity_axis=rd.velocity_axis,
+                           frame_index=cube.plan.frame_index)
+    if cal is not None:
+        apply_calibration(rd, cal)
+    return rd, detections
 
 
 def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
@@ -140,9 +139,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
     non-finite samples raise."""
     if cube_a.params != params or cube_b.params != params:
         raise InvalidParameterError("the frame pair was made under other radar parameters")
-    # half the wider Doppler bin, the tolerance unfold_detection intersects with
-    margin = crt_margin(params)
-    tolerance = max(folded_vmax(params, 0), folded_vmax(params, 1)) / params.chirps_per_tx_per_frame
+    margin, tolerance = crt_margin(params), crt_tolerance(params)
     if not margin > tolerance:
         raise InvalidParameterError(
             f"CRT margin {margin:.3g} m/s is not above the {tolerance:.3g} m/s "
@@ -161,7 +158,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
 
     # Frame b runs on the frame-b worker while frame a runs here.
     (rd_a, detections_a), (rd_b, detections_b) = _frame_pair(
-        lambda: _process_frame(cube_a, cfar), lambda: _process_frame(cube_b, cfar))
+        lambda: _process_frame(cube_a, cfar, cal), lambda: _process_frame(cube_b, cfar, cal))
 
     velocities_a = rd_a.velocity_axis.copy()
     velocities_b = rd_b.velocity_axis.copy()
@@ -169,8 +166,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
     resolved = []
     for det_a, b_index in _match_across_frames(detections_a, detections_b):
         det_b = detections_b[b_index] if b_index is not None else None
-        velocity, compensated = unfold_detection(det_a, det_b, rd_a, rd_b,
-                                                 varray, params, cal=cal)
+        velocity, compensated = unfold_detection(det_a, det_b, rd_a, rd_b, varray, params)
         positions, collapsed = collapse_snapshot(compensated)
         spectrum = angle_spectrum(positions, collapsed)
 
@@ -188,7 +184,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
         ))
 
     def maps(rd, velocities):
-        polar = range_azimuth_map(rd, varray, cal=cal, velocities=velocities)
+        polar = range_azimuth_map(rd, varray, velocities=velocities)
         return polar, polar_to_cartesian(polar) if cartesian else None
 
     (map_a, cartesian_a), (map_b, cartesian_b) = _frame_pair(

@@ -96,13 +96,13 @@ class TestEstimateCalibration:
 
 
 class TestApplyCalibration:
-    def test_all_ones_identity(self, small_params, geometry, varray):
+    def test_all_ones_identity(self, small_params, geometry):
         scene = single_target_scene(range_m=10.0, azimuth_deg=4.0)
         _, rd = process_frame(scene, small_params, geometry)
-        snapshot = assemble_snapshot(rd, peak_cell(noncoherent_integrate(rd)), varray)
+        before = rd.values.copy()
         cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0)
-        out = apply_calibration(snapshot, cal)
-        np.testing.assert_array_equal(out.values, snapshot.values)
+        assert apply_calibration(rd, cal) is rd
+        np.testing.assert_array_equal(rd.values, before)
 
     def test_full_round_trip_restores_steering(self, small_params, geometry, varray):
         rng = np.random.default_rng(13)
@@ -115,8 +115,8 @@ class TestApplyCalibration:
         scene = single_target_scene(range_m=20.0, azimuth_deg=17.0)
         cube = simulate_frame(scene, small_params, geometry, 0)
         rd = range_doppler_map(tdm_demux(inject_channel_errors(cube, gains), cube.plan))
-        snapshot = assemble_snapshot(rd, peak_cell(noncoherent_integrate(rd)), varray)
-        restored = apply_calibration(snapshot, cal)
+        cell = peak_cell(noncoherent_integrate(rd))
+        restored = assemble_snapshot(apply_calibration(rd, cal), cell, varray)
 
         ideal = steering_vector(geometry, 17.0)[varray.source_tx, varray.source_rx]
         ratio = restored.values / ideal
@@ -153,12 +153,11 @@ class TestApplyCalibration:
             with pytest.raises(InvalidParameterError, match="finite and non-zero"):
                 CalibrationVector(gains, 5.0, 0.0)
 
-    def test_shape_mismatch(self, small_params, geometry, varray):
+    def test_shape_mismatch(self, small_params, geometry):
         scene = single_target_scene(range_m=10.0)
         _, rd = process_frame(scene, small_params, geometry)
-        snapshot = assemble_snapshot(rd, (3, 4), varray)
         with pytest.raises(InvalidParameterError):
-            apply_calibration(snapshot, CalibrationVector(np.ones((2, 3), dtype=complex), 5.0, 0.0))
+            apply_calibration(rd, CalibrationVector(np.ones((2, 3), dtype=complex), 5.0, 0.0))
 
 
 class TestAssembleSnapshot:
@@ -303,7 +302,8 @@ class TestRangeAzimuthMap:
         cube, rd = process_frame(scene, small_params, geometry)
         rd_err = range_doppler_map(tdm_demux(inject_channel_errors(cube, gains), cube.plan))
         clean = range_azimuth_map(rd, varray)
-        restored = range_azimuth_map(rd_err, varray, cal=CalibrationVector(gains, 5.0, 0.0))
+        restored = range_azimuth_map(apply_calibration(rd_err, CalibrationVector(gains, 5.0, 0.0)),
+                                     varray)
         above_floor = clean.power_db > clean.power_db.max() - 100.0
         np.testing.assert_allclose(restored.power_db[above_floor],
                                    clean.power_db[above_floor], atol=1e-6)
@@ -341,11 +341,13 @@ class TestRangeAzimuthMap:
                                PointTarget(31.0, 19.0, 30.0, 0.8)), snr_db=20.0, rng_seed=21)
         cube, _ = simulate_frame_pair(scene, small_params, geometry)
         gains = np.exp(1j * np.linspace(-3.0, 3.0, 144)).reshape(9, 16) * np.linspace(0.5, 2, 16)
-        cal = CalibrationVector(gains, 5.0, 0.0) if calibrated else None
         if calibrated:
             cube = inject_channel_errors(cube, gains)
         rd = range_doppler_map(tdm_demux(cube, cube.plan))
         rd = replace(rd, values=rd.values.astype(dtype))
+        values = rd.values
+        if calibrated:  # the cube divided by the gains in its own precision
+            values = values * (1 / gains).astype(dtype)[:, :, None, None]
 
         n_tx, n_rx, n_doppler, n_range = rd.values.shape
         tx, rx = varray.source_tx, varray.source_rx
@@ -354,25 +356,25 @@ class TestRangeAzimuthMap:
         collapse[pos, tx * n_rx + rx] = 1.0 / np.bincount(pos)[pos]
         scale = migration_rotation(rd.velocity_axis[None, :], np.arange(n_tx)[:, None],
                                    rd.plan, small_params.wavelength_m)[:, None, :]
-        if calibrated:
-            scale = scale / gains[:, :, None]
         scale = np.broadcast_to(scale, (n_tx, n_rx, n_doppler)).astype(dtype)
-        flat = (rd.values * scale[..., None]).transpose(2, 0, 1, 3)
+        flat = (values * scale[..., None]).transpose(2, 0, 1, 3)
         flat = flat.reshape(n_doppler, n_tx * n_rx, n_range)
         power = np.abs(scipy.fft.fft(collapse.astype(dtype) @ flat, n=256, axis=1)) ** 2
         power = np.fft.fftshift(power.max(axis=0).astype(float), axes=0).T
         expected_db = 10.0 * np.log10(np.maximum(power, 10.0 ** (FLOOR_DB / 10.0)))
 
-        pmap = range_azimuth_map(rd, varray, cal=cal)
+        if calibrated:
+            apply_calibration(rd, CalibrationVector(gains, 5.0, 0.0))
+        pmap = range_azimuth_map(rd, varray)
         assert pmap.power_db.shape == (n_range, 256)
         np.testing.assert_allclose(pmap.power_db, expected_db, rtol=0, atol=tolerance_db)
 
     @pytest.mark.parametrize("shape", [(10, 17), (2, 3)])
-    def test_calibration_shape_mismatch(self, small_params, geometry, varray, shape):
+    def test_calibration_shape_mismatch(self, small_params, geometry, shape):
         _, rd = process_frame(single_target_scene(range_m=20.0), small_params, geometry)
         cal = CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0)
         with pytest.raises(InvalidParameterError):
-            range_azimuth_map(rd, varray, cal=cal)
+            apply_calibration(rd, cal)
 
 
 class TestPolarToCartesian:

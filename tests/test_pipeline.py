@@ -15,6 +15,8 @@ from tdmradar import (
     build_virtual_array,
     cfar_ca2d,
     default_params,
+    folded_vmax,
+    inject_channel_errors,
     noncoherent_integrate,
     range_doppler_map,
     pipeline,
@@ -88,63 +90,80 @@ def test_empty_scene_pipeline_runs(pipeline_params, geometry):
     assert result.map_a.power_db.shape == (64, 256)
 
 
-def test_file_cubes_match_in_memory_cubes(pipeline_params, geometry, tmp_path):
-    # complex64 cubes read from files give the detections of the complex128
-    # cubes they were written from
-    from tdmradar.fileio import read_cube, write_cube
-
-    scene = Scene(targets=(
-        PointTarget(range_m=12.0, velocity_mps=7.0, azimuth_deg=-15.0),
-        PointTarget(range_m=31.0, velocity_mps=-3.0, azimuth_deg=8.0, amplitude=0.6),
-    ), snr_db=20.0, rng_seed=21)
-    a, b = simulate_frame_pair(scene, pipeline_params, geometry)
-    loaded = []
-    for tag, cube in (("a", a), ("b", b)):
-        write_cube(cube, tmp_path / f"{tag}.rdc")
-        loaded.append(read_cube(tmp_path / f"{tag}.rdc", pipeline_params))
-    in_memory = run_pipeline(a, b, pipeline_params, geometry)
-    from_files = run_pipeline(*loaded, pipeline_params, geometry)
-
-    from tdmradar import folded_vmax
-
-    half_bin = folded_vmax(pipeline_params, 0) / 64
-    assert len(in_memory.detections) >= 2
-    assert len(from_files.detections) == len(in_memory.detections)
-    for mem, fil in zip(in_memory.detections, from_files.detections):
-        assert (fil.range_bin, fil.doppler_bin_a, fil.doppler_bin_b) == (
-            mem.range_bin, mem.doppler_bin_a, mem.doppler_bin_b)
-        assert fil.velocity_mps == pytest.approx(mem.velocity_mps, abs=half_bin)
-        assert fil.azimuth_deg == pytest.approx(mem.azimuth_deg, abs=0.5)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_in_memory_run_equals_file_cube_run(small_params, geometry, tmp_path, seed):
-    # the chain computes in complex64 from the range FFT on, so a simulated
-    # complex128 pair and its complex64 file copy give the same detections
-    # and maps, bit for bit
-    from tdmradar import folded_vmax
-    from tdmradar.fileio import read_cube, write_cube
-
+def _random_scene(params, seed):
+    # 12 targets: ranges over 4 m to r_max - 4 m, velocities over +-0.9 x 9 x
+    # the smaller folded vmax, azimuths over +-40 deg; 20 dB SNR
     rng = np.random.default_rng(seed)
-    v_span = 0.9 * 9 * min(folded_vmax(small_params, 0), folded_vmax(small_params, 1))
-    scene = Scene(targets=tuple(
-        PointTarget(rng.uniform(4.0, small_params.max_unambiguous_range_m - 4.0),
+    v_span = 0.9 * 9 * min(folded_vmax(params, 0), folded_vmax(params, 1))
+    return Scene(targets=tuple(
+        PointTarget(rng.uniform(4.0, params.max_unambiguous_range_m - 4.0),
                     rng.uniform(-v_span, v_span), rng.uniform(-40.0, 40.0))
         for _ in range(12)), snr_db=20.0, rng_seed=int(rng.integers(2**31)))
-    a, b = simulate_frame_pair(scene, small_params, geometry)
+
+
+@pytest.mark.parametrize("seed", [*range(5), "two_targets"])
+def test_in_memory_run_equals_file_cube_run(small_params, pipeline_params, geometry,
+                                            tmp_path, seed):
+    # the chain computes in complex64 from the range FFT on, so a simulated
+    # complex128 pair and its complex64 file copy give the same detections
+    # and maps, bit for bit: 12-target scenes at small params, and two
+    # targets at 64 chirps per TX
+    from tdmradar.fileio import read_cube, write_cube
+
+    if seed == "two_targets":
+        params = pipeline_params
+        scene = Scene(targets=(
+            PointTarget(range_m=12.0, velocity_mps=7.0, azimuth_deg=-15.0),
+            PointTarget(range_m=31.0, velocity_mps=-3.0, azimuth_deg=8.0, amplitude=0.6),
+        ), snr_db=20.0, rng_seed=21)
+    else:
+        params, scene = small_params, _random_scene(small_params, seed)
+    a, b = simulate_frame_pair(scene, params, geometry)
     loaded = []
     for tag, cube in (("a", a), ("b", b)):
         write_cube(cube, tmp_path / f"{tag}.rdc")
-        loaded.append(read_cube(tmp_path / f"{tag}.rdc", small_params))
-    in_memory = run_pipeline(a, b, small_params, geometry)
-    from_files = run_pipeline(*loaded, small_params, geometry)
+        loaded.append(read_cube(tmp_path / f"{tag}.rdc", params))
+    in_memory = run_pipeline(a, b, params, geometry)
+    from_files = run_pipeline(*loaded, params, geometry)
 
-    assert len(in_memory.detections) >= 6
+    assert len(in_memory.detections) >= min(len(scene.targets), 6)
     for field_name in ("detections", "detections_a", "detections_b"):
         assert ([astuple(d) for d in getattr(in_memory, field_name)]
                 == [astuple(d) for d in getattr(from_files, field_name)])
     np.testing.assert_array_equal(in_memory.map_a.power_db, from_files.map_a.power_db)
     np.testing.assert_array_equal(in_memory.map_b.power_db, from_files.map_b.power_db)
+
+
+def test_calibrated_run_matches_clean_run(small_params, geometry):
+    # unit-modulus channel phase errors leave the NCI, and so the CFAR, as
+    # they are; with the calibration the run gives the clean run's
+    # detections and maps, without it every azimuth is wrong
+    a, b = simulate_frame_pair(_random_scene(small_params, 0), small_params, geometry)
+    gains = np.exp(1j * np.random.default_rng(100).uniform(-np.pi, np.pi, (9, 16)))
+    corrupted = [inject_channel_errors(cube, gains) for cube in (a, b)]
+    clean = run_pipeline(a, b, small_params, geometry)
+    calibrated = run_pipeline(*corrupted, small_params, geometry,
+                              cal=CalibrationVector(gains, 5.0, 0.0))
+    uncalibrated = run_pipeline(*corrupted, small_params, geometry)
+
+    assert len(clean.detections) >= 6
+    assert ([(d.range_bin, d.doppler_bin_a, d.doppler_bin_b) for d in calibrated.detections]
+            == [(d.range_bin, d.doppler_bin_a, d.doppler_bin_b) for d in clean.detections])
+    for det, clean_det in zip(calibrated.detections, clean.detections):
+        # the folded velocities differ in the last bits of the NCI
+        assert det.velocity_mps == pytest.approx(clean_det.velocity_mps, abs=1e-6)
+        assert det.azimuth_deg == clean_det.azimuth_deg
+    for name in ("map_a", "map_b"):
+        clean_db, calibrated_db = getattr(clean, name).power_db, getattr(calibrated, name).power_db
+        above_floor = clean_db > clean_db.max() - 100.0
+        np.testing.assert_allclose(calibrated_db[above_floor], clean_db[above_floor],
+                                   rtol=0, atol=1e-3)
+
+    clean_azimuth = {(d.range_bin, d.doppler_bin_a): d.azimuth_deg for d in clean.detections}
+    assert len(uncalibrated.detections) >= 6
+    for det in uncalibrated.detections:
+        cell = (det.range_bin, det.doppler_bin_a)
+        assert abs(det.azimuth_deg - clean_azimuth.get(cell, np.inf)) > 1.0
 
 
 def test_frame_parity_validated(pipeline_params, geometry):
@@ -314,7 +333,7 @@ def test_pipeline_keeps_one_worker_thread(small_params, geometry):
     assert threading.active_count() <= threads + 1
     assert result.cartesian_a is not None
 
-    rd_b = pipeline._process_frame(b, CfarConfig())[0]
+    rd_b = pipeline._process_frame(b, CfarConfig(), None)[0]
     velocities = rd_b.velocity_axis.copy()
     for det in result.detections:
         if det.doppler_bin_b is not None:
