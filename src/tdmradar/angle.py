@@ -204,10 +204,12 @@ def angle_spectrum(positions: np.ndarray, values: np.ndarray) -> AngleSpectrum:
     the ULA are zero-filled.  Positions are non-negative slot indices, one
     per value."""
     positions = np.asarray(positions, dtype=np.intp)
-    _require(positions.size > 0 and positions.min() >= 0,
-             f"angle spectrum needs non-negative slot positions, got {positions}")
-    _require(np.shape(values) == positions.shape,
-             f"{np.shape(values)} values for {positions.shape} positions")
+    # A message is built only on refusal: printing `positions` costs 4x the spectrum.
+    if not (positions.size > 0 and positions.min() >= 0):
+        raise InvalidParameterError(
+            f"angle spectrum needs non-negative slot positions, got {positions}")
+    if np.shape(values) != positions.shape:
+        raise InvalidParameterError(f"{np.shape(values)} values for {positions.shape} positions")
     dense = np.zeros(int(positions.max()) + 1, dtype=np.complex128)
     dense[positions] = values
     _check_aperture(dense.size)

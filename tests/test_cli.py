@@ -271,6 +271,31 @@ def test_invalid_process_option_exit_2(workdir, tmp_path, flag, value):
     assert not (tmp_path / "m.ram").exists()
 
 
+@pytest.mark.parametrize("flag", ["--pfa", "--cal"])
+def test_bad_process_option_reads_no_cube(workdir, tmp_path, monkeypatch, capsys, flag):
+    # options are checked before either cube is read: at default params the
+    # two cubes are about 150 MB
+    (tmp_path / "cal.json").write_text('{"gains": [[1.0, 0.0]')  # malformed JSON
+    value = {"--pfa": "0", "--cal": str(tmp_path / "cal.json")}[flag]
+    reads = []
+    real_read_cube = cli.fileio.read_cube
+
+    def spy(*args):
+        reads.append(args)
+        return real_read_cube(*args)
+
+    monkeypatch.setattr("tdmradar.fileio.read_cube", spy)
+    assert cli.main(["process", "--in-a", str(workdir / "f0.rdc"),
+                     "--in-b", str(workdir / "f1.rdc"),
+                     "--params", str(workdir / "params.json"),
+                     "--geometry", str(workdir / "geometry.json"),
+                     "--out-map", str(tmp_path / "m.ram"),
+                     "--out-det", str(tmp_path / "d.json"), flag, value]) == 2
+    assert capsys.readouterr().err.startswith("tdmradar: error:")
+    assert reads == []
+    assert not (tmp_path / "m.ram").exists()
+
+
 def _check_data_error(proc, output):
     """Check a CLI run ended in one clean data-error line and wrote nothing."""
     assert proc.returncode == 2

@@ -1,3 +1,4 @@
+import sys
 import threading
 from dataclasses import astuple, replace
 
@@ -90,15 +91,15 @@ def test_empty_scene_pipeline_runs(pipeline_params, geometry):
     assert result.map_a.power_db.shape == (64, 256)
 
 
-def _random_scene(params, seed):
-    # 12 targets: ranges over 4 m to r_max - 4 m, velocities over +-0.9 x 9 x
+def _random_scene(params, seed, n_targets=12):
+    # n_targets: ranges over 4 m to r_max - 4 m, velocities over +-0.9 x 9 x
     # the smaller folded vmax, azimuths over +-40 deg; 20 dB SNR
     rng = np.random.default_rng(seed)
     v_span = 0.9 * 9 * min(folded_vmax(params, 0), folded_vmax(params, 1))
     return Scene(targets=tuple(
         PointTarget(rng.uniform(4.0, params.max_unambiguous_range_m - 4.0),
                     rng.uniform(-v_span, v_span), rng.uniform(-40.0, 40.0))
-        for _ in range(12)), snr_db=20.0, rng_seed=int(rng.integers(2**31)))
+        for _ in range(n_targets)), snr_db=20.0, rng_seed=int(rng.integers(2**31)))
 
 
 @pytest.mark.parametrize("seed", [*range(5), "two_targets"])
@@ -341,6 +342,29 @@ def test_pipeline_keeps_one_worker_thread(small_params, geometry):
     polar_b = range_azimuth_map(rd_b, build_virtual_array(geometry), velocities=velocities)
     assert np.array_equal(polar_b.power_db, result.map_b.power_db)
     assert np.array_equal(polar_to_cartesian(polar_b).power_db, result.cartesian_b.power_db)
+
+
+def test_no_array_formatting_on_success_path(small_params, geometry):
+    # a refusal message is built only when a check refuses: simulating and
+    # processing a 6-target scene, on this thread and on the frame-b worker,
+    # never prints an array
+    from tdmradar.simulate import _frame_pair
+
+    printed = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith("arrayprint.py"):
+            printed.append(frame.f_code.co_name)
+
+    _frame_pair(lambda: sys.setprofile(hook), lambda: sys.setprofile(hook))
+    try:
+        a, b = simulate_frame_pair(_random_scene(small_params, 3, n_targets=6),
+                                   small_params, geometry)
+        result = run_pipeline(a, b, small_params, geometry)
+    finally:
+        _frame_pair(lambda: sys.setprofile(None), lambda: sys.setprofile(None))
+    assert len(result.detections) >= 3
+    assert not printed, f"{len(printed)} calls into numpy's arrayprint"
 
 
 def test_aperture_wider_than_angle_grid_rejected(small_params):
