@@ -106,9 +106,10 @@ def _rd_kernel(sub: TxSubCubes, window: str, n_keep: int,
     wf = _window(window, n_fast)
     # Both windows are applied up front (the FFTs are linear).  The (-1)^n
     # factor moves Doppler bin 0 to -vmax, an fftshift that is exact because
-    # the chirp count is a power of two.
+    # the chirp count is a power of two.  The window is made complex (imaginary
+    # part 0) once here, not cast again by the multiply on every TX block.
     ws = _window(window, n_slow) * (-1.0) ** np.arange(n_slow)
-    w = (ws[:, None] * wf[None, :]).astype(np.finfo(dtype).dtype)
+    w = (ws[:, None] * wf[None, :]).astype(dtype)
     buf = np.empty((n_rx, n_slow, n_fast), dtype=dtype)
     out = np.empty((n_tx, n_rx, n_slow, n_keep), dtype=dtype)
     # inf times the window's zero imaginary part is NaN; run_pipeline reports it

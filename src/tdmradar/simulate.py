@@ -138,20 +138,13 @@ def _add_noise(cube: DataCube, scene: Scene) -> None:
             part[i:i + draw.size] += np.multiply(draw, scale, out=draw)
 
 
-def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
-                   frame_index: int, start_time_s: float = 0.0) -> DataCube:
-    """Synthesize one frame, then add the scene's noise.  Per block of slots,
-    each target's chirp rows (carrier, TX and beat phase) are built from two
-    short exps, and each RX row of the cube adds them up, each times its
-    (RX, target) gain, through one scratch row.  Elementwise products only:
-    a BLAS call here would compete with the other frame's thread for the
-    cores.  ``start_time_s`` keeps the target state continuous when frames
-    are chained."""
+def _check_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
+                 frame_index: int, start_time_s: float) -> FramePlan:
+    """The plan of frame ``frame_index``, once the geometry matches ``params``
+    and every target stays inside (0, r_max) from the frame's start to its end."""
     geometry.check_shape(params.n_tx, params.n_rx)
     plan = build_frame_plan(params, frame_index)
-    n_fast = params.adc_samples_per_chirp
     n_slots = plan.chirp_count_total
-
     frame_end = start_time_s + (n_slots - 1) * plan.slot_interval_s + params.chirp_duration_s
     r_max = params.max_unambiguous_range_m
     for target in scene.targets:
@@ -160,7 +153,23 @@ def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
             _require(0.0 < r_edge < r_max,
                      f"target at {target.range_m} m, {target.velocity_mps} m/s leaves "
                      f"(0, {r_max:.1f}) m during the frame and would alias")
+    return plan
 
+
+def _add_signal(cube: DataCube, scene: Scene, geometry: ArrayGeometry,
+                start_time_s: float) -> None:
+    """Add the scene's targets to the cube in place.  Per block of slots, each
+    target's chirp rows (carrier, TX and beat phase) are built from two short
+    exps; each RX row sums them, each times its (RX, target) gain, in target
+    order into a scratch row, which is then added to the cube once.  So a
+    sample is ``x + S`` with the same ``S`` whether or not the cube already
+    holds noise ``x``.  Elementwise products only: a BLAS call here would
+    compete with the other frame's thread for the cores."""
+    if not scene.targets:
+        return
+    params, plan = cube.params, cube.plan
+    n_fast = params.adc_samples_per_chirp
+    n_slots = plan.chirp_count_total
     slot_times = start_time_s + np.arange(n_slots) * plan.slot_interval_s
     # Fast-time sample f = n_lo * hi + lo: a chirp's phasor is the outer
     # product of n_fast / n_lo high-digit and n_lo low-digit phasors.
@@ -172,13 +181,13 @@ def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
 
     ranges, velocities, azimuths, amplitudes = np.array(
         [(t.range_m, t.velocity_mps, t.azimuth_deg, t.amplitude) for t in scene.targets]
-    ).reshape(-1, 4).T[:, :, None]
+    ).T[:, :, None]
     u = np.sin(np.radians(azimuths))                                          # (T, 1)
     tx_phase = np.pi * tx_pos[plan.tx_order] * u                              # (T, n_slots)
     rx_gain = (amplitudes * np.exp(1j * np.pi * rx_pos * u)).T.tolist()       # n_rx x T
 
-    cube = np.zeros((params.n_rx, n_slots, n_fast), dtype=np.complex128)
-    scratch = np.empty((_SLOT_BLOCK, n_fast), dtype=np.complex128)
+    sums = np.empty((_SLOT_BLOCK, n_fast), dtype=np.complex128)
+    scratch = np.empty_like(sums)
     for s0 in range(0, n_slots, _SLOT_BLOCK):
         s1 = min(s0 + _SLOT_BLOCK, n_slots)
         r_slot = ranges + velocities * slot_times[s0:s1]
@@ -188,23 +197,47 @@ def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
                             + 2.0 * np.pi * beat_hz[..., None] * fast_hi))
         low = np.exp(2j * np.pi * beat_hz[..., None] * fast_lo)
         rows = (high[..., None] * low[..., None, :]).reshape(len(u), s1 - s0, n_fast)
-        tmp = scratch[:s1 - s0]
-        for out, gains in zip(cube[:, s0:s1], rx_gain):
-            for row, g in zip(rows, gains):
-                out += np.multiply(row, g, out=tmp)
-    frame = DataCube(samples=cube, plan=plan, params=params)
-    _add_noise(frame, scene)
+        acc, tmp = sums[:s1 - s0], scratch[:s1 - s0]
+        for out, gains in zip(cube.samples[:, s0:s1], rx_gain):
+            np.multiply(rows[0], gains[0], out=acc)
+            for row, g in zip(rows[1:], gains[1:]):
+                acc += np.multiply(row, g, out=tmp)
+            out += acc
+
+
+def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
+                   frame_index: int, start_time_s: float = 0.0) -> DataCube:
+    """Synthesize one frame's targets and noise.  An even frame adds its
+    signal, then its noise; an odd frame draws its noise first.  In a frame
+    pair one frame's noise draw, which releases the GIL, then overlaps the
+    other frame's GIL-bound per-target loop.  The order does not change the
+    bits: a sample is signal plus noise either way, and IEEE addition
+    commutes.  ``start_time_s`` keeps the target state continuous when
+    frames are chained."""
+    plan = _check_frame(scene, params, geometry, frame_index, start_time_s)
+    shape = (params.n_rx, plan.chirp_count_total, params.adc_samples_per_chirp)
+    frame = DataCube(samples=np.zeros(shape, dtype=np.complex128), plan=plan, params=params)
+    if frame_index % 2:
+        _add_noise(frame, scene)
+        _add_signal(frame, scene, geometry, start_time_s)
+    else:
+        _add_signal(frame, scene, geometry, start_time_s)
+        _add_noise(frame, scene)
     return frame
 
 
 def simulate_frame_pair(scene: Scene, params: RadarParams,
                         geometry: ArrayGeometry) -> tuple:
     """Two back-to-back frames with staggered PRIs (frame 0 then frame 1).
-    Frame b is simulated on the frame-b worker thread; each frame draws its own
+    Both frames are checked on this thread before either is made, so a target
+    that leaves the range only during frame b costs no synthesis.  Frame b is
+    then simulated on the frame-b worker thread; each frame draws its own
     noise stream, so the result does not depend on the threads."""
+    start_b = params.frame_duration_s(0)
+    _check_frame(scene, params, geometry, 0, 0.0)
+    _check_frame(scene, params, geometry, 1, start_b)
     return _frame_pair(lambda: simulate_frame(scene, params, geometry, 0),
-                       lambda: simulate_frame(scene, params, geometry, 1,
-                                              params.frame_duration_s(0)))
+                       lambda: simulate_frame(scene, params, geometry, 1, start_b))
 
 
 def inject_channel_errors(cube: DataCube, gains) -> DataCube:

@@ -104,15 +104,60 @@ def test_noise_matches_reference_stream(small_params, geometry, chirps, frame_in
     assert np.array_equal(cube.samples, n[0] + 1j * n[1])
 
 
-def test_pair_equals_sequential_frames(small_params, geometry):
-    scene = Scene(targets=(PointTarget(12.0, 3.0, -10.0), PointTarget(25.0, -7.0, 20.0, 0.4)),
-                  snr_db=15.0, rng_seed=11)
-    a, b = simulate_frame_pair(scene, small_params, geometry)
-    seq_a = simulate_frame(scene, small_params, geometry, 0, 0.0)
+def _twelve_targets(params):
+    rng = np.random.default_rng(8)
+    r_max = params.max_unambiguous_range_m
+    return tuple(PointTarget(rng.uniform(4.0, r_max - 4.0), rng.uniform(-20.0, 20.0),
+                             rng.uniform(-40.0, 40.0)) for _ in range(12))
+
+
+_TWO_TARGETS = (PointTarget(12.0, 3.0, -10.0), PointTarget(25.0, -7.0, 20.0, 0.4))
+
+
+@pytest.mark.parametrize("case", ["two_targets", "noiseless", "empty_noisy", "twelve_targets",
+                                  "partial_blocks"])
+def test_pair_equals_sequential_frames(small_params, geometry, case):
+    # frame b draws its noise before its signal, frame a after; raw bits, so
+    # a -0.0 against a +0.0 counts as a difference.  4 chirps per TX leaves
+    # a partial last slot block and a partial last noise block.
+    params = small_params
+    if case == "partial_blocks":
+        params = type(params)(**{**params.to_dict(), "chirps_per_tx_per_frame": 4})
+    targets = {"empty_noisy": (), "twelve_targets": _twelve_targets(params)}.get(case, _TWO_TARGETS)
+    scene = Scene(targets=targets, snr_db=None if case == "noiseless" else 15.0, rng_seed=11)
+    a, b = simulate_frame_pair(scene, params, geometry)
+    seq_a = simulate_frame(scene, params, geometry, 0, 0.0)
     offset = seq_a.plan.chirp_count_total * seq_a.plan.slot_interval_s
-    seq_b = simulate_frame(scene, small_params, geometry, 1, offset)
-    assert np.array_equal(a.samples, seq_a.samples)
-    assert np.array_equal(b.samples, seq_b.samples)
+    seq_b = simulate_frame(scene, params, geometry, 1, offset)
+    assert np.array_equal(a.samples.view(np.uint64), seq_a.samples.view(np.uint64))
+    assert np.array_equal(b.samples.view(np.uint64), seq_b.samples.view(np.uint64))
+
+
+def test_frame_b_draws_noise_first(small_params, geometry, monkeypatch):
+    calls = []
+    for name in ("_add_signal", "_add_noise"):
+        monkeypatch.setattr(simulate, name,
+                            lambda cube, *args, name=name: calls.append((cube.plan.frame_index, name)))
+    simulate_frame_pair(Scene(targets=_TWO_TARGETS, snr_db=15.0), small_params, geometry)
+    assert [c for c in calls if c[0] == 0] == [(0, "_add_signal"), (0, "_add_noise")]
+    assert [c for c in calls if c[0] == 1] == [(1, "_add_noise"), (1, "_add_signal")]
+
+
+def test_pair_refused_in_frame_b_does_no_work(small_params, geometry, monkeypatch):
+    # the target stays below r_max through frame a and crosses it during
+    # frame b: the pair is refused before either frame adds anything
+    p = small_params
+    end_a = p.frame_duration_s(0)
+    end_b = end_a + p.frame_duration_s(1)
+    target = PointTarget(p.max_unambiguous_range_m - 50.0 * (end_a + end_b) / 2, 50.0)
+    scene = Scene(targets=(target,), snr_db=20.0)
+    simulate_frame(scene, p, geometry, 0)
+    calls = []
+    for name in ("_add_signal", "_add_noise"):
+        monkeypatch.setattr(simulate, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(InvalidParameterError, match="leaves"):
+        simulate_frame_pair(scene, p, geometry)
+    assert calls == []
 
 
 def test_pair_raises_worker_error(small_params, geometry, monkeypatch):
