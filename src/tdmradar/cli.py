@@ -42,10 +42,24 @@ def _sibling_path(path: str, suffix: str) -> str:
     return str(p.with_name(p.stem + suffix + p.suffix))
 
 
+def _path_clash(args) -> str | None:
+    """The usage error of an output path that resolves to another output of
+    the command or to one of its inputs, else None."""
+    def path(flag):
+        return getattr(args, "infile" if flag == "--in" else flag[2:].replace("-", "_"))
+
+    outputs = {flag: path(flag) for flag in args.outputs}
+    if args.command == "process":
+        outputs["--out-map (frame b)"] = _sibling_path(args.out_map, "_b")
+    named = {}
+    for flag, name in [*outputs.items(), *((f, path(f)) for f in args.inputs if path(f))]:
+        other = named.setdefault(Path(name).resolve(), flag)
+        if other != flag and other in outputs:
+            return f"{other} and {flag} both name {name}"
+    return None
+
+
 def _cmd_simulate(args) -> int:
-    if Path(args.out_a).resolve() == Path(args.out_b).resolve():
-        print(f"tdmradar: error: --out-a and --out-b both name {args.out_a}", file=sys.stderr)
-        return USAGE_EXIT
     params = RadarParams.from_json(args.params)
     geometry = ArrayGeometry.from_json(args.geometry)
     scene = Scene.from_json(args.scene)
@@ -121,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-a", required=True)
     p.add_argument("--out-b", required=True)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, outputs=("--out-a", "--out-b"),
+                   inputs=("--scene", "--params", "--geometry"))
 
     p = sub.add_parser("process", help="run the receive pipeline on a frame pair")
     p.add_argument("--in-a", required=True)
@@ -134,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-det", required=True)
     p.add_argument("--cartesian", action="store_true")
     p.add_argument("--pfa", type=float, default=None)
-    p.set_defaults(func=_cmd_process)
+    p.set_defaults(func=_cmd_process, outputs=("--out-map", "--out-det"),
+                   inputs=("--in-a", "--in-b", "--params", "--geometry", "--cal"))
 
     p = sub.add_parser("calibrate", help="estimate channel gains from a corner reflector")
     p.add_argument("--in", dest="infile", required=True)
@@ -143,16 +159,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", type=float, required=True)
     p.add_argument("--azimuth", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_calibrate)
+    p.set_defaults(func=_cmd_calibrate, outputs=("--out",),
+                   inputs=("--in", "--params", "--geometry"))
 
     p = sub.add_parser("demo", help="run a reference experiment and print pass/fail")
     p.add_argument("name", choices=sorted(ALL_DEMOS))
-    p.set_defaults(func=_cmd_demo)
+    p.set_defaults(func=_cmd_demo, outputs=(), inputs=())
 
     p = sub.add_parser("export-pgm", help="render a map file as 16-bit grayscale PGM")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_export_pgm)
+    p.set_defaults(func=_cmd_export_pgm, outputs=("--out",), inputs=("--in",))
 
     return parser
 
@@ -160,6 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    clash = _path_clash(args)
+    if clash:
+        print(f"tdmradar: error: {clash}", file=sys.stderr)
+        return USAGE_EXIT
     try:
         return args.func(args)
     except (InvalidParameterError, UnsupportedGeometryError, CalibrationError,

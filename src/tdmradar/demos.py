@@ -19,7 +19,7 @@ from .config import (
     range_resolution,
 )
 from .dsp import noncoherent_integrate, range_doppler_map, tdm_demux
-from .simulate import PointTarget, Scene, simulate_frame, simulate_frame_pair
+from .simulate import PointTarget, Scene, simulate_frame
 from .unfold import (
     compensate_tdm_phase,
     crt_candidates,
@@ -53,10 +53,23 @@ def _params_for_vmax(vmax_a: float, vmax_b: float) -> RadarParams:
         pri_frame_b_s=wavelength / (4.0 * 9 * vmax_b))
 
 
-def _strongest_cell(rd) -> tuple:
+# Waveform of both resolution demos.
+_RESOLUTION_PARAMS = RadarParams(
+    carrier_frequency_hz=77e9, bandwidth_hz=250e6, chirp_duration_s=20e-6,
+    adc_samples_per_chirp=256, chirps_per_tx_per_frame=32, n_tx=9, n_rx=16,
+    pri_frame_a_s=21.0e-6, pri_frame_b_s=27.2e-6)
+
+
+def _strongest_snapshot(params: RadarParams, *targets: PointTarget) -> tuple:
+    """Frame 0 of the noiseless ``targets`` on the default array: two-sided
+    map, strongest NCI cell (range bin, Doppler bin) and that cell's snapshot."""
+    geometry = default_geometry()
+    cube = simulate_frame(Scene(targets=targets), params, geometry, frame_index=0)
+    rd = range_doppler_map(tdm_demux(cube, cube.plan))
     power = noncoherent_integrate(rd)
     doppler_bin, range_bin = np.unravel_index(np.argmax(power), power.shape)
-    return int(range_bin), int(doppler_bin)
+    cell = (int(range_bin), int(doppler_bin))
+    return rd, cell, assemble_snapshot(rd, cell, build_virtual_array(geometry))
 
 
 def _peaks(x: np.ndarray, height: float) -> np.ndarray:
@@ -111,13 +124,8 @@ def demo_unfold() -> DemoResult:
 
     # Final pick via the overlapped-array phases on simulated data.
     params = _params_for_vmax(vmax_a, vmax_b)
-    geometry = default_geometry()
-    varray = build_virtual_array(geometry)
-    scene = Scene(targets=(PointTarget(range_m=20.0, velocity_mps=v_true,
-                                       azimuth_deg=10.0),))
-    frame_a, _ = simulate_frame_pair(scene, params, geometry)
-    rd = range_doppler_map(tdm_demux(frame_a, frame_a.plan))
-    snapshot = assemble_snapshot(rd, _strongest_cell(rd), varray)
+    rd, _, snapshot = _strongest_snapshot(
+        params, PointTarget(range_m=20.0, velocity_mps=v_true, azimuth_deg=10.0))
     picked = resolve_velocity(snapshot, np.asarray(_PRINTED_NARROWED), rd.plan,
                               params.wavelength_m)
     result.check(abs(picked - 6.0) < 1e-9,
@@ -133,16 +141,9 @@ def demo_compensation() -> DemoResult:
         carrier_frequency_hz=77e9, bandwidth_hz=250e6, chirp_duration_s=40e-6,
         adc_samples_per_chirp=256, chirps_per_tx_per_frame=128, n_tx=9, n_rx=16,
         pri_frame_a_s=50e-6, pri_frame_b_s=60e-6)
-    geometry = default_geometry()
-    varray = build_virtual_array(geometry)
     truth_az, truth_v = 20.0, 10.0
-    scene = Scene(targets=(PointTarget(range_m=25.0, velocity_mps=truth_v,
-                                       azimuth_deg=truth_az),))
-
-    cube = simulate_frame(scene, params, geometry, frame_index=0)
-    rd = range_doppler_map(tdm_demux(cube, cube.plan))
-    cell = _strongest_cell(rd)
-    snapshot = assemble_snapshot(rd, cell, varray)
+    rd, cell, snapshot = _strongest_snapshot(
+        params, PointTarget(range_m=25.0, velocity_mps=truth_v, azimuth_deg=truth_az))
 
     positions, collapsed = collapse_snapshot(snapshot)
     before = angle_spectrum(positions, collapsed).peak_azimuth_deg
@@ -172,19 +173,9 @@ def demo_resolution_angle() -> DemoResult:
     result.check(abs(beamwidth - 1.2016) <= 0.01,
                  f"3 dB beamwidth of the 85 half-wavelength aperture is {beamwidth:.4f} deg")
 
-    params = RadarParams(
-        carrier_frequency_hz=77e9, bandwidth_hz=250e6, chirp_duration_s=20e-6,
-        adc_samples_per_chirp=256, chirps_per_tx_per_frame=32, n_tx=9, n_rx=16,
-        pri_frame_a_s=21.0e-6, pri_frame_b_s=27.2e-6)
-    geometry = default_geometry()
-    varray = build_virtual_array(geometry)
-    scene = Scene(targets=(
-        PointTarget(range_m=5.0, velocity_mps=0.0, azimuth_deg=-0.8),
-        PointTarget(range_m=5.0, velocity_mps=0.0, azimuth_deg=+0.8),
-    ))
-    cube = simulate_frame(scene, params, geometry, frame_index=0)
-    rd = range_doppler_map(tdm_demux(cube, cube.plan))
-    snapshot = assemble_snapshot(rd, _strongest_cell(rd), varray)
+    _, _, snapshot = _strongest_snapshot(
+        _RESOLUTION_PARAMS, PointTarget(range_m=5.0, velocity_mps=0.0, azimuth_deg=-0.8),
+        PointTarget(range_m=5.0, velocity_mps=0.0, azimuth_deg=+0.8))
     positions, collapsed = collapse_snapshot(snapshot)
     spectrum = angle_spectrum(positions, collapsed)
 
@@ -206,11 +197,7 @@ def demo_resolution_range() -> DemoResult:
     """Two reflectors 0.6 m apart at equal azimuth, 250 MHz sweep: the
     (rectangular-window) range spectrum must show two maxima."""
     result = DemoResult("resolution-range")
-    params = RadarParams(
-        carrier_frequency_hz=77e9, bandwidth_hz=250e6, chirp_duration_s=20e-6,
-        adc_samples_per_chirp=256, chirps_per_tx_per_frame=32, n_tx=9, n_rx=16,
-        pri_frame_a_s=21.0e-6, pri_frame_b_s=27.2e-6)
-    geometry = default_geometry()
+    params = _RESOLUTION_PARAMS
     bin_m = range_resolution(params)
     result.note(f"range bin is {bin_m:.4f} m, reflector spacing 0.6 m")
 
@@ -219,7 +206,7 @@ def demo_resolution_range() -> DemoResult:
         PointTarget(range_m=r_lo, velocity_mps=0.0, azimuth_deg=0.0),
         PointTarget(range_m=r_hi, velocity_mps=0.0, azimuth_deg=0.0),
     ))
-    cube = simulate_frame(scene, params, geometry, frame_index=0)
+    cube = simulate_frame(scene, params, default_geometry(), frame_index=0)
 
     # Boresight targets are in phase on every channel: average channels and
     # chirps coherently, then evaluate a finely padded rectangular-window

@@ -13,6 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import (
     FramePlan,
     RadarParams,
+    _is_number,
     _require,
     folded_vmax,
     range_resolution,
@@ -76,13 +77,6 @@ class RangeDopplerCube:
         return np.arange(self.n_range) * self.range_bin_m
 
 
-def range_doppler_map(sub: TxSubCubes, window: str = "hann") -> RangeDopplerCube:
-    """Fast-time FFT then slow-time FFT over each per-TX stack, both under
-    ``window``, computed in the precision of ``sub.values`` (complex64 cubes
-    stay complex64)."""
-    return _rd_kernel(sub, window, n_keep=sub.values.shape[-1])
-
-
 def _window(name: str, n: int) -> np.ndarray:
     """Periodic Hann or rect window, equal bit for bit to scipy's ``get_window(name, n)``."""
     _require(name in ("hann", "rect"), f"window {name!r} is not 'hann' or 'rect'")
@@ -91,17 +85,19 @@ def _window(name: str, n: int) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
-def _rd_kernel(sub: TxSubCubes, window: str, n_keep: int,
-               dtype=None) -> RangeDopplerCube:
-    """``range_doppler_map`` keeping only the first ``n_keep`` range bins,
-    which are all the Doppler FFT runs on, computed in complex ``dtype``
-    (default: the precision of ``sub.values``).  One TX block at a time goes
-    through a single scratch buffer, windowed and transformed in place.  The
-    samples are rounded to ``dtype`` before the window multiply, as
-    ``write_cube`` rounds them, so a complex128 cube transformed in complex64
-    gives the bits of its file copy."""
+def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool = False,
+                      dtype=None) -> RangeDopplerCube:
+    """Fast-time FFT then slow-time FFT over each per-TX stack, both under
+    ``window``, computed in complex ``dtype`` (default: the precision of
+    ``sub.values``, so complex64 cubes stay complex64).  ``one_sided`` keeps
+    only the first ``n_fast // 2`` range bins, which are then all the Doppler
+    FFT runs on.  One TX block at a time goes through a single scratch
+    buffer, windowed and transformed in place.  The samples are rounded to
+    ``dtype`` before the window multiply, as ``write_cube`` rounds them, so a
+    complex128 cube transformed in complex64 gives the bits of its file copy."""
     params = sub.params
     n_tx, n_rx, n_slow, n_fast = sub.values.shape
+    n_keep = n_fast // 2 if one_sided else n_fast
     dtype = np.result_type(sub.values, np.complex64) if dtype is None else np.dtype(dtype)
     wf = _window(window, n_fast)
     # Both windows are applied up front (the FFTs are linear).  The (-1)^n
@@ -144,9 +140,15 @@ class CfarConfig:
     pfa: float = 1e-4
 
     def __post_init__(self) -> None:
-        _require(min(self.training) > 0, "training cell counts must be positive")
-        _require(min(self.guard) >= 0, "guard cell counts must be non-negative")
-        _require(0.0 < self.pfa < 1.0, "pfa must lie in (0, 1)")
+        for name, least in (("training", 1), ("guard", 0)):
+            cells = getattr(self, name)
+            _require(isinstance(cells, (tuple, list)) and len(cells) == 2
+                     and all(_is_number(n, integral=True) and n >= least for n in cells),
+                     f"{name} must be a (range, doppler) pair of integers >= {least}, "
+                     f"got {cells!r}")
+            object.__setattr__(self, name, tuple(cells))
+        _require(_is_number(self.pfa) and 0.0 < self.pfa < 1.0,
+                 f"pfa must be a number in (0, 1), got {self.pfa!r}")
 
 
 @dataclass

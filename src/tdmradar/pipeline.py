@@ -28,9 +28,9 @@ from .config import (
 )
 from .dsp import (
     CfarConfig,
-    _rd_kernel,
     cfar_ca2d,
     noncoherent_integrate,
+    range_doppler_map,
     tdm_demux,
 )
 from .simulate import DataCube, _frame_pair
@@ -115,10 +115,9 @@ def _process_frame(cube: DataCube, cfar: CfarConfig, cal: CalibrationVector | No
     """Demux, one-sided range/Doppler FFTs (Hann), noncoherent integration
     and CFAR of one frame in complex64 (the precision cube files store), then
     calibration with ``cal``: returns (rd, detections)."""
-    sub = tdm_demux(cube, cube.plan)
     # Keep the one-sided beat spectrum: bins from n_fast/2 on are the
     # negative-beat mirror, beyond max_unambiguous_range_m.
-    rd = _rd_kernel(sub, "hann", sub.values.shape[-1] // 2, np.complex64)
+    rd = range_doppler_map(tdm_demux(cube, cube.plan), one_sided=True, dtype=np.complex64)
     power = noncoherent_integrate(rd)
     # A NaN or inf sample spreads through both FFTs into this small map.
     if not np.isfinite(power).all():

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import re
 import struct
@@ -30,14 +32,29 @@ from tdmradar.fileio import (
     write_map,
 )
 
-# The suite's warning policy (pyproject.toml) applies inside CLI runs too.
+# The suite's warning policy (pyproject.toml) applies inside CLI subprocesses too.
 CLI = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
        "-W", "error::FutureWarning", "-W", "error::ResourceWarning", "-m", "tdmradar.cli"]
 
 
 def run_cli(*args, check=False):
-    proc = subprocess.run(CLI + list(args), capture_output=True, text=True)
+    """``tdmradar *args`` in-process through ``cli.main``, its output and exit
+    code returned as a subprocess's; an uncaught exception fails the test."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    proc = subprocess.CompletedProcess(list(args), code, stdout.getvalue(), stderr.getvalue())
     if check and proc.returncode != 0:
+        raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
+    return proc
+
+
+def run_cli_subprocess(*args):
+    proc = subprocess.run(CLI + list(args), capture_output=True, text=True)
+    if proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
     return proc
 
@@ -88,18 +105,17 @@ def workdir(tmp_path_factory):
 
 
 def test_simulate_then_process(workdir, tmp_path):
-    run_cli("simulate", "--scene", str(workdir / "scene.json"),
+    run_cli_subprocess("simulate", "--scene", str(workdir / "scene.json"),
             "--params", str(workdir / "params.json"),
             "--geometry", str(workdir / "geometry.json"),
             "--seed", "3",
-            "--out-a", str(tmp_path / "f0.rdc"), "--out-b", str(tmp_path / "f1.rdc"),
-            check=True)
-    proc = run_cli("process", "--in-a", str(tmp_path / "f0.rdc"),
-                   "--in-b", str(tmp_path / "f1.rdc"),
-                   "--params", str(workdir / "params.json"),
-                   "--geometry", str(workdir / "geometry.json"),
-                   "--out-map", str(tmp_path / "map.ram"),
-                   "--out-det", str(tmp_path / "det.json"), check=True)
+            "--out-a", str(tmp_path / "f0.rdc"), "--out-b", str(tmp_path / "f1.rdc"))
+    proc = run_cli_subprocess("process", "--in-a", str(tmp_path / "f0.rdc"),
+                              "--in-b", str(tmp_path / "f1.rdc"),
+                              "--params", str(workdir / "params.json"),
+                              "--geometry", str(workdir / "geometry.json"),
+                              "--out-map", str(tmp_path / "map.ram"),
+                              "--out-det", str(tmp_path / "det.json"))
     # a CLI subprocess writes the files the in-process CLI wrote
     for name in ("map.ram", "map_b.ram", "det.json"):
         assert (tmp_path / name).read_bytes() == (workdir / name).read_bytes()
@@ -232,6 +248,58 @@ def test_simulate_one_output_for_both_frames_exit_1(workdir, tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "--out-a and --out-b" in proc.stderr
     assert not (tmp_path / "f.rdc").exists()
+
+
+def _check_clash(proc, flags, files):
+    """Check a CLI run ended in one usage-error line naming both clashing
+    flags and left every given file as it was."""
+    assert proc.returncode == 1
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert f"{flags[0]} and {flags[1]} both name" in proc.stderr
+    for path, blob in files.items():
+        assert path.read_bytes() == blob
+
+
+def test_process_output_clash_exit_1(workdir, tmp_path):
+    # the frame-b map lands at --out-map's _b sibling, so --out-det may not
+    # name it; this used to write the detection JSON over the frame-b map
+    files = {tmp_path / name: name.encode() for name in ("m.ram", "m_b.ram")}
+    for path, blob in files.items():
+        path.write_bytes(blob)
+    proc = run_cli("process", "--in-a", str(workdir / "f0.rdc"), "--in-b", str(workdir / "f1.rdc"),
+                   "--params", str(workdir / "params.json"),
+                   "--geometry", str(workdir / "geometry.json"),
+                   "--out-map", str(tmp_path / "m.ram"), "--out-det", str(tmp_path / "m_b.ram"))
+    _check_clash(proc, ("--out-det", "--out-map (frame b)"), files)
+
+
+def test_export_pgm_over_its_input_exit_1(workdir, tmp_path):
+    (tmp_path / "map.ram").write_bytes((workdir / "map.ram").read_bytes())
+    files = {tmp_path / "map.ram": (workdir / "map.ram").read_bytes()}
+    proc = run_cli("export-pgm", "--in", str(tmp_path / "map.ram"),
+                   "--out", f"{tmp_path}/./map.ram")
+    _check_clash(proc, ("--out", "--in"), files)
+
+
+def test_calibrate_over_its_input_exit_1(workdir, tmp_path):
+    (tmp_path / "c0.rdc").write_bytes((workdir / "f0.rdc").read_bytes())
+    files = {tmp_path / "c0.rdc": (workdir / "f0.rdc").read_bytes()}
+    proc = run_cli("calibrate", "--in", str(tmp_path / "c0.rdc"),
+                   "--params", str(workdir / "params.json"),
+                   "--geometry", str(workdir / "geometry.json"),
+                   "--range", "5.0", "--azimuth", "0.0", "--out", str(tmp_path / "c0.rdc"))
+    _check_clash(proc, ("--out", "--in"), files)
+
+
+def test_simulate_over_its_params_exit_1(workdir, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_bytes((workdir / "params.json").read_bytes())
+    files = {params: params.read_bytes()}
+    proc = run_cli("simulate", "--scene", str(workdir / "scene.json"), "--params", str(params),
+                   "--geometry", str(workdir / "geometry.json"),
+                   "--out-a", str(params), "--out-b", str(tmp_path / "b.rdc"))
+    _check_clash(proc, ("--out-a", "--params"), files)
+    assert not (tmp_path / "b.rdc").exists()
 
 
 def test_missing_file_exit_2(workdir, tmp_path):

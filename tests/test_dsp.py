@@ -15,7 +15,7 @@ from tdmradar import (
     simulate_frame,
     tdm_demux,
 )
-from tdmradar.dsp import _rd_kernel, _window, parabolic_offset
+from tdmradar.dsp import _window, parabolic_offset
 from tdmradar.fileio import read_cube, write_cube
 from tdmradar.simulate import DataCube
 
@@ -135,7 +135,7 @@ class TestRangeDopplerMap:
         sub = tdm_demux(cube, cube.plan)
         n_fast = small_params.adc_samples_per_chirp
         full = range_doppler_map(sub, window)
-        half = _rd_kernel(sub, window, n_keep=n_fast // 2)
+        half = range_doppler_map(sub, window, one_sided=True)
         assert half.values.dtype == full.values.dtype == cube.samples.dtype
         assert half.values.shape == full.values.shape[:-1] + (n_fast // 2,)
         np.testing.assert_array_equal(half.values, full.values[..., :n_fast // 2])
@@ -157,13 +157,12 @@ class TestRangeDopplerMap:
         cube = synthetic_cube(small_params, seed=8)
         write_cube(cube, tmp_path / "c.rdc")
         copy = read_cube(tmp_path / "c.rdc", small_params)
-        n_keep = small_params.adc_samples_per_chirp // 2
         sub = tdm_demux(cube, cube.plan)
-        rd = _rd_kernel(sub, window, n_keep, np.complex64)
-        ref = _rd_kernel(tdm_demux(copy, copy.plan), window, n_keep)
+        rd = range_doppler_map(sub, window, one_sided=True, dtype=np.complex64)
+        ref = range_doppler_map(tdm_demux(copy, copy.plan), window, one_sided=True)
         assert rd.values.dtype == ref.values.dtype == np.complex64
         np.testing.assert_array_equal(rd.values, ref.values)
-        assert _rd_kernel(sub, window, n_keep).values.dtype == np.complex128
+        assert range_doppler_map(sub, window, one_sided=True).values.dtype == np.complex128
 
     def test_velocity_axis_convention(self, small_params):
         rd = range_doppler_map(tdm_demux(synthetic_cube(small_params),
@@ -309,3 +308,15 @@ class TestCfar:
             CfarConfig(training=(0, 4), guard=(1, 1), pfa=1e-3)
         with pytest.raises(InvalidParameterError):
             CfarConfig(training=(4, 4), guard=(1, 1), pfa=1.5)
+        # lists are stored as tuples, so the frozen config stays hashable
+        assert hash(CfarConfig(training=[8, 4], guard=[4, 2])) == hash(CfarConfig())
+
+    @pytest.mark.parametrize("kwargs", [
+        {"training": (8.5, 4)}, {"guard": (1.5, 0)}, {"training": (8,)},
+        {"training": (True, 4)}, {"guard": (2, False)}, {"training": 8},
+        {"guard": (2, -1)}, {"pfa": "0.1"}, {"pfa": float("nan")}, {"pfa": True},
+    ])
+    def test_malformed_config_refused(self, kwargs):
+        # these used to fail inside np.pad or while unpacking, or (bools) to run
+        with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
+            CfarConfig(**kwargs)

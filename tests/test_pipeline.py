@@ -231,7 +231,7 @@ def test_calibration_shape_checked_before_any_fft(pipeline_params, geometry,
     def no_fft(*args, **kwargs):
         raise AssertionError("the range/Doppler step ran before the calibration check")
 
-    monkeypatch.setattr(pipeline, "_rd_kernel", no_fft)
+    monkeypatch.setattr(pipeline, "range_doppler_map", no_fft)
     cal = CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0)
     with pytest.raises(InvalidParameterError, match="calibration"):
         run_pipeline(a, b, pipeline_params, geometry, cal=cal)
@@ -260,7 +260,7 @@ def test_non_finite_frame_b_rejected(pipeline_params, geometry, bad):
 def test_worker_error_raised(pipeline_params, geometry, monkeypatch):
     # frame b's range/Doppler step and its CFAR both run on the worker thread
     a, b = simulate_frame_pair(single_target_scene(range_m=20.0), pipeline_params, geometry)
-    for stage in ("_rd_kernel", "cfar_ca2d"):
+    for stage in ("range_doppler_map", "cfar_ca2d"):
         original = getattr(pipeline, stage)
 
         def fail_on_frame_b(first, *args, **kwargs):
@@ -273,6 +273,26 @@ def test_worker_error_raised(pipeline_params, geometry, monkeypatch):
             patch.setattr(pipeline, stage, fail_on_frame_b)
             with pytest.raises(MemoryError, match=f"frame b {stage}"):
                 run_pipeline(a, b, pipeline_params, geometry)
+
+
+def test_one_range_doppler_call_per_frame(pipeline_params, geometry, monkeypatch):
+    # run_pipeline reaches the transform through the public name (the one a
+    # tracer wraps), once per frame, one-sided and in complex64
+    a, b = simulate_frame_pair(single_target_scene(range_m=20.0), pipeline_params, geometry)
+    calls, original = [], pipeline.range_doppler_map
+
+    def spy(sub, *args, **kwargs):
+        rd = original(sub, *args, **kwargs)
+        calls.append((sub.plan.frame_index, args, kwargs, rd.values.dtype, rd.values.shape))
+        return rd
+
+    monkeypatch.setattr(pipeline, "range_doppler_map", spy)
+    run_pipeline(a, b, pipeline_params, geometry)
+    p = pipeline_params
+    shape = (p.n_tx, p.n_rx, p.chirps_per_tx_per_frame, p.adc_samples_per_chirp // 2)
+    assert sorted(calls, key=lambda call: call[0]) == [
+        (frame, (), {"one_sided": True, "dtype": np.complex64}, np.complex64, shape)
+        for frame in (0, 1)]
 
 
 def test_frame_detections_match_calling_thread_rebuild(pipeline_params, geometry):
