@@ -65,7 +65,7 @@ def _cmd_simulate(args) -> int:
     scene = Scene.from_json(args.scene)
     if args.seed is not None:
         scene = Scene(targets=scene.targets, snr_db=scene.snr_db, rng_seed=args.seed)
-    # Both frames are made before either is written, so a data error writes
+    # Both frames are checked before either is made, so a data error writes
     # nothing; then each is written by the thread that made it.
     frame_a, frame_b = simulate_frame_pair(scene, params, geometry)
     _frame_pair(lambda: fileio.write_cube(frame_a, args.out_a),

@@ -240,6 +240,10 @@ class FramePlan:
     slot_interval_s: float
     chirp_count_total: int
 
+    def __post_init__(self) -> None:
+        _check_fields(self)
+        _require(self.frame_index >= 0, f"frame_index must be >= 0, got {self.frame_index!r}")
+
     @property
     def tx_order(self) -> np.ndarray:
         """TX index of every slot."""

@@ -99,6 +99,7 @@ def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool 
     n_tx, n_rx, n_slow, n_fast = sub.values.shape
     n_keep = n_fast // 2 if one_sided else n_fast
     dtype = np.result_type(sub.values, np.complex64) if dtype is None else np.dtype(dtype)
+    _require(dtype.kind == "c", f"dtype {dtype} is not complex")
     wf = _window(window, n_fast)
     # Both windows are applied up front (the FFTs are linear).  The (-1)^n
     # factor moves Doppler bin 0 to -vmax, an fftshift that is exact because
@@ -171,11 +172,12 @@ def parabolic_offset(powers: np.ndarray) -> float:
     return float(np.clip(0.5 * (left - right) / denom, -0.5, 0.5))
 
 
-def _box_sums(padded: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Sliding-window sums via a summed-area table (valid region)."""
-    sat = np.pad(padded.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
-    return (sat[height:, width:] - sat[:-height, width:]
-            - sat[height:, :-width] + sat[:-height, :-width])
+def _box_sums(sat: np.ndarray, offset: tuple, size: tuple, shape: tuple) -> np.ndarray:
+    """Sums of the ``size`` boxes ``offset`` past each of ``shape`` cells, read
+    from a summed-area table with a leading zero row and column."""
+    (o_d, o_r), (h, w) = offset, size
+    s = sat[o_d:o_d + shape[0] + h, o_r:o_r + shape[1] + w]
+    return s[h:, w:] - s[:-h, w:] - s[h:, :-w] + s[:-h, :-w]
 
 
 def cfar_ca2d(power_map: np.ndarray, config: CfarConfig,
@@ -201,33 +203,28 @@ def cfar_ca2d(power_map: np.ndarray, config: CfarConfig,
     _require(velocity_axis is None or len(velocity_axis) == n_dop,
              "need one velocity per Doppler bin")
 
-    def ring_sums(arr: np.ndarray) -> np.ndarray:
-        padded = np.pad(arr, ((half_d, half_d), (0, 0)), mode="wrap")
-        padded = np.pad(padded, ((0, 0), (half_r, half_r)), mode="constant")
-        outer = _box_sums(padded, 2 * half_d + 1, 2 * half_r + 1)
-        if g_d or g_r:
-            pad_in = padded[half_d - g_d:padded.shape[0] - (half_d - g_d),
-                            half_r - g_r:padded.shape[1] - (half_r - g_r)]
-            inner = _box_sums(pad_in, 2 * g_d + 1, 2 * g_r + 1)
-        else:
-            inner = arr
-        return outer - inner
+    # One padded copy serves every window: Doppler wraps, range is zero-padded.
+    padded = np.pad(np.pad(power_map, ((half_d, half_d), (0, 0)), mode="wrap"),
+                    ((0, 0), (half_r, half_r)))
 
-    sums = ring_sums(power_map)
-    counts = np.maximum(ring_sums(np.ones_like(power_map)), 1.0)
+    def ring_sums(arr: np.ndarray) -> np.ndarray:  # outer window minus guard box
+        sat = np.pad(arr.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
+        return (_box_sums(sat, (0, 0), (2 * half_d + 1, 2 * half_r + 1), power_map.shape)
+                - _box_sums(sat, (tr_d, tr_r), (2 * g_d + 1, 2 * g_r + 1), power_map.shape))
+
+    sums = ring_sums(padded)
+    # Each ring keeps its two cells at Doppler +-(training + guard): no count is 0.
+    counts = ring_sums(np.pad(np.ones((padded.shape[0], n_rng)), ((0, 0), (half_r, half_r))))
     alpha = counts * (config.pfa ** (-1.0 / counts) - 1.0)
     # Clamp: SAT round-off can leave a faint negative threshold on all-zero
-    # neighborhoods of noiseless maps.
+    # neighborhoods of noiseless maps.  A hit is then also above 0.
     threshold = np.maximum(alpha * sums / counts, 0.0)
 
-    hits = (power_map > threshold) & (power_map > 0.0)
-    # Max over the guard window, one axis at a time: Doppler wraps, range is
-    # zero-padded (the map is non-negative).
-    local_max = np.pad(power_map, ((g_d, g_d), (0, 0)), mode="wrap")
+    # Max over the guard window, one axis at a time, on the copy trimmed to the guard.
+    local_max = padded[tr_d:padded.shape[0] - tr_d, tr_r:padded.shape[1] - tr_r]
     local_max = sliding_window_view(local_max, 2 * g_d + 1, axis=0).max(axis=-1)
-    local_max = np.pad(local_max, ((0, 0), (g_r, g_r)))
     local_max = sliding_window_view(local_max, 2 * g_r + 1, axis=1).max(axis=-1)
-    hits &= power_map >= local_max
+    hits = (power_map > threshold) & (power_map >= local_max)
 
     detections = []
     for d_bin, r_bin in np.argwhere(hits):

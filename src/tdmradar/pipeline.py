@@ -11,6 +11,7 @@ import numpy as np
 from .angle import (
     CalibrationVector,
     RangeAzimuthMap,
+    _check_aperture,
     angle_spectrum,
     apply_calibration,
     assemble_snapshot,
@@ -134,8 +135,8 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
                  cfar: CfarConfig | None = None, *, cartesian: bool = False) -> PipelineResult:
     """Process one staggered frame pair (``ANGLE_GRID_SIZE`` angle grid);
     cubes simulated or read under other params, params whose CRT margin is
-    not above the intersection tolerance, a mismatched calibration or
-    non-finite samples raise."""
+    not above the intersection tolerance, a mismatched calibration, a virtual
+    array wider than the angle grid or non-finite samples raise."""
     if cube_a.params != params or cube_b.params != params:
         raise InvalidParameterError("the frame pair was made under other radar parameters")
     margin, tolerance = crt_margin(params), crt_tolerance(params)
@@ -151,6 +152,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
 
     geometry.check_shape(params.n_tx, params.n_rx)
     varray = build_virtual_array(geometry)
+    _check_aperture(varray.virtual_positions[-1] + 1)
     if not varray.overlapped_pairs:
         raise UnsupportedGeometryError(
             "velocity unfolding needs overlapped virtual elements from distinct TXs")

@@ -26,7 +26,6 @@ from .config import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     FramePlan,
-    InvalidParameterError,
     RadarParams,
     _check_fields,
     _from_dict,
@@ -242,16 +241,10 @@ def simulate_frame_pair(scene: Scene, params: RadarParams,
 
 def inject_channel_errors(cube: DataCube, gains) -> DataCube:
     """Multiply every sample by the complex gain of its (active TX, RX) pair.
-
-    ``gains`` is (n_tx, n_rx) or flat of length n_tx*n_rx (TX-major).
-    """
-    params = cube.params
+    ``gains`` is an (n_tx, n_rx) matrix, the layout of ``CalibrationVector``."""
+    shape = (cube.params.n_tx, cube.params.n_rx)
     gains = np.asarray(gains, dtype=np.complex128)
-    if gains.size != params.n_tx * params.n_rx:
-        raise InvalidParameterError(
-            f"need {params.n_tx * params.n_rx} gains, got {gains.size}")
-    gains = gains.reshape(params.n_tx, params.n_rx)
-
+    _require(gains.shape == shape, f"gains of shape {gains.shape} for a {shape} TX x RX radar")
     per_slot_rx = gains[cube.plan.tx_order, :]  # (n_slots, n_rx)
     samples = cube.samples * per_slot_rx.T[:, :, None]
     return DataCube(samples=samples, plan=cube.plan, params=cube.params)

@@ -164,6 +164,12 @@ class TestRangeDopplerMap:
         np.testing.assert_array_equal(rd.values, ref.values)
         assert range_doppler_map(sub, window, one_sided=True).values.dtype == np.complex128
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int16, np.float64])
+    def test_real_dtype_refused(self, small_params, dtype):
+        sub = tdm_demux(synthetic_cube(small_params), build_frame_plan(small_params, 0))
+        with pytest.raises(InvalidParameterError, match="not complex"):
+            range_doppler_map(sub, one_sided=True, dtype=dtype)
+
     def test_velocity_axis_convention(self, small_params):
         rd = range_doppler_map(tdm_demux(synthetic_cube(small_params),
                                          build_frame_plan(small_params, 0)))

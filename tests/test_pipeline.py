@@ -389,11 +389,25 @@ def test_no_array_formatting_on_success_path(small_params, geometry):
 
 def test_aperture_wider_than_angle_grid_rejected(small_params):
     # 305 ULA slots do not fit the 256-point angle FFT: the map is refused,
-    # not cut to the first 256 slots (an empty scene has no detection whose
-    # angle spectrum would refuse them first)
+    # not cut to the first 256 slots (run_pipeline refuses them before the
+    # map; a direct caller of range_azimuth_map meets the map's own check)
+    geometry = ArrayGeometry((0, 4), (0, 1, 2, 3, 4, 300))
+    params = replace(small_params, n_tx=2, n_rx=6)
+    a, _ = simulate_frame_pair(Scene(targets=()), params, geometry)
+    rd = range_doppler_map(tdm_demux(a, a.plan), one_sided=True)
+    with pytest.raises(InvalidParameterError, match="256-bin angle grid smaller than the 305-slot"):
+        range_azimuth_map(rd, build_virtual_array(geometry))
+
+
+def test_aperture_checked_before_any_fft(small_params, monkeypatch):
     geometry = ArrayGeometry((0, 4), (0, 1, 2, 3, 4, 300))
     params = replace(small_params, n_tx=2, n_rx=6)
     a, b = simulate_frame_pair(Scene(targets=()), params, geometry)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("the range/Doppler step ran before the aperture check")
+
+    monkeypatch.setattr(pipeline, "range_doppler_map", no_fft)
     with pytest.raises(InvalidParameterError, match="256-bin angle grid smaller than the 305-slot"):
         run_pipeline(a, b, params, geometry)
 

@@ -303,6 +303,12 @@ def test_receding_target_may_not_cross_rmax_during_frame(small_params, geometry)
         simulate_frame(scene, small_params, geometry, 0)
 
 
+@pytest.mark.parametrize("frame_index", [2.5, True, -1])
+def test_malformed_frame_index_rejected(small_params, geometry, frame_index):
+    with pytest.raises(InvalidParameterError, match="frame_index"):
+        simulate_frame(single_target_scene(snr_db=20.0), small_params, geometry, frame_index)
+
+
 def test_target_validation():
     with pytest.raises(InvalidParameterError):
         PointTarget(range_m=-5.0, velocity_mps=0.0, azimuth_deg=0.0)
@@ -336,6 +342,12 @@ class TestInjectChannelErrors:
         cube = simulate_frame(single_target_scene(), small_params, geometry, 0)
         with pytest.raises(InvalidParameterError):
             inject_channel_errors(cube, np.ones(7))
+
+    def test_transposed_matrix_rejected(self, small_params, geometry):
+        # (n_rx, n_tx) has the right number of gains but the wrong layout
+        cube = simulate_frame(single_target_scene(), small_params, geometry, 0)
+        with pytest.raises(InvalidParameterError, match=r"\(16, 9\)"):
+            inject_channel_errors(cube, np.ones((small_params.n_rx, small_params.n_tx)))
 
 
 def test_scene_json_round_trip(tmp_path):
