@@ -40,8 +40,8 @@ _BEV_FOV_DEG = 70.0
 # Angle FFT length: bins uniform in sin(azimuth) over [-1, 1).
 ANGLE_GRID_SIZE = 256
 
-# Doppler bins per step of the map loop; bounds the per-step temporaries.
-_DOPPLER_BLOCK = 8
+# Doppler bins per range bin that the map beamforms: the strongest by NCI power.
+_MAP_DOPPLER_BINS = 16
 
 
 class CalibrationError(RuntimeError):
@@ -239,21 +239,24 @@ class RangeAzimuthMap:
         return self.axis1_origin + np.arange(self.power_db.shape[1]) * self.axis1_bin_width
 
 
-def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
+def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray, power: np.ndarray,
                       velocities: np.ndarray | None = None) -> RangeAzimuthMap:
     """Polar range-azimuth power map of one frame.
 
-    For every Doppler bin the per-channel responses are migration-compensated
-    with that bin's velocity (resolved if available, else the folded
-    bin-center velocity), collapsed onto the virtual ULA and transformed to an
-    angle spectrum; each (range, azimuth) cell keeps its strongest Doppler bin.
+    Per range bin, only the 16 (``_MAP_DOPPLER_BINS``) Doppler bins that the NCI
+    map ``power`` ranks strongest are beamformed onto the virtual ULA, each at
+    its velocity (``velocities``, else the bin center's); a cell keeps the
+    strongest. Cells near the peak equal the all-bin maximum; noise cells read lower.
     """
     values = rd.values
-    n_tx, _, n_doppler, n_range = values.shape
+    n_tx, n_rx, n_doppler, n_range = values.shape
     velocities = np.asarray(rd.velocity_axis if velocities is None else velocities,
                             dtype=float)
     if velocities.size != n_doppler:
         raise InvalidParameterError("need one velocity per Doppler bin")
+    if np.shape(power) != (n_doppler, n_range):
+        raise InvalidParameterError(
+            f"NCI map {np.shape(power)} does not match the cube's {(n_doppler, n_range)} cells")
 
     # Per-(tx, rx, Doppler) factor: migration compensation times averaging weight.
     position = varray.position
@@ -263,21 +266,21 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray,
                                rd.plan, rd.params.wavelength_m)[:, None, :]
     scale = (scale * varray.weight[:, :, None]).astype(values.dtype)
 
-    # Per Doppler block, each TX adds its RX rows (at distinct positions) onto
-    # the zero-filled ULA grid, channels last for the angle FFT; the Doppler
-    # max of |F| is squared once at the end (squaring is monotone).
+    # Half the kept bins at a time (bounding the temporaries), each TX adds its RX
+    # rows (at distinct positions) onto the ULA grid, channels last for the FFT; the
+    # in-place product keeps numpy's operand order, whose swap can change the last bit.
     peak = 0.0
-    for start in range(0, n_doppler, _DOPPLER_BLOCK):
-        stop = min(start + _DOPPLER_BLOCK, n_doppler)
-        grid = np.zeros((stop - start, n_range, n_slots), dtype=values.dtype)
-        for k in range(n_tx):
-            rows = values[k, :, start:stop, :] * scale[k, :, start:stop, None]
-            grid[:, :, position[k]] += rows.transpose(1, 2, 0)
+    for ranks in np.array_split(np.argsort(power, axis=0)[-_MAP_DOPPLER_BINS:], 2):
+        cells = ranks * n_range + np.arange(n_range)
+        grid = np.zeros((len(ranks), n_range, n_slots), dtype=values.dtype)
+        for t in range(n_tx):
+            rows = np.take(values[t].reshape(n_rx, -1), cells, axis=1)
+            rows *= np.take(scale[t], ranks, axis=1)
+            grid[:, :, position[t]] += rows.transpose(1, 2, 0)
         spectrum = scipy.fft.fft(grid, n=ANGLE_GRID_SIZE, axis=-1, overwrite_x=True)
-        peak = np.maximum(peak, np.abs(spectrum).max(axis=0))
+        peak = np.maximum(peak, np.abs(spectrum).max(axis=0, initial=0))
 
-    # Shift once, after the Doppler reduction; dB in float64 whatever the
-    # cube's precision, so floor cells read FLOOR_DB.
+    # Square |F| and shift once, after the max; dB in float64, so floor cells read FLOOR_DB.
     power_db = _to_db(np.fft.fftshift(peak.astype(float) ** 2, axes=1))
     return RangeAzimuthMap(
         power_db=power_db,

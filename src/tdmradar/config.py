@@ -243,6 +243,12 @@ class FramePlan:
     def __post_init__(self) -> None:
         _check_fields(self)
         _require(self.frame_index >= 0, f"frame_index must be >= 0, got {self.frame_index!r}")
+        _require(self.n_tx >= 1, f"n_tx must be >= 1, got {self.n_tx!r}")
+        _require(self.slot_interval_s > 0,
+                 f"slot_interval_s must be > 0, got {self.slot_interval_s!r}")
+        _require(self.chirp_count_total > 0 and self.chirp_count_total % self.n_tx == 0,
+                 f"chirp_count_total {self.chirp_count_total!r} must be a positive multiple "
+                 f"of n_tx {self.n_tx!r}")
 
     @property
     def tx_order(self) -> np.ndarray:

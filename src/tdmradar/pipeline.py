@@ -115,7 +115,7 @@ def unfold_detection(det_a, det_b, rd_a, rd_b, varray, params):
 def _process_frame(cube: DataCube, cfar: CfarConfig, cal: CalibrationVector | None):
     """Demux, one-sided range/Doppler FFTs (Hann), noncoherent integration
     and CFAR of one frame in complex64 (the precision cube files store), then
-    calibration with ``cal``: returns (rd, detections)."""
+    calibration with ``cal``: returns (rd, the NCI map it thresholded, detections)."""
     # Keep the one-sided beat spectrum: bins from n_fast/2 on are the
     # negative-beat mirror, beyond max_unambiguous_range_m.
     rd = range_doppler_map(tdm_demux(cube, cube.plan), one_sided=True, dtype=np.complex64)
@@ -127,7 +127,7 @@ def _process_frame(cube: DataCube, cfar: CfarConfig, cal: CalibrationVector | No
                            frame_index=cube.plan.frame_index)
     if cal is not None:
         apply_calibration(rd, cal)
-    return rd, detections
+    return rd, power, detections
 
 
 def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
@@ -158,7 +158,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
             "velocity unfolding needs overlapped virtual elements from distinct TXs")
 
     # Frame b runs on the frame-b worker while frame a runs here.
-    (rd_a, detections_a), (rd_b, detections_b) = _frame_pair(
+    (rd_a, power_a, detections_a), (rd_b, power_b, detections_b) = _frame_pair(
         lambda: _process_frame(cube_a, cfar, cal), lambda: _process_frame(cube_b, cfar, cal))
 
     velocities_a = rd_a.velocity_axis.copy()
@@ -184,12 +184,12 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
             doppler_bin_b=det_b.doppler_bin if det_b is not None else None,
         ))
 
-    def maps(rd, velocities):
-        polar = range_azimuth_map(rd, varray, velocities=velocities)
+    def maps(rd, power, velocities):
+        polar = range_azimuth_map(rd, varray, power, velocities=velocities)
         return polar, polar_to_cartesian(polar) if cartesian else None
 
     (map_a, cartesian_a), (map_b, cartesian_b) = _frame_pair(
-        lambda: maps(rd_a, velocities_a), lambda: maps(rd_b, velocities_b))
+        lambda: maps(rd_a, power_a, velocities_a), lambda: maps(rd_b, power_b, velocities_b))
     return PipelineResult(map_a=map_a, map_b=map_b, detections=resolved,
                           detections_a=detections_a, detections_b=detections_b,
                           cartesian_a=cartesian_a, cartesian_b=cartesian_b)

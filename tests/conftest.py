@@ -7,6 +7,7 @@ from tdmradar import (
     Scene,
     build_virtual_array,
     default_geometry,
+    folded_vmax,
 )
 
 
@@ -44,6 +45,17 @@ def single_target_scene(range_m=20.0, velocity_mps=0.0, azimuth_deg=0.0,
         snr_db=snr_db,
         rng_seed=seed,
     )
+
+
+def random_scene(params, seed, n_targets=12):
+    # n_targets: ranges over 4 m to r_max - 4 m, velocities over +-0.9 x 9 x
+    # the smaller folded vmax, azimuths over +-40 deg; 20 dB SNR
+    rng = np.random.default_rng(seed)
+    v_span = 0.9 * 9 * min(folded_vmax(params, 0), folded_vmax(params, 1))
+    return Scene(targets=tuple(
+        PointTarget(rng.uniform(4.0, params.max_unambiguous_range_m - 4.0),
+                    rng.uniform(-v_span, v_span), rng.uniform(-40.0, 40.0))
+        for _ in range(n_targets)), snr_db=20.0, rng_seed=int(rng.integers(2**31)))
 
 
 def peak_cell(power_map):

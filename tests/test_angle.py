@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -21,6 +22,7 @@ from tdmradar import (
     build_virtual_array,
     collapse_snapshot,
     compensate_tdm_phase,
+    default_params,
     estimate_calibration,
     inject_channel_errors,
     noncoherent_integrate,
@@ -36,7 +38,7 @@ from tdmradar.angle import FLOOR_DB, RangeAzimuthMap, steering_vector
 from tdmradar.config import ArrayGeometry
 from tdmradar.unfold import migration_rotation
 
-from conftest import peak_cell, single_target_scene
+from conftest import peak_cell, random_scene, single_target_scene
 
 
 def process_frame(scene, params, geometry, frame_index=0):
@@ -274,13 +276,13 @@ class TestRangeAzimuthMap:
 
         cube = simulate_frame(Scene(targets=()), small_params, geometry, 0)
         rd = range_doppler_map(tdm_demux(cube, cube.plan))
-        m = range_azimuth_map(rd, varray)
+        m = range_azimuth_map(rd, varray, noncoherent_integrate(rd))
         assert (m.power_db == FLOOR_DB).all()
 
     def test_corner_reflector_peak_cell(self, small_params, geometry, varray):
         scene = single_target_scene(range_m=5.0, azimuth_deg=0.0)
         _, rd = process_frame(scene, small_params, geometry)
-        m = range_azimuth_map(rd, varray)
+        m = range_azimuth_map(rd, varray, noncoherent_integrate(rd))
         r_idx, a_idx = np.unravel_index(np.argmax(m.power_db), m.power_db.shape)
         assert r_idx == round(5.0 / m.axis0_bin_width)
         assert abs(m.axis1()[a_idx]) <= m.axis1_bin_width
@@ -290,7 +292,7 @@ class TestRangeAzimuthMap:
         for amp in (1.0, 4.0):
             scene = single_target_scene(range_m=20.0, azimuth_deg=9.0, amplitude=amp)
             _, rd = process_frame(scene, small_params, geometry)
-            m = range_azimuth_map(rd, varray)
+            m = range_azimuth_map(rd, varray, noncoherent_integrate(rd))
             db_values.append(m.power_db.max())
         assert db_values[1] - db_values[0] == pytest.approx(20 * np.log10(4.0), abs=0.1)
 
@@ -301,9 +303,11 @@ class TestRangeAzimuthMap:
         scene = single_target_scene(range_m=20.0, azimuth_deg=9.0, velocity_mps=2.0)
         cube, rd = process_frame(scene, small_params, geometry)
         rd_err = range_doppler_map(tdm_demux(inject_channel_errors(cube, gains), cube.plan))
-        clean = range_azimuth_map(rd, varray)
+        # both maps beamform the Doppler bins that the clean cube's NCI ranks
+        power = noncoherent_integrate(rd)
+        clean = range_azimuth_map(rd, varray, power)
         restored = range_azimuth_map(apply_calibration(rd_err, CalibrationVector(gains, 5.0, 0.0)),
-                                     varray)
+                                     varray, power)
         above_floor = clean.power_db > clean.power_db.max() - 100.0
         np.testing.assert_allclose(restored.power_db[above_floor],
                                    clean.power_db[above_floor], atol=1e-6)
@@ -319,7 +323,7 @@ class TestRangeAzimuthMap:
         values = np.zeros_like(rd.values)
         values[:, :, d, :] = rd.values[:, :, d, :]
         rd = replace(rd, values=values)
-        pmap = range_azimuth_map(rd, varray)
+        pmap = range_azimuth_map(rd, varray, noncoherent_integrate(rd))
         for r in (r0 - 1, r0, r0 + 1):
             snapshot = compensate_tdm_phase(assemble_snapshot(rd, (r, d), varray),
                                             rd.velocity_axis[d], rd.plan,
@@ -336,7 +340,9 @@ class TestRangeAzimuthMap:
     def test_matches_dense_averaging_matrix(self, small_params, geometry, varray,
                                             dtype, tolerance_db, calibrated):
         # the map as it was first written: per Doppler bin, a dense
-        # (positions x channels) averaging-matrix product, then |FFT|^2
+        # (positions x channels) averaging-matrix product, then |FFT|^2, with
+        # the max taken over the 16 Doppler bins the NCI ranks strongest in
+        # each range bin
         scene = Scene(targets=(PointTarget(12.0, 7.0, -15.0), PointTarget(24.0, -3.0, 8.0, 0.6),
                                PointTarget(31.0, 19.0, 30.0, 0.8)), snr_db=20.0, rng_seed=21)
         cube, _ = simulate_frame_pair(scene, small_params, geometry)
@@ -345,6 +351,7 @@ class TestRangeAzimuthMap:
             cube = inject_channel_errors(cube, gains)
         rd = range_doppler_map(tdm_demux(cube, cube.plan))
         rd = replace(rd, values=rd.values.astype(dtype))
+        nci = noncoherent_integrate(rd)  # of the raw channels, as the CFAR sees them
         values = rd.values
         if calibrated:  # the cube divided by the gains in its own precision
             values = values * (1 / gains).astype(dtype)[:, :, None, None]
@@ -360,14 +367,24 @@ class TestRangeAzimuthMap:
         flat = (values * scale[..., None]).transpose(2, 0, 1, 3)
         flat = flat.reshape(n_doppler, n_tx * n_rx, n_range)
         power = np.abs(scipy.fft.fft(collapse.astype(dtype) @ flat, n=256, axis=1)) ** 2
+        strongest = np.argsort(nci, axis=0)[-16:]
+        power = np.take_along_axis(power, strongest[:, None, :], axis=0)
         power = np.fft.fftshift(power.max(axis=0).astype(float), axes=0).T
         expected_db = 10.0 * np.log10(np.maximum(power, 10.0 ** (FLOOR_DB / 10.0)))
 
         if calibrated:
             apply_calibration(rd, CalibrationVector(gains, 5.0, 0.0))
-        pmap = range_azimuth_map(rd, varray)
+        pmap = range_azimuth_map(rd, varray, nci)
         assert pmap.power_db.shape == (n_range, 256)
         np.testing.assert_allclose(pmap.power_db, expected_db, rtol=0, atol=tolerance_db)
+
+    @pytest.mark.parametrize("cut", [np.s_[:-1, :], np.s_[:, :-1], np.s_[0]])
+    def test_nci_map_of_another_shape_refused(self, small_params, geometry, varray, cut):
+        _, rd = process_frame(single_target_scene(range_m=20.0), small_params, geometry)
+        power = noncoherent_integrate(rd)[cut]
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"NCI map {np.shape(power)} does not match")):
+            range_azimuth_map(rd, varray, power)
 
     @pytest.mark.parametrize("shape", [(10, 17), (2, 3)])
     def test_calibration_shape_mismatch(self, small_params, geometry, shape):
@@ -375,6 +392,73 @@ class TestRangeAzimuthMap:
         cal = CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0)
         with pytest.raises(InvalidParameterError):
             apply_calibration(rd, cal)
+
+
+def _ungated_map_db(rd, varray):
+    # the map without the Doppler gate: every Doppler bin beamformed, eight
+    # bins per step, and each (range, azimuth) cell's maximum kept over all
+    values = rd.values
+    n_tx, _, n_doppler, n_range = values.shape
+    position = varray.position
+    scale = migration_rotation(rd.velocity_axis[None, :], np.arange(n_tx)[:, None],
+                               rd.plan, rd.params.wavelength_m)[:, None, :]
+    scale = (scale * varray.weight[:, :, None]).astype(values.dtype)
+    peak = 0.0
+    for start in range(0, n_doppler, 8):
+        stop = min(start + 8, n_doppler)
+        grid = np.zeros((stop - start, n_range, position.max() + 1), dtype=values.dtype)
+        for k in range(n_tx):
+            rows = values[k, :, start:stop, :] * scale[k, :, start:stop, None]
+            grid[:, :, position[k]] += rows.transpose(1, 2, 0)
+        spectrum = scipy.fft.fft(grid, n=256, axis=-1, overwrite_x=True)
+        peak = np.maximum(peak, np.abs(spectrum).max(axis=0))
+    power = np.fft.fftshift(peak.astype(float) ** 2, axes=1)
+    return 10.0 * np.log10(np.maximum(power, 10.0 ** (FLOOR_DB / 10.0)))
+
+
+class TestDopplerGate:
+    """The map beamforms the 16 Doppler bins per range bin that the NCI ranks
+    strongest; against the ungated map, on the pipeline's complex64 cubes."""
+
+    @staticmethod
+    def _maps(scene, params, geometry, varray, frame_index):
+        cube = simulate_frame(scene, params, geometry, frame_index)
+        rd = range_doppler_map(tdm_demux(cube, cube.plan), one_sided=True, dtype=np.complex64)
+        gated = range_azimuth_map(rd, varray, noncoherent_integrate(rd)).power_db
+        return gated, _ungated_map_db(rd, varray)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("frame_index", [0, 1])
+    def test_strong_cells_bit_identical(self, small_params, geometry, varray, seed,
+                                        frame_index):
+        # 12 targets over 32 Doppler bins, so range bins are shared
+        gated, full = self._maps(random_scene(small_params, seed), small_params, geometry,
+                                 varray, frame_index)
+        strong = full > full.max() - 20.0
+        assert strong.sum() > 100
+        assert np.array_equal(gated[strong], full[strong])
+        # every gated cell is a maximum over a subset of the same spectra
+        assert (gated <= full).all() and (gated < full).any()
+
+    def test_strong_cells_bit_identical_at_default_params(self, geometry, varray):
+        # configs/scene_demo.json's targets over 128 Doppler bins; its gathered
+        # rows are large enough for numpy to elide temporaries
+        scene = Scene(targets=(PointTarget(30.0, 6.0, 10.0),
+                               PointTarget(75.0, -12.0, -20.0, amplitude=0.7),
+                               PointTarget(120.0, 0.0, 3.0, amplitude=1.5)),
+                      snr_db=20.0, rng_seed=5)
+        gated, full = self._maps(scene, default_params(), geometry, varray, 0)
+        strong = full > full.max() - 40.0
+        assert strong.sum() > 500
+        assert np.array_equal(gated[strong], full[strong])
+        assert (gated <= full).all() and (gated < full).any()
+
+    @pytest.mark.parametrize("chirps", [4, 8])
+    def test_fewer_doppler_bins_than_the_gate_keep_every_cell(self, small_params, geometry,
+                                                              varray, chirps):
+        params = replace(small_params, chirps_per_tx_per_frame=chirps)
+        gated, full = self._maps(random_scene(params, 4), params, geometry, varray, 0)
+        assert np.array_equal(gated, full)
 
 
 class TestPolarToCartesian:
@@ -408,14 +492,14 @@ class TestPolarToCartesian:
     def test_peak_preserved_within_3db(self, small_params, geometry, varray):
         scene = single_target_scene(range_m=20.0, azimuth_deg=9.0)
         _, rd = process_frame(scene, small_params, geometry)
-        pmap = range_azimuth_map(rd, varray)
+        pmap = range_azimuth_map(rd, varray, noncoherent_integrate(rd))
         cart = polar_to_cartesian(pmap)
         assert cart.power_db.max() >= pmap.power_db.max() - 3.0
 
     def test_peak_position_maps_through(self, small_params, geometry, varray):
         scene = single_target_scene(range_m=20.0, azimuth_deg=9.0)
         _, rd = process_frame(scene, small_params, geometry)
-        pmap = range_azimuth_map(rd, varray)
+        pmap = range_azimuth_map(rd, varray, noncoherent_integrate(rd))
         ri, ai = np.unravel_index(np.argmax(pmap.power_db), pmap.power_db.shape)
         r = pmap.axis0()[ri]
         az = np.arcsin(pmap.axis1()[ai])

@@ -7,6 +7,7 @@ import pytest
 
 from tdmradar import (
     ArrayGeometry,
+    FramePlan,
     InvalidParameterError,
     RadarParams,
     azimuth_resolution_3db,
@@ -181,6 +182,18 @@ class TestFramePlan:
         plan = build_frame_plan(p, 0)
         counts = np.bincount(plan.tx_order)
         assert (counts == p.chirps_per_tx_per_frame).all()
+
+    @pytest.mark.parametrize("fields, message", [
+        ((0, 0, 1e-5, 8), "n_tx must be >= 1"),        # tx_order divided by zero
+        ((0, 2, 0.0, 8), "slot_interval_s must be > 0"),
+        ((0, 2, -1e-5, 8), "slot_interval_s must be > 0"),
+        ((0, 3, 1e-5, 8), "must be a positive multiple of n_tx 3"),
+        ((0, 2, 1e-5, 0), "must be a positive multiple of n_tx 2"),
+        ((0, 2, 1e-5, -4), "must be a positive multiple of n_tx 2"),
+    ])
+    def test_out_of_range_fields_refused(self, fields, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            FramePlan(*fields)
 
 
 class TestVirtualArray:

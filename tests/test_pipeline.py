@@ -16,7 +16,6 @@ from tdmradar import (
     build_virtual_array,
     cfar_ca2d,
     default_params,
-    folded_vmax,
     inject_channel_errors,
     noncoherent_integrate,
     range_doppler_map,
@@ -28,7 +27,7 @@ from tdmradar import (
     tdm_demux,
 )
 
-from conftest import single_target_scene
+from conftest import random_scene, single_target_scene
 
 
 @pytest.fixture(scope="module")
@@ -91,17 +90,6 @@ def test_empty_scene_pipeline_runs(pipeline_params, geometry):
     assert result.map_a.power_db.shape == (64, 256)
 
 
-def _random_scene(params, seed, n_targets=12):
-    # n_targets: ranges over 4 m to r_max - 4 m, velocities over +-0.9 x 9 x
-    # the smaller folded vmax, azimuths over +-40 deg; 20 dB SNR
-    rng = np.random.default_rng(seed)
-    v_span = 0.9 * 9 * min(folded_vmax(params, 0), folded_vmax(params, 1))
-    return Scene(targets=tuple(
-        PointTarget(rng.uniform(4.0, params.max_unambiguous_range_m - 4.0),
-                    rng.uniform(-v_span, v_span), rng.uniform(-40.0, 40.0))
-        for _ in range(n_targets)), snr_db=20.0, rng_seed=int(rng.integers(2**31)))
-
-
 @pytest.mark.parametrize("seed", [*range(5), "two_targets"])
 def test_in_memory_run_equals_file_cube_run(small_params, pipeline_params, geometry,
                                             tmp_path, seed):
@@ -118,7 +106,7 @@ def test_in_memory_run_equals_file_cube_run(small_params, pipeline_params, geome
             PointTarget(range_m=31.0, velocity_mps=-3.0, azimuth_deg=8.0, amplitude=0.6),
         ), snr_db=20.0, rng_seed=21)
     else:
-        params, scene = small_params, _random_scene(small_params, seed)
+        params, scene = small_params, random_scene(small_params, seed)
     a, b = simulate_frame_pair(scene, params, geometry)
     loaded = []
     for tag, cube in (("a", a), ("b", b)):
@@ -139,7 +127,7 @@ def test_calibrated_run_matches_clean_run(small_params, geometry):
     # unit-modulus channel phase errors leave the NCI, and so the CFAR, as
     # they are; with the calibration the run gives the clean run's
     # detections and maps, without it every azimuth is wrong
-    a, b = simulate_frame_pair(_random_scene(small_params, 0), small_params, geometry)
+    a, b = simulate_frame_pair(random_scene(small_params, 0), small_params, geometry)
     gains = np.exp(1j * np.random.default_rng(100).uniform(-np.pi, np.pi, (9, 16)))
     corrupted = [inject_channel_errors(cube, gains) for cube in (a, b)]
     clean = run_pipeline(a, b, small_params, geometry)
@@ -295,6 +283,31 @@ def test_one_range_doppler_call_per_frame(pipeline_params, geometry, monkeypatch
         for frame in (0, 1)]
 
 
+def test_one_nci_call_per_frame(pipeline_params, geometry, monkeypatch):
+    # the CFAR's NCI map is the one the range-azimuth map ranks its Doppler
+    # bins by: one noncoherent_integrate call per frame, and the map is
+    # handed that call's array
+    a, b = simulate_frame_pair(single_target_scene(range_m=20.0), pipeline_params, geometry)
+    calls, ranked = [], []
+    original_nci, original_map = pipeline.noncoherent_integrate, pipeline.range_azimuth_map
+
+    def nci_spy(rd):
+        power = original_nci(rd)
+        calls.append((rd.plan.frame_index, power))
+        return power
+
+    def map_spy(rd, varray, power, **kwargs):
+        ranked.append((rd.plan.frame_index, power))
+        return original_map(rd, varray, power, **kwargs)
+
+    monkeypatch.setattr(pipeline, "noncoherent_integrate", nci_spy)
+    monkeypatch.setattr(pipeline, "range_azimuth_map", map_spy)
+    run_pipeline(a, b, pipeline_params, geometry)
+    assert sorted(frame for frame, _ in calls) == [0, 1]
+    made, used = dict(calls), dict(ranked)
+    assert sorted(used) == [0, 1] and all(used[frame] is made[frame] for frame in (0, 1))
+
+
 def test_frame_detections_match_calling_thread_rebuild(pipeline_params, geometry):
     # frame b's NCI and CFAR run on the worker thread; both frames'
     # detections equal a rebuild from the public stages on this thread
@@ -354,12 +367,13 @@ def test_pipeline_keeps_one_worker_thread(small_params, geometry):
     assert threading.active_count() <= threads + 1
     assert result.cartesian_a is not None
 
-    rd_b = pipeline._process_frame(b, CfarConfig(), None)[0]
+    rd_b, power_b, _ = pipeline._process_frame(b, CfarConfig(), None)
     velocities = rd_b.velocity_axis.copy()
     for det in result.detections:
         if det.doppler_bin_b is not None:
             velocities[det.doppler_bin_b] = det.velocity_mps
-    polar_b = range_azimuth_map(rd_b, build_virtual_array(geometry), velocities=velocities)
+    polar_b = range_azimuth_map(rd_b, build_virtual_array(geometry), power_b,
+                                velocities=velocities)
     assert np.array_equal(polar_b.power_db, result.map_b.power_db)
     assert np.array_equal(polar_to_cartesian(polar_b).power_db, result.cartesian_b.power_db)
 
@@ -378,7 +392,7 @@ def test_no_array_formatting_on_success_path(small_params, geometry):
 
     _frame_pair(lambda: sys.setprofile(hook), lambda: sys.setprofile(hook))
     try:
-        a, b = simulate_frame_pair(_random_scene(small_params, 3, n_targets=6),
+        a, b = simulate_frame_pair(random_scene(small_params, 3, n_targets=6),
                                    small_params, geometry)
         result = run_pipeline(a, b, small_params, geometry)
     finally:
@@ -396,7 +410,7 @@ def test_aperture_wider_than_angle_grid_rejected(small_params):
     a, _ = simulate_frame_pair(Scene(targets=()), params, geometry)
     rd = range_doppler_map(tdm_demux(a, a.plan), one_sided=True)
     with pytest.raises(InvalidParameterError, match="256-bin angle grid smaller than the 305-slot"):
-        range_azimuth_map(rd, build_virtual_array(geometry))
+        range_azimuth_map(rd, build_virtual_array(geometry), noncoherent_integrate(rd))
 
 
 def test_aperture_checked_before_any_fft(small_params, monkeypatch):
