@@ -160,6 +160,7 @@ def assemble_snapshot(rd: RangeDopplerCube, cell: tuple,
     """Extract the complex value of every (tx, rx) source at one
     (range_bin, doppler_bin) cell, ordered by virtual position."""
     range_bin, doppler_bin = cell
+    varray.check_shape(*rd.values.shape[:2])
     if not (0 <= range_bin < rd.n_range and 0 <= doppler_bin < rd.n_doppler):
         raise InvalidParameterError(f"cell {cell} outside the {rd.values.shape} cube")
     return VirtualSnapshot(rd.values[varray.source_tx, varray.source_rx, doppler_bin, range_bin],
@@ -250,6 +251,7 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray, power: np.ndar
     """
     values = rd.values
     n_tx, n_rx, n_doppler, n_range = values.shape
+    varray.check_shape(n_tx, n_rx)
     velocities = np.asarray(rd.velocity_axis if velocities is None else velocities,
                             dtype=float)
     if velocities.size != n_doppler:

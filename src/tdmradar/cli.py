@@ -23,7 +23,6 @@ from .demos import ALL_DEMOS
 from .dsp import CfarConfig
 from .pipeline import run_pipeline
 from .simulate import Scene, _frame_pair, simulate_frame_pair
-from .unfold import UnsupportedGeometryError
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -85,9 +84,7 @@ def _cmd_process(args) -> int:
     result = run_pipeline(cube_a, cube_b, params, geometry, cal=cal, cfar=cfar,
                           cartesian=args.cartesian)
     map_b_path = _sibling_path(args.out_map, "_b")
-    maps = ((result.cartesian_a, result.cartesian_b) if args.cartesian
-            else (result.map_a, result.map_b))
-    for rmap, path in zip(maps, (args.out_map, map_b_path)):
+    for rmap, path in zip((result.map_a, result.map_b), (args.out_map, map_b_path)):
         fileio.write_map(rmap, path)
     fileio.write_detections_json(result.detections, args.out_det)
     print(f"wrote {args.out_map}, {map_b_path} and {args.out_det} "
@@ -183,7 +180,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         return args.func(args)
-    except (InvalidParameterError, UnsupportedGeometryError, CalibrationError,
+    except (InvalidParameterError, CalibrationError,
             fileio.CubeFormatError, fileio.MapFormatError,
             OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"tdmradar: error: {exc}", file=sys.stderr)

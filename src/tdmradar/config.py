@@ -345,6 +345,11 @@ class VirtualArray:
                          dtype=np.intp).reshape(-1, 2, 2)         # (pair, side, tx/rx)
         object.__setattr__(self, "pair_index", index[pairs[..., 0], pairs[..., 1]])
 
+    def check_shape(self, n_tx: int, n_rx: int) -> None:
+        """Raise unless the array was built for ``n_tx`` TX and ``n_rx`` RX elements."""
+        _require(self.position.shape == (n_tx, n_rx),
+                 f"virtual array of {self.position.shape} channels for a {(n_tx, n_rx)} cube")
+
 
 def build_virtual_array(geometry: ArrayGeometry) -> VirtualArray:
     by_position: dict = {}

@@ -36,9 +36,9 @@ def tdm_demux(cube: DataCube, plan: FramePlan) -> TxSubCubes:
     """Split a raw cube into one chirp stack per TX of the plan's round-robin
     schedule, order preserved."""
     params = cube.params
-    _require((cube.samples.shape[1], params.n_tx) == (plan.chirp_count_total, plan.n_tx),
-             f"cube has {cube.samples.shape[1]} chirps from {params.n_tx} TX but plan "
-             f"schedules {plan.chirp_count_total} from {plan.n_tx}")
+    # The cube's own plan already matches its samples; another frame's plan
+    # would give the sub-cubes the wrong PRI and so wrong velocities.
+    _require(plan == cube.plan, f"plan schedules {plan}, but the cube holds {cube.plan}")
 
     n_rx, _, n_fast = cube.samples.shape
     values = cube.samples.reshape(

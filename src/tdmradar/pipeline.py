@@ -4,7 +4,7 @@ phase compensation, angle estimation and range-azimuth map generation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,14 +64,12 @@ class PipelineResult:
     map_a: RangeAzimuthMap
     map_b: RangeAzimuthMap
     detections: list
-    detections_a: list = field(default_factory=list)
-    detections_b: list = field(default_factory=list)
-    cartesian_a: RangeAzimuthMap | None = None
-    cartesian_b: RangeAzimuthMap | None = None
+    detections_a: list
+    detections_b: list
 
 
 def _match_across_frames(dets_a, dets_b):
-    """Greedy one-to-one pairing by range-bin proximity, strongest first."""
+    """Greedy one-to-one (det_a, det_b or None) pairs by range-bin proximity, strongest first."""
     pairs = []
     used_b = set()
     for det_a in sorted(dets_a, key=lambda d: -d.power_db):
@@ -84,7 +82,7 @@ def _match_across_frames(dets_a, dets_b):
                 best, best_gap = j, gap
         if best is not None:
             used_b.add(best)
-        pairs.append((det_a, best))
+        pairs.append((det_a, dets_b[best] if best is not None else None))
     return pairs
 
 
@@ -132,7 +130,7 @@ def _process_frame(cube: DataCube, cfar: CfarConfig, cal: CalibrationVector | No
 
 def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
                  geometry: ArrayGeometry, cal: CalibrationVector | None = None,
-                 cfar: CfarConfig | None = None, *, cartesian: bool = False) -> PipelineResult:
+                 cfar: CfarConfig = CfarConfig(), *, cartesian: bool = False) -> PipelineResult:
     """Process one staggered frame pair (``ANGLE_GRID_SIZE`` angle grid);
     cubes simulated or read under other params, params whose CRT margin is
     not above the intersection tolerance, a mismatched calibration, a virtual
@@ -146,7 +144,6 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
             "intersection tolerance, so wrong alias candidates of the two frames can agree")
     if cal is not None:
         cal.check_shape(params.n_tx, params.n_rx)
-    cfar = CfarConfig() if cfar is None else cfar
     if {cube_a.plan.frame_index % 2, cube_b.plan.frame_index % 2} != {0, 1}:
         raise InvalidParameterError("need one even and one odd frame of a staggered pair")
 
@@ -165,8 +162,7 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
     velocities_b = rd_b.velocity_axis.copy()
 
     resolved = []
-    for det_a, b_index in _match_across_frames(detections_a, detections_b):
-        det_b = detections_b[b_index] if b_index is not None else None
+    for det_a, det_b in _match_across_frames(detections_a, detections_b):
         velocity, compensated = unfold_detection(det_a, det_b, rd_a, rd_b, varray, params)
         positions, collapsed = collapse_snapshot(compensated)
         spectrum = angle_spectrum(positions, collapsed)
@@ -186,10 +182,9 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
 
     def maps(rd, power, velocities):
         polar = range_azimuth_map(rd, varray, power, velocities=velocities)
-        return polar, polar_to_cartesian(polar) if cartesian else None
+        return polar_to_cartesian(polar) if cartesian else polar
 
-    (map_a, cartesian_a), (map_b, cartesian_b) = _frame_pair(
+    map_a, map_b = _frame_pair(
         lambda: maps(rd_a, power_a, velocities_a), lambda: maps(rd_b, power_b, velocities_b))
     return PipelineResult(map_a=map_a, map_b=map_b, detections=resolved,
-                          detections_a=detections_a, detections_b=detections_b,
-                          cartesian_a=cartesian_a, cartesian_b=cartesian_b)
+                          detections_a=detections_a, detections_b=detections_b)

@@ -12,7 +12,7 @@ import numpy as np
 from .config import FramePlan, InvalidParameterError, VirtualArray, phase_migration
 
 
-class UnsupportedGeometryError(ValueError):
+class UnsupportedGeometryError(InvalidParameterError):
     """The virtual array has no overlapped elements from distinct TXs."""
 
 

@@ -79,8 +79,7 @@ def _unfold_trial(v_true, range_m, azimuth_deg, seed, snr_db, geometry, varray):
     if not dets["a"]:
         return None
     det_a = max(dets["a"], key=lambda d: d.power_db)
-    pair = _match_across_frames([det_a], dets["b"])[0]
-    det_b = dets["b"][pair[1]] if pair[1] is not None else None
+    [(_, det_b)] = _match_across_frames([det_a], dets["b"])
     velocity, _ = unfold_detection(det_a, det_b, rds["a"], rds["b"], varray, _MC_PARAMS)
     return velocity
 
@@ -115,6 +114,7 @@ def test_criterion_5_velocity_unfolding(geometry, varray):
     # score with every overlapped pair, with a single pair (the minimal
     # phase comparison), and with a single pair helped by the CRT prior.
     from tdmradar.angle import assemble_snapshot
+    from tdmradar.config import crt_tolerance
     from tdmradar.unfold import crt_candidates, crt_intersect, resolve_velocity
 
     varray_single = replace(varray, overlapped_pairs=varray.overlapped_pairs[:1])
@@ -139,8 +139,7 @@ def test_criterion_5_velocity_unfolding(geometry, varray):
             continue
         low_total += 1
         det_a = max(dets["a"], key=lambda d: d.power_db)
-        pair = _match_across_frames([det_a], dets["b"])[0]
-        det_b = dets["b"][pair[1]] if pair[1] is not None else None
+        [(_, det_b)] = _match_across_frames([det_a], dets["b"])
         set_a = crt_candidates(det_a.folded_velocity_mps, vmax_a, _MC_PARAMS.n_tx)
         snapshot = assemble_snapshot(rds["a"], (det_a.range_bin, det_a.doppler_bin),
                                      varray)
@@ -149,8 +148,7 @@ def test_criterion_5_velocity_unfolding(geometry, varray):
         candidates = set_a
         if det_b is not None:
             set_b = crt_candidates(det_b.folded_velocity_mps, vmax_b, _MC_PARAMS.n_tx)
-            tol = max(rds["a"].velocity_bin_mps, rds["b"].velocity_bin_mps) / 2
-            narrowed = crt_intersect(set_a, set_b, tol)
+            narrowed = crt_intersect(set_a, set_b, crt_tolerance(_MC_PARAMS))
             candidates = narrowed if narrowed.size else np.union1d(set_a, set_b)
         picks = {
             "single-pair overlap-only": resolve_velocity(single, set_a, plan, lam),

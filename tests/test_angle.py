@@ -196,6 +196,14 @@ class TestAssembleSnapshot:
         with pytest.raises(InvalidParameterError):
             assemble_snapshot(rd, (rd.n_range, 0), varray)
 
+    def test_array_of_another_shape_refused(self, small_params, geometry):
+        # a 2 x 3 array on the 9 x 16 cube would read 6 of its 144 channels
+        _, rd = process_frame(single_target_scene(range_m=12.0), small_params, geometry)
+        other = build_virtual_array(ArrayGeometry((0, 4), (0, 1, 2)))
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape("virtual array of (2, 3) channels for a (9, 16)")):
+            assemble_snapshot(rd, (10, 5), other)
+
 
 class TestCollapseSnapshot:
     @pytest.mark.parametrize("tx_positions, means", [
@@ -385,6 +393,13 @@ class TestRangeAzimuthMap:
         with pytest.raises(InvalidParameterError,
                            match=re.escape(f"NCI map {np.shape(power)} does not match")):
             range_azimuth_map(rd, varray, power)
+
+    def test_array_of_another_shape_refused(self, small_params, geometry):
+        _, rd = process_frame(single_target_scene(range_m=20.0), small_params, geometry)
+        other = build_virtual_array(ArrayGeometry((0, 4), (0, 1, 2)))
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape("virtual array of (2, 3) channels for a (9, 16)")):
+            range_azimuth_map(rd, other, noncoherent_integrate(rd))
 
     @pytest.mark.parametrize("shape", [(10, 17), (2, 3)])
     def test_calibration_shape_mismatch(self, small_params, geometry, shape):

@@ -585,6 +585,20 @@ def test_geometry_tx_count_mismatch_exit_2(workdir, tmp_path, command, n_tx):
     assert f"geometry of ({n_tx}, 16) elements for a (9, 16) TX x RX radar" in proc.stderr
 
 
+def test_geometry_without_overlap_exit_2(workdir, tmp_path):
+    # 9 TX 16 apart over RX 0..15: 144 slots, none reached twice, so the
+    # velocity unfolding has no overlap phases; the cubes carry no geometry
+    geometry = {"tx_positions": list(range(0, 144, 16)), "rx_positions": list(range(16))}
+    (tmp_path / "geometry.json").write_text(json.dumps(geometry))
+    proc = run_cli("process", "--in-a", str(workdir / "f0.rdc"), "--in-b", str(workdir / "f1.rdc"),
+                   "--params", str(workdir / "params.json"),
+                   "--geometry", str(tmp_path / "geometry.json"),
+                   "--out-map", str(tmp_path / "m.ram"), "--out-det", str(tmp_path / "d.json"))
+    _check_data_error(proc, tmp_path / "m.ram")
+    assert "needs overlapped virtual elements" in proc.stderr
+    assert not (tmp_path / "m_b.ram").exists() and not (tmp_path / "d.json").exists()
+
+
 def test_geometry_unknown_key_exit_2(workdir, tmp_path):
     geometry = {**default_geometry().to_dict(), "spacing": 0.5}
     (tmp_path / "geometry.json").write_text(json.dumps(geometry))

@@ -65,6 +65,13 @@ class TestDemux:
             with pytest.raises(InvalidParameterError, match="plan schedules"):
                 tdm_demux(cube, build_frame_plan(other, 0))
 
+    def test_other_frames_plan_refused(self, small_params):
+        # frame 1's plan has frame 0's chirp and TX counts but its own PRI:
+        # the sub-cubes would fold every velocity at 3.976 instead of 5.150 m/s
+        cube = synthetic_cube(small_params)
+        with pytest.raises(InvalidParameterError, match="plan schedules"):
+            tdm_demux(cube, build_frame_plan(small_params, 1))
+
 
 class TestRangeDopplerMap:
     def test_zero_in_zero_out(self, small_params):

@@ -1,6 +1,6 @@
 import sys
 import threading
-from dataclasses import astuple, replace
+from dataclasses import MISSING, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -10,9 +10,11 @@ from tdmradar import (
     CalibrationVector,
     CfarConfig,
     InvalidParameterError,
+    PipelineResult,
     PointTarget,
     RadarParams,
     Scene,
+    UnsupportedGeometryError,
     build_virtual_array,
     cfar_ca2d,
     default_params,
@@ -168,15 +170,33 @@ def test_cartesian_outputs(pipeline_params, geometry):
     scene = single_target_scene(range_m=20.0, azimuth_deg=10.0)
     a, b = simulate_frame_pair(scene, pipeline_params, geometry)
     result = run_pipeline(a, b, pipeline_params, geometry, cartesian=True)
-    assert result.cartesian_a is not None
-    assert result.cartesian_a.kind == "cartesian"
+    assert result.map_a.kind == "cartesian"
     # the lone reflector is the global maximum of the BEV map
-    xi, yi = np.unravel_index(np.argmax(result.cartesian_a.power_db),
-                              result.cartesian_a.power_db.shape)
-    x = result.cartesian_a.axis0()[xi]
-    y = result.cartesian_a.axis1()[yi]
+    xi, yi = np.unravel_index(np.argmax(result.map_a.power_db), result.map_a.power_db.shape)
+    x = result.map_a.axis0()[xi]
+    y = result.map_a.axis1()[yi]
     assert np.hypot(x, y) == pytest.approx(20.0, abs=0.7)
     assert np.degrees(np.arctan2(x, y)) == pytest.approx(10.0, abs=1.0)
+
+
+@pytest.mark.parametrize("cartesian", [False, True])
+def test_one_map_per_frame_in_the_asked_grid(small_params, geometry, cartesian):
+    a, b = simulate_frame_pair(single_target_scene(range_m=20.0), small_params, geometry)
+    result = run_pipeline(a, b, small_params, geometry, cartesian=cartesian)
+    assert result.map_a.kind == result.map_b.kind == ("cartesian" if cartesian else "polar")
+    assert [(f.name, f.default, f.default_factory) for f in fields(PipelineResult)] == [
+        (name, MISSING, MISSING)
+        for name in ("map_a", "map_b", "detections", "detections_a", "detections_b")]
+
+
+def test_geometry_without_overlap_refused(small_params, geometry):
+    # TX 16 apart and RX 0..15 reach each of the 144 slots once: no two
+    # channels share a slot, so no overlap phase can pick an alias
+    a, b = simulate_frame_pair(single_target_scene(range_m=20.0), small_params, geometry)
+    sparse = ArrayGeometry(tuple(range(0, 144, 16)), tuple(range(16)))
+    assert issubclass(UnsupportedGeometryError, InvalidParameterError)
+    with pytest.raises(InvalidParameterError, match="needs overlapped virtual elements"):
+        run_pipeline(a, b, small_params, sparse)
 
 
 def test_unfolds_beyond_single_frame_vmax(pipeline_params, geometry):
@@ -362,10 +382,10 @@ def test_pipeline_keeps_one_worker_thread(small_params, geometry):
                            PointTarget(range_m=24.0, velocity_mps=-3.0, azimuth_deg=8.0)),
                   snr_db=20.0, rng_seed=8)
     a, b = simulate_frame_pair(scene, small_params, geometry)
-    for cartesian in (False, True, True):
-        result = run_pipeline(a, b, small_params, geometry, cartesian=cartesian)
+    results = {cartesian: run_pipeline(a, b, small_params, geometry, cartesian=cartesian)
+               for cartesian in (False, True, True)}
     assert threading.active_count() <= threads + 1
-    assert result.cartesian_a is not None
+    result = results[False]
 
     rd_b, power_b, _ = pipeline._process_frame(b, CfarConfig(), None)
     velocities = rd_b.velocity_axis.copy()
@@ -375,7 +395,7 @@ def test_pipeline_keeps_one_worker_thread(small_params, geometry):
     polar_b = range_azimuth_map(rd_b, build_virtual_array(geometry), power_b,
                                 velocities=velocities)
     assert np.array_equal(polar_b.power_db, result.map_b.power_db)
-    assert np.array_equal(polar_to_cartesian(polar_b).power_db, result.cartesian_b.power_db)
+    assert np.array_equal(polar_to_cartesian(polar_b).power_db, results[True].map_b.power_db)
 
 
 def test_no_array_formatting_on_success_path(small_params, geometry):
