@@ -78,8 +78,8 @@ def _cmd_process(args) -> int:
     geometry = ArrayGeometry.from_json(args.geometry)
     cal = CalibrationVector.from_json(args.cal) if args.cal else None
     cfar = CfarConfig(pfa=args.pfa) if args.pfa is not None else CfarConfig()
-    cube_a, cube_b = _frame_pair(lambda: fileio.read_cube(args.in_a, params),
-                                 lambda: fileio.read_cube(args.in_b, params))
+    cube_a = fileio.read_cube(args.in_a, params)
+    cube_b = fileio.read_cube(args.in_b, params)
 
     result = run_pipeline(cube_a, cube_b, params, geometry, cal=cal, cfar=cfar,
                           cartesian=args.cartesian)

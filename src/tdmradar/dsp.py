@@ -92,7 +92,8 @@ def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool 
     ``sub.values``, so complex64 cubes stay complex64).  ``one_sided`` keeps
     only the first ``n_fast // 2`` range bins, which are then all the Doppler
     FFT runs on.  One TX block at a time goes through a single scratch
-    buffer, windowed and transformed in place.  The samples are rounded to
+    buffer, windowed and range-transformed in place; the Doppler FFT then runs
+    once, in place, over the whole output.  The samples are rounded to
     ``dtype`` before the window multiply, as ``write_cube`` rounds them, so a
     complex128 cube transformed in complex64 gives the bits of its file copy."""
     params = sub.params
@@ -113,8 +114,8 @@ def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool 
     with np.errstate(invalid="ignore"):
         for k in range(n_tx):
             np.multiply(sub.values[k], w, out=buf, dtype=dtype, casting="same_kind")
-            x = scipy.fft.fft(buf, axis=-1, overwrite_x=True)
-            out[k] = scipy.fft.fft(x[..., :n_keep], axis=-2, overwrite_x=True)
+            out[k] = scipy.fft.fft(buf, axis=-1, overwrite_x=True)[..., :n_keep]
+        out = scipy.fft.fft(out, axis=-2, overwrite_x=True)
 
     vmax = folded_vmax(params, sub.plan.frame_index)
     return RangeDopplerCube(

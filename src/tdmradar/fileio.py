@@ -13,9 +13,13 @@ followed by float32 dB values, row-major.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
 import os
+import stat
 import struct
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -34,6 +38,10 @@ _MAP_HEADER = struct.Struct("<4sBIIdddd")
 # Samples cast to <c8 per write_cube step: one 4 MB buffer, however large the cube.
 _CAST_BLOCK = 1 << 19
 
+# Before Python 3.13 a mapping holds a duplicate of its file's descriptor
+# until it is freed, so each live read_cube array keeps one file open.
+_MMAP_FD = {"trackfd": False} if sys.version_info >= (3, 13) else {}
+
 _MAP_KINDS = {"polar": 0, "cartesian": 1}
 _MAP_KIND_NAMES = {v: k for k, v in _MAP_KINDS.items()}
 
@@ -46,13 +54,43 @@ class MapFormatError(RuntimeError):
     """Malformed map file; the message names the failing byte offset."""
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """``open(path, "wb")`` for the two large binary formats, without
+    modifying a regular single-link file in place: that file (a symlink's
+    target, if ``path`` is a symlink) is unlinked and made anew, so a reader
+    that mapped it keeps its bytes, and ext4 does not flush the new file at
+    close as it does one truncated and rewritten.  A hard-linked file is
+    rewritten in place under all its names and truncated only after the new
+    bytes are written, so writing back a cube mapped from it reads no page
+    past the end of the file.  Devices and FIFOs are written as they are."""
+    links = 0  # of a regular file; devices, FIFOs and missing paths have none
+    try:
+        st = os.stat(path)
+        links = st.st_nlink if stat.S_ISREG(st.st_mode) else 0
+    except FileNotFoundError:
+        pass
+    if links > 1:
+        with open(path, "r+b") as fh:
+            yield fh
+            fh.truncate()
+        return
+    if links == 1:
+        path = os.path.realpath(path)
+        os.unlink(path)
+    with open(path, "wb") as fh:
+        yield fh
+
+
 def _read_payload(fh, offset: int, dtype: str, count: int, error) -> np.ndarray:
-    """The ``count`` values after the header; a wrong-sized file is rejected unread."""
+    """The ``count`` values after the header, mapped copy-on-write (writable,
+    and writes stay private); a wrong-sized file is rejected unmapped."""
     size = os.fstat(fh.fileno()).st_size - offset
     expected = count * np.dtype(dtype).itemsize
     if size != expected:
         raise error(f"payload is {size} bytes, expected {expected} at offset {offset}")
-    return np.fromfile(fh, dtype=dtype, count=count)
+    payload = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY, **_MMAP_FD)
+    return np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
 
 
 def write_cube(cube: DataCube, path) -> None:
@@ -64,7 +102,7 @@ def write_cube(cube: DataCube, path) -> None:
     )
     flat = cube.samples.reshape(-1)
     buf = np.empty(min(flat.size, _CAST_BLOCK), dtype="<c8")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(header)
         for start in range(0, flat.size, _CAST_BLOCK):
             block = buf[:flat.size - start]
@@ -77,7 +115,7 @@ def read_cube(path, params: RadarParams) -> DataCube:
     ``write_cube`` up to the float32 storage width).  A cube whose header
     disagrees with ``params`` in dimensions, PRI or params digest raises
     ``InvalidParameterError``.  The samples come back as a writable complex64
-    array, the width they are stored in."""
+    array, the width they are stored in, mapped copy-on-write from the file."""
     with open(path, "rb") as fh:
         raw = fh.read(_CUBE_HEADER.size)
         if len(raw) < _CUBE_HEADER.size:
@@ -115,7 +153,7 @@ def write_map(rmap: RangeAzimuthMap, path) -> None:
         rmap.axis0_bin_width, rmap.axis0_origin,
         rmap.axis1_bin_width, rmap.axis1_origin,
     )
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(header)
         fh.write(rmap.power_db.astype("<f4").tobytes())
 

@@ -1,9 +1,22 @@
+import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tdmradar import InvalidParameterError, RadarParams, fileio, simulate_frame
+from tdmradar import (
+    DataCube,
+    InvalidParameterError,
+    RadarParams,
+    fileio,
+    range_doppler_map,
+    simulate_frame,
+    tdm_demux,
+)
 from tdmradar.angle import CalibrationVector, RangeAzimuthMap
 from tdmradar.fileio import (
     _CUBE_HEADER,
@@ -61,6 +74,38 @@ class TestCubeFormat:
         assert loaded.samples.dtype == np.complex64
         assert loaded.samples.flags.writeable
         loaded.samples[0, 0, 0] = 0.0
+
+    def test_writes_into_the_read_array_stay_private(self, cube, small_params, tmp_path):
+        path = tmp_path / "frame.rdc"
+        write_cube(cube, path)
+        before = path.read_bytes()
+        loaded = read_cube(path, small_params)
+        loaded.samples[...] = 7.0
+        assert path.read_bytes() == before
+        assert not np.array_equal(read_cube(path, small_params).samples, loaded.samples)
+
+    def test_unaligned_read_cube_transforms_like_an_aligned_copy(self, cube, small_params,
+                                                                tmp_path):
+        path = tmp_path / "frame.rdc"
+        write_cube(cube, path)
+        loaded = read_cube(path, small_params)
+        assert not loaded.samples.flags.aligned  # the payload starts at byte 62
+        aligned = DataCube(samples=loaded.samples.copy(), plan=loaded.plan, params=small_params)
+        assert aligned.samples.flags.aligned
+        rd = [range_doppler_map(tdm_demux(c, c.plan), one_sided=True, dtype=np.complex64)
+              for c in (loaded, aligned)]
+        assert rd[0].values.tobytes() == rd[1].values.tobytes()
+
+    def test_header_only_file(self, cube, small_params, tmp_path):
+        # the size check runs before the payload is mapped, so an empty
+        # payload never reaches mmap ("cannot mmap an empty file")
+        path = tmp_path / "frame.rdc"
+        write_cube(cube, path)
+        path.write_bytes(path.read_bytes()[:_CUBE_HEADER.size])
+        with pytest.raises(CubeFormatError,
+                           match=f"payload is 0 bytes, expected {cube.samples.size * 8} "
+                                 f"at offset {_CUBE_HEADER.size}$"):
+            read_cube(path, small_params)
 
     def test_payload_size_arithmetic(self, cube, tmp_path):
         path = tmp_path / "frame.rdc"
@@ -169,6 +214,15 @@ class TestMapFormat:
         with pytest.raises(MapFormatError, match="offset"):
             read_map(path)
 
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "m.ram"
+        write_map(self._map(), path)
+        path.write_bytes(path.read_bytes()[:fileio._MAP_HEADER.size])
+        with pytest.raises(MapFormatError,
+                           match=f"payload is 0 bytes, expected {64 * 32 * 4} "
+                                 f"at offset {fileio._MAP_HEADER.size}$"):
+            read_map(path)
+
     @pytest.mark.parametrize("field, value", [(0, 0.0), (0, np.nan), (0, -0.6), (1, np.inf),
                                               (2, -np.inf), (2, -0.0), (3, np.nan)])
     def test_bad_axis_float(self, tmp_path, field, value):
@@ -233,3 +287,141 @@ class TestJson:
         loaded = CalibrationVector.from_json(path)
         np.testing.assert_allclose(loaded.gains, gains)
         assert loaded.reference_range_m == 5.0
+
+
+_MAP = RangeAzimuthMap(power_db=np.arange(12.0).reshape(3, 4), kind="polar",
+                       axis0_bin_width=1.0, axis0_origin=0.0,
+                       axis1_bin_width=1.0, axis1_origin=0.0)
+
+# Each writer, with the argument it writes.
+WRITERS = {
+    "cube": lambda cube, path: write_cube(cube, path),
+    "map": lambda cube, path: write_map(_MAP, path),
+    "pgm": lambda cube, path: export_pgm(_MAP, path),
+    "detections": lambda cube, path: write_detections_json([], path),
+    "calibration": lambda cube, path: write_calibration_json(
+        CalibrationVector(np.ones((2, 3), complex), 5.0, 0.0), path),
+}
+
+# Reads the cube at argv[2] under the params at argv[1] and writes it back
+# to the same path, in a child process so that a SIGBUS shows as its exit.
+_WRITE_BACK = """
+import sys
+from tdmradar import RadarParams, fileio
+cube = fileio.read_cube(sys.argv[2], RadarParams.from_json(sys.argv[1]))
+fileio.write_cube(cube, sys.argv[2])
+"""
+
+
+def _write_back_in_child(params, path, tmp_path):
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params.to_dict()))
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", _WRITE_BACK, str(params_path), str(path)],
+                          env=env, capture_output=True, text=True)
+
+
+class TestReplacingWrites:
+    """The cube and map writers replace a regular single-link file with a
+    new inode instead of truncating it, and write through anything else;
+    the small-file writers rewrite in place."""
+
+    @pytest.mark.parametrize("writer", ["cube", "map"])
+    def test_overwrite_gives_the_path_a_new_inode(self, cube, tmp_path, writer):
+        path = tmp_path / "out"
+        path.write_bytes(b"old contents")
+        # the open handle keeps the old inode, so its number cannot be reused
+        with open(path, "rb") as old:
+            WRITERS[writer](cube, path)
+            assert os.stat(path).st_ino != os.fstat(old.fileno()).st_ino
+            assert old.read() == b"old contents"
+        assert path.read_bytes() != b"old contents"
+
+    @pytest.mark.parametrize("writer", ["pgm", "detections", "calibration"])
+    def test_small_files_are_rewritten_in_place(self, cube, tmp_path, writer):
+        path = tmp_path / "out"
+        path.write_bytes(b"old contents")
+        path.chmod(0o600)
+        inode = os.stat(path).st_ino
+        WRITERS[writer](cube, path)
+        assert os.stat(path).st_ino == inode
+        assert os.stat(path).st_mode & 0o777 == 0o600
+        assert path.read_bytes() != b"old contents"
+
+    def test_read_cube_keeps_its_samples_when_its_path_is_rewritten(self, cube, small_params,
+                                                                     tmp_path):
+        path = tmp_path / "frame.rdc"
+        write_cube(cube, path)
+        loaded = read_cube(path, small_params)
+        kept = loaded.samples.copy()
+        write_cube(DataCube(samples=cube.samples * 2.0, plan=cube.plan, params=small_params),
+                   path)
+        assert np.array_equal(loaded.samples, kept)
+        assert np.array_equal(read_cube(path, small_params).samples, kept * 2.0)
+
+    def test_symlink_target_is_replaced(self, cube, small_params, tmp_path):
+        target, link = tmp_path / "target.rdc", tmp_path / "link.rdc"
+        write_cube(cube, target)
+        link.symlink_to(target)
+        inode = os.stat(target).st_ino
+        loaded = read_cube(link, small_params)
+        kept = loaded.samples.copy()
+        doubled = DataCube(samples=cube.samples * 2.0, plan=cube.plan, params=small_params)
+        write_cube(doubled, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert os.stat(target).st_ino != inode
+        assert np.array_equal(loaded.samples, kept)
+        write_cube(doubled, tmp_path / "plain.rdc")
+        assert target.read_bytes() == (tmp_path / "plain.rdc").read_bytes()
+
+    @pytest.mark.parametrize("extra", [-4_000_000, 1000])
+    def test_hard_links_keep_both_names(self, cube, tmp_path, extra):
+        # the old file is smaller or larger than the cube; a larger one is cut
+        # to the cube's length once the cube is written
+        first, second = tmp_path / "first.rdc", tmp_path / "second.rdc"
+        first.write_bytes(b"x" * (_CUBE_HEADER.size + cube.samples.size * 8 + extra))
+        os.link(first, second)
+        write_cube(cube, first)
+        write_cube(cube, tmp_path / "plain.rdc")
+        assert os.path.samefile(first, second)
+        assert first.read_bytes() == second.read_bytes() == (tmp_path / "plain.rdc").read_bytes()
+
+    @pytest.mark.parametrize("link", ["symlink", "hard link"])
+    def test_read_cube_written_back_through_a_link(self, cube, small_params, tmp_path, link):
+        target, path = tmp_path / "target.rdc", tmp_path / "link.rdc"
+        write_cube(cube, target)
+        before = target.read_bytes()
+        if link == "symlink":
+            path.symlink_to(target)
+        else:
+            os.link(target, path)
+        child = _write_back_in_child(small_params, path, tmp_path)
+        assert child.returncode == 0, (child.returncode, child.stderr)
+        assert path.read_bytes() == target.read_bytes() == before
+        assert path.is_symlink() if link == "symlink" else os.path.samefile(path, target)
+
+    def test_device_is_never_unlinked(self, monkeypatch):
+        unlinked = []
+
+        def refuse(path, *args, **kwargs):
+            unlinked.append(path)
+            raise AssertionError(f"unlink({path!r})")
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        write_map(_MAP, os.devnull)
+        assert unlinked == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_open_descriptors_per_live_cube(cube, small_params, tmp_path):
+    # before Python 3.13 each mapping keeps a duplicate of its file's descriptor
+    per_cube = 0 if sys.version_info >= (3, 13) else 1
+    path = tmp_path / "frame.rdc"
+    write_cube(cube, path)
+    before = len(os.listdir("/proc/self/fd"))
+    cubes = [read_cube(path, small_params) for _ in range(5)]
+    assert len(os.listdir("/proc/self/fd")) - before == 5 * per_cube
+    del cubes
+    assert len(os.listdir("/proc/self/fd")) == before
