@@ -11,6 +11,7 @@ import numpy as np
 import scipy.fft
 
 from .config import (
+    _SCRATCH_BYTES,
     ArrayGeometry,
     InvalidParameterError,
     VirtualArray,
@@ -248,6 +249,7 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray, power: np.ndar
     map ``power`` ranks strongest are beamformed onto the virtual ULA, each at
     its velocity (``velocities``, else the bin center's); a cell keeps the
     strongest. Cells near the peak equal the all-bin maximum; noise cells read lower.
+    Half the kept bins at a time, fewer where their spectra exceed ``_SCRATCH_BYTES``.
     """
     values = rd.values
     n_tx, n_rx, n_doppler, n_range = values.shape
@@ -268,11 +270,13 @@ def range_azimuth_map(rd: RangeDopplerCube, varray: VirtualArray, power: np.ndar
                                rd.plan, rd.params.wavelength_m)[:, None, :]
     scale = (scale * varray.weight[:, :, None]).astype(values.dtype)
 
-    # Half the kept bins at a time (bounding the temporaries), each TX adds its RX
+    # Per pass (at least two; angle spectra within _SCRATCH_BYTES), each TX adds its RX
     # rows (at distinct positions) onto the ULA grid, channels last for the FFT; the
     # in-place product keeps numpy's operand order, whose swap can change the last bit.
+    kept = np.argsort(power, axis=0)[-_MAP_DOPPLER_BINS:]
+    per_pass = max(1, _SCRATCH_BYTES // (n_range * ANGLE_GRID_SIZE * values.itemsize))
     peak = 0.0
-    for ranks in np.array_split(np.argsort(power, axis=0)[-_MAP_DOPPLER_BINS:], 2):
+    for ranks in np.array_split(kept, max(2, -(-len(kept) // per_pass))):
         cells = ranks * n_range + np.arange(n_range)
         grid = np.zeros((len(ranks), n_range, n_slots), dtype=values.dtype)
         for t in range(n_tx):

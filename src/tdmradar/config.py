@@ -21,6 +21,9 @@ import numpy as np
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
+# Bytes of each per-frame scratch array; glibc keeps larger freed blocks resident.
+_SCRATCH_BYTES = 2 << 20
+
 
 class InvalidParameterError(ValueError):
     """A parameter is outside its physically meaningful range."""

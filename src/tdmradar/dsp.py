@@ -11,6 +11,7 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import (
+    _SCRATCH_BYTES,
     FramePlan,
     RadarParams,
     _is_number,
@@ -91,9 +92,10 @@ def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool 
     ``window``, computed in complex ``dtype`` (default: the precision of
     ``sub.values``, so complex64 cubes stay complex64).  ``one_sided`` keeps
     only the first ``n_fast // 2`` range bins, which are then all the Doppler
-    FFT runs on.  One TX block at a time goes through a single scratch
-    buffer, windowed and range-transformed in place; the Doppler FFT then runs
-    once, in place, over the whole output.  The samples are rounded to
+    FFT runs on.  One TX block at a time, as many of its RX rows as fit in
+    ``_SCRATCH_BYTES`` (at least one), goes through one scratch buffer, windowed
+    and range-transformed in place; the Doppler FFT then runs once, in place,
+    over the whole output.  The samples are rounded to
     ``dtype`` before the window multiply, as ``write_cube`` rounds them, so a
     complex128 cube transformed in complex64 gives the bits of its file copy."""
     params = sub.params
@@ -108,13 +110,17 @@ def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool 
     # part 0) once here, not cast again by the multiply on every TX block.
     ws = _window(window, n_slow) * (-1.0) ** np.arange(n_slow)
     w = (ws[:, None] * wf[None, :]).astype(dtype)
-    buf = np.empty((n_rx, n_slow, n_fast), dtype=dtype)
+    rows = max(1, _SCRATCH_BYTES // w.nbytes)
+    buf = np.empty((min(rows, n_rx), n_slow, n_fast), dtype=dtype)
     out = np.empty((n_tx, n_rx, n_slow, n_keep), dtype=dtype)
     # inf times the window's zero imaginary part is NaN; run_pipeline reports it
     with np.errstate(invalid="ignore"):
         for k in range(n_tx):
-            np.multiply(sub.values[k], w, out=buf, dtype=dtype, casting="same_kind")
-            out[k] = scipy.fft.fft(buf, axis=-1, overwrite_x=True)[..., :n_keep]
+            for r in range(0, n_rx, rows):
+                block = buf[:n_rx - r]
+                np.multiply(sub.values[k, r:r + rows], w, out=block, dtype=dtype,
+                            casting="same_kind")
+                out[k, r:r + rows] = scipy.fft.fft(block, axis=-1, overwrite_x=True)[..., :n_keep]
         out = scipy.fft.fft(out, axis=-2, overwrite_x=True)
 
     vmax = folded_vmax(params, sub.plan.frame_index)
@@ -129,8 +135,19 @@ def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool 
 
 
 def noncoherent_integrate(rd: RangeDopplerCube) -> np.ndarray:
-    """Sum of |value|^2 over all (tx, rx) channels -> (doppler, range)."""
-    return np.sum(np.abs(rd.values) ** 2, axis=(0, 1))
+    """Sum of |value|^2 over all (tx, rx) channels -> (doppler, range), as many
+    TX as fit in ``_SCRATCH_BYTES`` at a time (at least one), each block's first
+    channel taking the running sum, so channels add up in numpy's own order."""
+    values = rd.values
+    step = max(1, _SCRATCH_BYTES // (values[0].size * values.real.itemsize))
+    buf = np.empty_like(values[:step], dtype=values.real.dtype)
+    total = 0.0  # exact: adding 0 changes no square
+    for k in range(0, len(values), step):
+        block = np.abs(values[k:k + step], out=buf[:len(values) - k])
+        block **= 2
+        block[0, 0] += total
+        total = block.sum(axis=(0, 1))
+    return total
 
 
 @dataclass(frozen=True)

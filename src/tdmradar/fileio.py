@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .angle import FLOOR_DB, CalibrationVector, RangeAzimuthMap
-from .config import InvalidParameterError, RadarParams, build_frame_plan
+from .config import _SCRATCH_BYTES, InvalidParameterError, RadarParams, build_frame_plan
 from .simulate import DataCube
 
 CUBE_MAGIC = b"RDC1"
@@ -35,8 +35,8 @@ _CUBE_HEADER = struct.Struct("<4sHIIIId32s")
 MAP_MAGIC = b"RAM1"
 _MAP_HEADER = struct.Struct("<4sBIIdddd")
 
-# Samples cast to <c8 per write_cube step: one 4 MB buffer, however large the cube.
-_CAST_BLOCK = 1 << 19
+# Samples cast to <c8 per write_cube step: one _SCRATCH_BYTES buffer, however large the cube.
+_CAST_BLOCK = _SCRATCH_BYTES // 8
 
 # Before Python 3.13 a mapping holds a duplicate of its file's descriptor
 # until it is freed, so each live read_cube array keeps one file open.
@@ -155,7 +155,7 @@ def write_map(rmap: RangeAzimuthMap, path) -> None:
     )
     with _replacing(path) as fh:
         fh.write(header)
-        fh.write(rmap.power_db.astype("<f4").tobytes())
+        fh.write(rmap.power_db.astype("<f4", order="C"))
 
 
 def read_map(path) -> RangeAzimuthMap:
@@ -195,11 +195,11 @@ def export_pgm(rmap: RangeAzimuthMap, path) -> None:
         pixels = np.zeros_like(values)
     else:
         pixels = (values - FLOOR_DB) / span * 65535.0
-    pixels = pixels.astype(">u2")
+    pixels = pixels.astype(">u2", order="C")
     rows, cols = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n65535\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        fh.write(pixels)
 
 
 def write_detections_json(detections, path) -> None:

@@ -8,8 +8,10 @@ from tdmradar import (
     CfarConfig,
     InvalidParameterError,
     RadarParams,
+    RangeDopplerCube,
     build_frame_plan,
     cfar_ca2d,
+    default_params,
     noncoherent_integrate,
     range_doppler_map,
     simulate_frame,
@@ -211,6 +213,25 @@ class TestNoncoherentIntegrate:
         doubled = rd.values.repeat(2, axis=0)
         rd.values = doubled
         np.testing.assert_allclose(noncoherent_integrate(rd), 2 * power)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("one_sided", [True, False])
+    @pytest.mark.parametrize("at_default_params", [False, True])
+    def test_bit_identical_to_one_numpy_sum(self, small_params, at_default_params, one_sided,
+                                            dtype):
+        # TX blocks: one TX each at default params; at small params all 9 in
+        # one block, but 4, 4 and 1 for the two-sided complex128 cube
+        p = default_params() if at_default_params else small_params
+        n_range = p.adc_samples_per_chirp // 2 if one_sided else p.adc_samples_per_chirp
+        shape = (p.n_tx, p.n_rx, p.chirps_per_tx_per_frame, n_range)
+        real = np.random.default_rng(8).standard_normal(
+            2 * int(np.prod(shape)), dtype=np.finfo(dtype).dtype)
+        values = real.view(dtype).reshape(shape)
+        rd = RangeDopplerCube(values, 1.0, 1.0, 1.0, build_frame_plan(p, 0), p)
+        power = noncoherent_integrate(rd)
+        expected = np.sum(np.abs(values) ** 2, axis=(0, 1))
+        assert power.dtype == expected.dtype
+        assert power.tobytes() == expected.tobytes()
 
     def test_integration_gain_monte_carlo(self, small_params, geometry):
         # integrated peak power over 144 channels vs a single channel:
