@@ -5,6 +5,7 @@ polar and Cartesian coordinates."""
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ _BEV_CELL_M = 0.3
 _BEV_X_M = -75.0 + (np.arange(500) + 0.5) * _BEV_CELL_M
 _BEV_Y_M = (np.arange(500) + 0.5) * _BEV_CELL_M
 _BEV_FOV_DEG = 70.0
+# Held over each _bev_lookup call, so two frame threads build a new layout's lookup once.
+_BEV_LOCK = threading.Lock()
 
 # Angle FFT length: bins uniform in sin(azimuth) over [-1, 1).
 ANGLE_GRID_SIZE = 256
@@ -329,9 +332,10 @@ def polar_to_cartesian(pmap: RangeAzimuthMap) -> RangeAzimuthMap:
     extent are set to the floor."""
     if pmap.kind != "polar":
         raise InvalidParameterError("input map must be polar")
-    inside, corner, fr, fs = _bev_lookup(pmap.power_db.shape,
-                                         (pmap.axis0_bin_width, pmap.axis1_bin_width),
-                                         (pmap.axis0_origin, pmap.axis1_origin))
+    with _BEV_LOCK:
+        inside, corner, fr, fs = _bev_lookup(pmap.power_db.shape,
+                                             (pmap.axis0_bin_width, pmap.axis1_bin_width),
+                                             (pmap.axis0_origin, pmap.axis1_origin))
 
     # Bilinear, its products and sum in the order of scipy.ndimage's order-1
     # map_coordinates (equal bit for bit); the padding gets only zero weight.

@@ -67,8 +67,8 @@ def _cmd_simulate(args) -> int:
     # Both frames are checked before either is made, so a data error writes
     # nothing; then each is written by the thread that made it.
     frame_a, frame_b = simulate_frame_pair(scene, params, geometry)
-    _frame_pair(lambda: fileio.write_cube(frame_a, args.out_a),
-                lambda: fileio.write_cube(frame_b, args.out_b))
+    _frame_pair(lambda: fileio.write_cube(frame_a, args.out_a, geometry),
+                lambda: fileio.write_cube(frame_b, args.out_b, geometry))
     print(f"wrote {args.out_a} and {args.out_b}")
     return 0
 
@@ -78,8 +78,8 @@ def _cmd_process(args) -> int:
     geometry = ArrayGeometry.from_json(args.geometry)
     cal = CalibrationVector.from_json(args.cal) if args.cal else None
     cfar = CfarConfig(pfa=args.pfa) if args.pfa is not None else CfarConfig()
-    cube_a = fileio.read_cube(args.in_a, params)
-    cube_b = fileio.read_cube(args.in_b, params)
+    cube_a = fileio.read_cube(args.in_a, params, geometry)
+    cube_b = fileio.read_cube(args.in_b, params, geometry)
 
     result = run_pipeline(cube_a, cube_b, params, geometry, cal=cal, cfar=cfar,
                           cartesian=args.cartesian)
@@ -95,7 +95,7 @@ def _cmd_process(args) -> int:
 def _cmd_calibrate(args) -> int:
     params = RadarParams.from_json(args.params)
     geometry = ArrayGeometry.from_json(args.geometry)
-    cube = fileio.read_cube(args.infile, params)
+    cube = fileio.read_cube(args.infile, params, geometry)
     cal = estimate_calibration(cube, args.range, args.azimuth, geometry)
     fileio.write_calibration_json(cal, args.out)
     print(f"wrote {args.out}")

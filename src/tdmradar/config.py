@@ -11,7 +11,6 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -140,11 +139,6 @@ class RadarParams:
 
     from_dict = classmethod(_from_dict)
     from_json = classmethod(_from_json)
-
-    def digest(self) -> bytes:
-        """SHA-256 over the canonical JSON form, stored in cube file headers."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).digest()
 
 
 def default_params() -> RadarParams:

@@ -1,9 +1,9 @@
 """Bit-exact binary formats for cubes and maps, plus the JSON side files.
 
 Cube files ("RDC1", little-endian):
-    magic 4s | version u16 (2) | n_rx u32 | n_chirps u32 | n_fast u32 |
-    frame_index u32 | pri f64 | params digest 32s
-followed by float32 (re, im) pairs in (rx, chirp, fast) order.
+    magic 4s | version u16 (3) | frame_index u32 | digest 32s
+followed by float32 (re, im) pairs in (rx, chirp, fast) order.  The digest
+names what made the cube: its parameters, array geometry and frame index.
 
 Map files ("RAM1", little-endian):
     magic 4s | kind u8 (0 polar, 1 cartesian) | dims u32 x2 |
@@ -14,6 +14,7 @@ followed by float32 dB values, row-major.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import mmap
 import os
@@ -25,12 +26,12 @@ from dataclasses import asdict
 import numpy as np
 
 from .angle import FLOOR_DB, CalibrationVector, RangeAzimuthMap
-from .config import _SCRATCH_BYTES, InvalidParameterError, RadarParams, build_frame_plan
+from .config import _SCRATCH_BYTES, ArrayGeometry, RadarParams, _require, build_frame_plan
 from .simulate import DataCube
 
 CUBE_MAGIC = b"RDC1"
-CUBE_VERSION = 2
-_CUBE_HEADER = struct.Struct("<4sHIIIId32s")
+CUBE_VERSION = 3
+_CUBE_HEADER = struct.Struct("<4sHI32s")
 
 MAP_MAGIC = b"RAM1"
 _MAP_HEADER = struct.Struct("<4sBIIdddd")
@@ -93,13 +94,19 @@ def _read_payload(fh, offset: int, dtype: str, count: int, error) -> np.ndarray:
     return np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
 
 
-def write_cube(cube: DataCube, path) -> None:
-    header = _CUBE_HEADER.pack(
-        CUBE_MAGIC, CUBE_VERSION,
-        cube.params.n_rx, cube.plan.chirp_count_total,
-        cube.params.adc_samples_per_chirp, cube.plan.frame_index,
-        cube.plan.slot_interval_s, cube.params.digest(),
-    )
+def _digest(params: RadarParams, geometry: ArrayGeometry, frame_index: int) -> bytes:
+    """SHA-256 over the canonical JSON of a cube's params, geometry and frame index."""
+    geometry.check_shape(params.n_tx, params.n_rx)
+    blob = json.dumps({"params": params.to_dict(), "geometry": geometry.to_dict(),
+                       "frame_index": frame_index}, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).digest()
+
+
+def write_cube(cube: DataCube, path, geometry: ArrayGeometry) -> None:
+    """Write ``cube``, recorded by ``geometry``, under a header naming what made it."""
+    frame = cube.plan.frame_index
+    header = _CUBE_HEADER.pack(CUBE_MAGIC, CUBE_VERSION, frame,
+                               _digest(cube.params, geometry, frame))
     flat = cube.samples.reshape(-1)
     buf = np.empty(min(flat.size, _CAST_BLOCK), dtype="<c8")
     with _replacing(path) as fh:
@@ -110,38 +117,28 @@ def write_cube(cube: DataCube, path) -> None:
             fh.write(block)
 
 
-def read_cube(path, params: RadarParams) -> DataCube:
-    """Read a cube made under ``params`` and bind it to them (exact inverse of
-    ``write_cube`` up to the float32 storage width).  A cube whose header
-    disagrees with ``params`` in dimensions, PRI or params digest raises
-    ``InvalidParameterError``.  The samples come back as a writable complex64
-    array, the width they are stored in, mapped copy-on-write from the file."""
+def read_cube(path, params: RadarParams, geometry: ArrayGeometry) -> DataCube:
+    """Read a cube made under ``params`` and recorded by ``geometry`` (exact inverse of
+    ``write_cube`` up to the float32 storage width).  A cube whose digest names other
+    params, another geometry or another frame index raises ``InvalidParameterError``.
+    The samples come back as a writable complex64 array, the width they are stored
+    in, mapped copy-on-write from the file."""
     with open(path, "rb") as fh:
         raw = fh.read(_CUBE_HEADER.size)
         if len(raw) < _CUBE_HEADER.size:
             raise CubeFormatError(f"truncated header: {len(raw)} bytes at offset 0")
-        magic, version, n_rx, n_chirps, n_fast, frame_index, pri, digest = _CUBE_HEADER.unpack(raw)
+        magic, version, frame_index, digest = _CUBE_HEADER.unpack(raw)
         if magic != CUBE_MAGIC:
             raise CubeFormatError(f"bad magic {magic!r} at offset 0")
         if version != CUBE_VERSION:
             raise CubeFormatError(f"unsupported version {version} at offset 4")
-        if min(n_rx, n_chirps, n_fast) <= 0:
-            raise CubeFormatError("non-positive dimension at offset 6")
+        _require(digest == _digest(params, geometry, frame_index),
+                 f"{path} was made under other radar parameters, array geometry or frame "
+                 "index (digest mismatch)")
 
         plan = build_frame_plan(params, frame_index)
-        shape = (n_rx, n_chirps, n_fast)
-        if shape != (params.n_rx, plan.chirp_count_total, params.adc_samples_per_chirp):
-            raise InvalidParameterError(
-                f"cube dimensions {shape} do not match the radar parameters")
-        if not abs(pri - plan.slot_interval_s) <= 1e-12:  # also refuses a NaN PRI
-            raise InvalidParameterError(
-                f"cube PRI {pri} differs from the parameter set's "
-                f"{plan.slot_interval_s} for frame {frame_index}")
-        if digest != params.digest():
-            raise InvalidParameterError(
-                f"{path} was made under other radar parameters (params digest mismatch)")
-
-        samples = _read_payload(fh, _CUBE_HEADER.size, "<c8", n_rx * n_chirps * n_fast,
+        shape = (params.n_rx, plan.chirp_count_total, params.adc_samples_per_chirp)
+        samples = _read_payload(fh, _CUBE_HEADER.size, "<c8", int(np.prod(shape)),
                                 CubeFormatError)
     return DataCube(samples=samples.reshape(shape), plan=plan, params=params)
 

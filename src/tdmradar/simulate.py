@@ -114,6 +114,8 @@ class DataCube:
     params: RadarParams
 
     def __post_init__(self) -> None:
+        _require(self.plan == build_frame_plan(self.params, self.plan.frame_index),
+                 f"{self.plan} is not frame {self.plan.frame_index}'s schedule under its params")
         expected = (self.params.n_rx, self.plan.chirp_count_total,
                     self.params.adc_samples_per_chirp)
         _require(self.samples.shape == expected,

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,11 @@ from tdmradar import (
     default_geometry,
     folded_vmax,
 )
+
+# The environment of a child Python process: it imports this checkout's
+# package whether or not the suite was started with PYTHONPATH set.
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="session")

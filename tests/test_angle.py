@@ -1,5 +1,6 @@
 import re
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -585,6 +586,22 @@ class TestPolarToCartesian:
         for result, power in zip(results, expected * 3):
             assert np.array_equal(result.power_db, power)
         assert angle._bev_lookup.cache_info().currsize == 3
+
+    def test_first_calls_from_two_threads_build_the_lookup_once(self):
+        # the two frame threads' first Cartesian maps of a layout arrive together
+        pmap = RangeAzimuthMap(np.zeros((77, 256)), "polar", 0.5996, 0.0, 2.0 / 256, -1.0)
+        angle._bev_lookup.cache_clear()
+        barrier = threading.Barrier(2)
+
+        def first_call():
+            barrier.wait(timeout=60)
+            return polar_to_cartesian(pmap)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(first_call) for _ in range(2)]
+            results = [f.result(timeout=60) for f in futures]
+        assert angle._bev_lookup.cache_info().misses == 1
+        assert np.array_equal(results[0].power_db, results[1].power_db)
 
     def test_requires_polar(self):
         pmap = self._point_map(r_bin=4, sin_value=0.0)

@@ -32,6 +32,8 @@ from tdmradar.fileio import (
     write_map,
 )
 
+from conftest import SUBPROCESS_ENV
+
 # The suite's warning policy (pyproject.toml) applies inside CLI subprocesses too.
 CLI = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
        "-W", "error::FutureWarning", "-W", "error::ResourceWarning", "-m", "tdmradar.cli"]
@@ -53,7 +55,7 @@ def run_cli(*args, check=False):
 
 
 def run_cli_subprocess(*args):
-    proc = subprocess.run(CLI + list(args), capture_output=True, text=True)
+    proc = subprocess.run(CLI + list(args), env=SUBPROCESS_ENV, capture_output=True, text=True)
     if proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
     return proc
@@ -64,7 +66,7 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
     # about half a second of every CLI start.
     proc = subprocess.run([sys.executable, "-c", "import sys, tdmradar, tdmradar.cli; print("
                            "[m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"],
-                          capture_output=True, text=True, check=True)
+                          env=SUBPROCESS_ENV, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 
 
@@ -72,7 +74,7 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
     # the CFAR local maximum and the Cartesian resample are numpy only
     proc = subprocess.run([sys.executable, "-c", "import sys, tdmradar.cli; "
                            "print('scipy.ndimage' in sys.modules)"],
-                          capture_output=True, text=True, check=True)
+                          env=SUBPROCESS_ENV, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
 
 
@@ -132,8 +134,8 @@ def test_subprocess_composition_matches_in_process(workdir):
     # the CLI pipeline over files must equal run_pipeline on the same files
     params = RadarParams.from_json(workdir / "params.json")
     geometry = default_geometry()
-    cube_a = read_cube(workdir / "f0.rdc", params)
-    cube_b = read_cube(workdir / "f1.rdc", params)
+    cube_a = read_cube(workdir / "f0.rdc", params, geometry)
+    cube_b = read_cube(workdir / "f1.rdc", params, geometry)
     result = run_pipeline(cube_a, cube_b, params, geometry)
     write_map(result.map_a, workdir / "inproc.ram")
     assert (workdir / "inproc.ram").read_bytes() == (workdir / "map.ram").read_bytes()
@@ -385,9 +387,9 @@ def _process_data_error(workdir, tmp_path, in_a, in_b, *extra):
 
 def test_non_finite_cube_exit_2(workdir, tmp_path):
     params = RadarParams.from_json(workdir / "params.json")
-    cube = read_cube(workdir / "f0.rdc", params)
+    cube = read_cube(workdir / "f0.rdc", params, default_geometry())
     cube.samples[2, 5, 9] = np.nan
-    write_cube(cube, tmp_path / "nan.rdc")
+    write_cube(cube, tmp_path / "nan.rdc", default_geometry())
     proc = _process_data_error(workdir, tmp_path, tmp_path / "nan.rdc", workdir / "f1.rdc")
     assert "non-finite" in proc.stderr
 
@@ -395,9 +397,9 @@ def test_non_finite_cube_exit_2(workdir, tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_frame_b_cube_exit_2(workdir, tmp_path, bad):
     params = RadarParams.from_json(workdir / "params.json")
-    cube = read_cube(workdir / "f1.rdc", params)
+    cube = read_cube(workdir / "f1.rdc", params, default_geometry())
     cube.samples[4, 3, 1] = bad
-    write_cube(cube, tmp_path / "bad.rdc")
+    write_cube(cube, tmp_path / "bad.rdc", default_geometry())
     proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", tmp_path / "bad.rdc")
     assert "frame 1 has non-finite" in proc.stderr
 
@@ -460,13 +462,13 @@ def _field_offsets(header: struct.Struct) -> list:
     return [struct.calcsize("<" + "".join(codes[:i])) for i in range(len(codes) + 1)]
 
 
-def _fuzzed(blob: bytes, header: struct.Struct, dim_fields, rng) -> list:
+def _fuzzed(blob: bytes, header: struct.Struct, u32_fields, rng) -> list:
     """Truncations at every header field boundary and inside the payload,
-    plus one copy per dimension field set to 0xFFFFFFFF."""
+    plus one copy per u32 field (dimension or frame index) set to 0xFFFFFFFF."""
     offsets = _field_offsets(header)
     cuts = offsets + sorted(rng.integers(header.size + 1, len(blob), 3).tolist())
     variants = [blob[:cut] for cut in cuts]
-    for field in dim_fields:
+    for field in u32_fields:
         at = offsets[field]
         variants.append(blob[:at] + b"\xff\xff\xff\xff" + blob[at + 4:])
     return variants
@@ -477,12 +479,14 @@ def test_fuzzed_file_exit_2(workdir, tmp_path, capsys, kind):
     params = RadarParams.from_json(workdir / "params.json")
     rng = np.random.default_rng(2024)
     if kind == "cube":
-        blob, header, dims = (workdir / "f0.rdc").read_bytes(), _CUBE_HEADER, (2, 3, 4)
+        # every field: the magic, the version (2, the format before this one),
+        # the frame index (0xFFFFFFFF) and one flipped byte of the digest
+        blob, header, dims = (workdir / "f0.rdc").read_bytes(), _CUBE_HEADER, (2,)
         errors = (CubeFormatError, InvalidParameterError)
-        read = functools.partial(read_cube, params=params)
-        # one flipped byte of the params digest, the header's last field
+        read = functools.partial(read_cube, params=params, geometry=default_geometry())
         at = _CUBE_HEADER.size - 1
-        extra = [blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]]
+        extra = [b"RDC0" + blob[4:], blob[:4] + (2).to_bytes(2, "little") + blob[6:],
+                 blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]]
     else:
         blob, header, dims = (workdir / "map.ram").read_bytes(), _MAP_HEADER, (2, 3)
         errors, read, extra = MapFormatError, read_map, []
@@ -587,15 +591,54 @@ def test_geometry_tx_count_mismatch_exit_2(workdir, tmp_path, command, n_tx):
 
 def test_geometry_without_overlap_exit_2(workdir, tmp_path):
     # 9 TX 16 apart over RX 0..15: 144 slots, none reached twice, so the
-    # velocity unfolding has no overlap phases; the cubes carry no geometry
+    # velocity unfolding has no overlap phases; the cubes are recorded by that array
     geometry = {"tx_positions": list(range(0, 144, 16)), "rx_positions": list(range(16))}
     (tmp_path / "geometry.json").write_text(json.dumps(geometry))
-    proc = run_cli("process", "--in-a", str(workdir / "f0.rdc"), "--in-b", str(workdir / "f1.rdc"),
-                   "--params", str(workdir / "params.json"),
-                   "--geometry", str(tmp_path / "geometry.json"),
+    config = ["--params", str(workdir / "params.json"),
+              "--geometry", str(tmp_path / "geometry.json")]
+    run_cli("simulate", "--scene", str(workdir / "scene.json"), *config,
+            "--out-a", str(tmp_path / "a.rdc"), "--out-b", str(tmp_path / "b.rdc"), check=True)
+    proc = run_cli("process", "--in-a", str(tmp_path / "a.rdc"), "--in-b", str(tmp_path / "b.rdc"),
+                   *config,
                    "--out-map", str(tmp_path / "m.ram"), "--out-det", str(tmp_path / "d.json"))
     _check_data_error(proc, tmp_path / "m.ram")
     assert "needs overlapped virtual elements" in proc.stderr
+    assert not (tmp_path / "m_b.ram").exists() and not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("command", ["process", "calibrate"])
+def test_permuted_geometry_exit_2(workdir, tmp_path, command):
+    # the cubes were recorded by the default array; its RX positions reversed
+    # make another array of the same TX and RX counts
+    geometry = default_geometry().to_dict()
+    geometry["rx_positions"].reverse()
+    (tmp_path / "geometry.json").write_text(json.dumps(geometry))
+    config = ["--params", str(workdir / "params.json"),
+              "--geometry", str(tmp_path / "geometry.json")]
+    if command == "process":
+        proc = run_cli("process", "--in-a", str(workdir / "f0.rdc"),
+                       "--in-b", str(workdir / "f1.rdc"), *config,
+                       "--out-map", str(tmp_path / "m.ram"), "--out-det", str(tmp_path / "d.json"))
+        _check_data_error(proc, tmp_path / "m.ram")
+        assert not (tmp_path / "m_b.ram").exists() and not (tmp_path / "d.json").exists()
+    else:
+        proc = run_cli("calibrate", "--in", str(workdir / "f0.rdc"), *config,
+                       "--range", "5.0", "--azimuth", "0.0", "--out", str(tmp_path / "cal.json"))
+        _check_data_error(proc, tmp_path / "cal.json")
+    assert (f"{workdir / 'f0.rdc'} was made under other radar parameters, array geometry "
+            "or frame index (digest mismatch)") in proc.stderr
+
+
+def test_frame_index_rewritten_exit_2(workdir, tmp_path):
+    # frame 2 has frame 0's PRI and dimensions and the same parity, so it would
+    # pass as frame a of a staggered pair; only the digest tells them apart
+    at = _field_offsets(_CUBE_HEADER)[2]
+    data = bytearray((workdir / "f0.rdc").read_bytes())
+    assert data[at:at + 4] == (0).to_bytes(4, "little")
+    data[at:at + 4] = (2).to_bytes(4, "little")
+    (tmp_path / "f2.rdc").write_bytes(bytes(data))
+    proc = _process_data_error(workdir, tmp_path, tmp_path / "f2.rdc", workdir / "f1.rdc")
+    assert "digest mismatch" in proc.stderr
     assert not (tmp_path / "m_b.ram").exists() and not (tmp_path / "d.json").exists()
 
 
@@ -684,7 +727,7 @@ def test_directory_as_input_exit_2(workdir, tmp_path, command):
 
 
 def test_process_reports_frame_a_error_first(workdir, tmp_path):
-    # both cubes are read at the same time; frame a's error is the one shown
+    # frame a's cube is read first, so its error is the one shown
     proc = _process_data_error(workdir, tmp_path, tmp_path, tmp_path / "missing.rdc")
     assert "Is a directory" in proc.stderr
     proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", tmp_path / "missing.rdc")

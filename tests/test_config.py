@@ -327,10 +327,6 @@ class TestParamsValidation:
         with pytest.raises(InvalidParameterError):
             ArrayGeometry((), (0,))
 
-    def test_digest_tracks_content(self):
-        assert params_with().digest() == params_with().digest()
-        assert params_with().digest() != params_with(bandwidth_hz=300e6).digest()
-
     def test_shipped_configs_load_as_defaults(self):
         configs = Path(__file__).resolve().parents[1] / "configs"
         assert RadarParams.from_json(configs / "params.json") == default_params()

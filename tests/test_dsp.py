@@ -133,14 +133,14 @@ class TestRangeDopplerMap:
 
     @pytest.mark.parametrize("window", ["hann", "rect"], ids=["windows0", "windows1"])
     @pytest.mark.parametrize("from_file", [False, True])
-    def test_one_sided_kernel_equals_cropped_map(self, small_params, tmp_path,
+    def test_one_sided_kernel_equals_cropped_map(self, small_params, geometry, tmp_path,
                                                  window, from_file):
         # the pipeline's one-sided kernel is the two-sided map cropped, bit
         # for bit, on complex128 cubes and on complex64 file cubes
         cube = synthetic_cube(small_params, seed=6)
         if from_file:
-            write_cube(cube, tmp_path / "c.rdc")
-            cube = read_cube(tmp_path / "c.rdc", small_params)
+            write_cube(cube, tmp_path / "c.rdc", geometry)
+            cube = read_cube(tmp_path / "c.rdc", small_params, geometry)
         sub = tdm_demux(cube, cube.plan)
         n_fast = small_params.adc_samples_per_chirp
         full = range_doppler_map(sub, window)
@@ -159,13 +159,13 @@ class TestRangeDopplerMap:
         np.testing.assert_array_equal(full.values, np.fft.fftshift(ref, axes=-2))
 
     @pytest.mark.parametrize("window", ["hann", "rect"])
-    def test_complex64_kernel_equals_file_copy(self, small_params, tmp_path, window):
+    def test_complex64_kernel_equals_file_copy(self, small_params, geometry, tmp_path, window):
         # in complex64 the kernel rounds a complex128 cube's samples before
         # the window multiply, as write_cube does, so it gives the bits of the
         # cube's file copy; the default keeps complex128
         cube = synthetic_cube(small_params, seed=8)
-        write_cube(cube, tmp_path / "c.rdc")
-        copy = read_cube(tmp_path / "c.rdc", small_params)
+        write_cube(cube, tmp_path / "c.rdc", geometry)
+        copy = read_cube(tmp_path / "c.rdc", small_params, geometry)
         sub = tdm_demux(cube, cube.plan)
         rd = range_doppler_map(sub, window, one_sided=True, dtype=np.complex64)
         ref = range_doppler_map(tdm_demux(copy, copy.plan), window, one_sided=True)

@@ -1,17 +1,19 @@
+import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tdmradar import (
+    ArrayGeometry,
     DataCube,
     InvalidParameterError,
     RadarParams,
+    default_geometry,
     fileio,
     range_doppler_map,
     simulate_frame,
@@ -32,7 +34,11 @@ from tdmradar.fileio import (
 )
 from tdmradar.pipeline import ResolvedDetection
 
-from conftest import single_target_scene
+from conftest import SUBPROCESS_ENV, single_target_scene
+
+GEOMETRY = default_geometry()
+# GEOMETRY with its RX positions reversed: the same counts, another array
+PERMUTED = ArrayGeometry(GEOMETRY.tx_positions, GEOMETRY.rx_positions[::-1])
 
 
 @pytest.fixture
@@ -45,13 +51,13 @@ def cube(small_params, geometry):
 class TestCubeFormat:
     def test_round_trip_bit_identical(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
-        loaded = read_cube(path, small_params)
+        write_cube(cube, path, GEOMETRY)
+        loaded = read_cube(path, small_params, GEOMETRY)
         # payload is float32, so one write/read quantizes; a second pass
         # must be exactly lossless
         path2 = tmp_path / "frame2.rdc"
-        write_cube(loaded, path2)
-        again = read_cube(path2, small_params)
+        write_cube(loaded, path2, GEOMETRY)
+        again = read_cube(path2, small_params, GEOMETRY)
         assert np.array_equal(loaded.samples, again.samples)
         assert path.read_bytes() == path2.read_bytes()
         np.testing.assert_allclose(loaded.samples, cube.samples, rtol=1e-6, atol=1e-5)
@@ -63,33 +69,34 @@ class TestCubeFormat:
         if block is not None:
             monkeypatch.setattr(fileio, "_CAST_BLOCK", block)
         assert cube.samples.size % fileio._CAST_BLOCK != 0
-        write_cube(cube, tmp_path / "frame.rdc")
+        write_cube(cube, tmp_path / "frame.rdc", GEOMETRY)
         payload = (tmp_path / "frame.rdc").read_bytes()[_CUBE_HEADER.size:]
         assert payload == np.ascontiguousarray(cube.samples, dtype="<c8").tobytes()
 
     def test_read_returns_writable_complex64(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
-        loaded = read_cube(path, small_params)
+        write_cube(cube, path, GEOMETRY)
+        loaded = read_cube(path, small_params, GEOMETRY)
         assert loaded.samples.dtype == np.complex64
         assert loaded.samples.flags.writeable
         loaded.samples[0, 0, 0] = 0.0
 
     def test_writes_into_the_read_array_stay_private(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
+        write_cube(cube, path, GEOMETRY)
         before = path.read_bytes()
-        loaded = read_cube(path, small_params)
+        loaded = read_cube(path, small_params, GEOMETRY)
         loaded.samples[...] = 7.0
         assert path.read_bytes() == before
-        assert not np.array_equal(read_cube(path, small_params).samples, loaded.samples)
+        assert not np.array_equal(read_cube(path, small_params, GEOMETRY).samples,
+                                  loaded.samples)
 
     def test_unaligned_read_cube_transforms_like_an_aligned_copy(self, cube, small_params,
                                                                 tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
-        loaded = read_cube(path, small_params)
-        assert not loaded.samples.flags.aligned  # the payload starts at byte 62
+        write_cube(cube, path, GEOMETRY)
+        loaded = read_cube(path, small_params, GEOMETRY)
+        assert not loaded.samples.flags.aligned  # the payload starts at byte 42
         aligned = DataCube(samples=loaded.samples.copy(), plan=loaded.plan, params=small_params)
         assert aligned.samples.flags.aligned
         rd = [range_doppler_map(tdm_demux(c, c.plan), one_sided=True, dtype=np.complex64)
@@ -100,85 +107,85 @@ class TestCubeFormat:
         # the size check runs before the payload is mapped, so an empty
         # payload never reaches mmap ("cannot mmap an empty file")
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
+        write_cube(cube, path, GEOMETRY)
         path.write_bytes(path.read_bytes()[:_CUBE_HEADER.size])
         with pytest.raises(CubeFormatError,
                            match=f"payload is 0 bytes, expected {cube.samples.size * 8} "
                                  f"at offset {_CUBE_HEADER.size}$"):
-            read_cube(path, small_params)
+            read_cube(path, small_params, GEOMETRY)
 
     def test_payload_size_arithmetic(self, cube, tmp_path):
+        # magic, version, frame index and digest, then the payload; its size
+        # comes from the params, so the header holds no dimension
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
+        write_cube(cube, path, GEOMETRY)
         n_rx, n_chirps, n_fast = cube.samples.shape
-        header_size = 4 + 2 + 4 * 4 + 8 + 32
+        header_size = 4 + 2 + 4 + 32
+        assert _CUBE_HEADER.size == header_size == 42
         assert path.stat().st_size == header_size + n_rx * n_chirps * n_fast * 8
 
     def test_header_fields(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
-        header = _CUBE_HEADER.unpack_from(path.read_bytes())
-        _, _, n_rx, _, _, frame_index, pri_s, digest = header
-        assert n_rx == small_params.n_rx
-        assert frame_index == 0
-        assert pri_s == small_params.pri_frame_a_s
-        assert digest == small_params.digest()
+        write_cube(cube, path, GEOMETRY)
+        magic, version, frame_index, digest = _CUBE_HEADER.unpack_from(path.read_bytes())
+        assert (magic, version, frame_index) == (b"RDC1", 3, 0)
+        blob = json.dumps({"params": small_params.to_dict(), "geometry": GEOMETRY.to_dict(),
+                           "frame_index": 0}, sort_keys=True, separators=(",", ":"))
+        assert digest == hashlib.sha256(blob.encode("utf-8")).digest()
+
+    def test_digest_tracks_content(self, small_params):
+        digest = fileio._digest(small_params, GEOMETRY, 0)
+        assert digest == fileio._digest(RadarParams(**small_params.to_dict()), GEOMETRY, 0)
+        other_params = RadarParams(**{**small_params.to_dict(), "bandwidth_hz": 300e6})
+        assert digest != fileio._digest(other_params, GEOMETRY, 0)
+        assert digest != fileio._digest(small_params, PERMUTED, 0)
+        assert digest != fileio._digest(small_params, GEOMETRY, 2)
 
     def test_bad_magic(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
+        write_cube(cube, path, GEOMETRY)
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
         with pytest.raises(CubeFormatError, match="magic"):
-            read_cube(path, small_params)
+            read_cube(path, small_params, GEOMETRY)
 
     def test_bad_version(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
+        write_cube(cube, path, GEOMETRY)
         data = bytearray(path.read_bytes())
-        # version 1 headers hashed a parameter set with a since-removed field
-        for version in (1, 99):
+        # version 2 is the format before this one; no compatibility path is kept
+        for version in (1, 2, 99):
             data[4:6] = version.to_bytes(2, "little")
             path.write_bytes(bytes(data))
             with pytest.raises(CubeFormatError, match=f"unsupported version {version} at offset 4"):
-                read_cube(path, small_params)
+                read_cube(path, small_params, GEOMETRY)
 
     def test_truncated_payload(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
+        write_cube(cube, path, GEOMETRY)
         data = path.read_bytes()
         path.write_bytes(data[:-100])
         with pytest.raises(CubeFormatError, match="offset"):
-            read_cube(path, small_params)
+            read_cube(path, small_params, GEOMETRY)
 
     def test_params_mismatch(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
+        write_cube(cube, path, GEOMETRY)
         # other dimensions, and the same dimensions and PRIs under another carrier
         other_dims = RadarParams(77e9, 250e6, 20e-6, 256, 32, 9, 16, 21.0e-6, 27.2e-6)
         other_carrier = RadarParams(**{**small_params.to_dict(), "carrier_frequency_hz": 70e9})
-        for other, message in ((other_dims, "dimensions"), (other_carrier, "digest mismatch")):
-            with pytest.raises(InvalidParameterError, match=message):
-                read_cube(path, other)
+        for other in (other_dims, other_carrier):
+            with pytest.raises(InvalidParameterError, match="digest mismatch"):
+                read_cube(path, other, GEOMETRY)
 
     def test_pri_mismatch(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
+        write_cube(cube, path, GEOMETRY)
         other = RadarParams(**{**small_params.to_dict(), "pri_frame_a_s": 22e-6})
-        with pytest.raises(InvalidParameterError, match="PRI"):
-            read_cube(path, other)
+        with pytest.raises(InvalidParameterError, match="digest mismatch"):
+            read_cube(path, other, GEOMETRY)
 
-    @pytest.mark.parametrize("pri", [np.nan, np.inf])
-    def test_non_finite_pri(self, cube, small_params, tmp_path, pri):
-        # a NaN PRI fails no "differs by more than" test; it is refused too
-        path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
-        data = bytearray(path.read_bytes())
-        data[22:30] = struct.pack("<d", pri)
-        path.write_bytes(bytes(data))
-        with pytest.raises(InvalidParameterError, match=f"cube PRI {pri} differs"):
-            read_cube(path, small_params)
 
 
 class TestMapFormat:
@@ -295,7 +302,7 @@ _MAP = RangeAzimuthMap(power_db=np.arange(12.0).reshape(3, 4), kind="polar",
 
 # Each writer, with the argument it writes.
 WRITERS = {
-    "cube": lambda cube, path: write_cube(cube, path),
+    "cube": lambda cube, path: write_cube(cube, path, GEOMETRY),
     "map": lambda cube, path: write_map(_MAP, path),
     "pgm": lambda cube, path: export_pgm(_MAP, path),
     "detections": lambda cube, path: write_detections_json([], path),
@@ -303,24 +310,23 @@ WRITERS = {
         CalibrationVector(np.ones((2, 3), complex), 5.0, 0.0), path),
 }
 
-# Reads the cube at argv[2] under the params at argv[1] and writes it back
-# to the same path, in a child process so that a SIGBUS shows as its exit.
+# Reads the cube at argv[2] under the params at argv[1] and the default
+# geometry and writes it back to the same path, in a child process so that a
+# SIGBUS shows as its exit.
 _WRITE_BACK = """
 import sys
-from tdmradar import RadarParams, fileio
-cube = fileio.read_cube(sys.argv[2], RadarParams.from_json(sys.argv[1]))
-fileio.write_cube(cube, sys.argv[2])
+from tdmradar import RadarParams, default_geometry, fileio
+geometry = default_geometry()
+cube = fileio.read_cube(sys.argv[2], RadarParams.from_json(sys.argv[1]), geometry)
+fileio.write_cube(cube, sys.argv[2], geometry)
 """
 
 
 def _write_back_in_child(params, path, tmp_path):
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps(params.to_dict()))
-    src = str(Path(fileio.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", _WRITE_BACK, str(params_path), str(path)],
-                          env=env, capture_output=True, text=True)
+                          env=SUBPROCESS_ENV, capture_output=True, text=True)
 
 
 class TestReplacingWrites:
@@ -353,27 +359,27 @@ class TestReplacingWrites:
     def test_read_cube_keeps_its_samples_when_its_path_is_rewritten(self, cube, small_params,
                                                                      tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path)
-        loaded = read_cube(path, small_params)
+        write_cube(cube, path, GEOMETRY)
+        loaded = read_cube(path, small_params, GEOMETRY)
         kept = loaded.samples.copy()
         write_cube(DataCube(samples=cube.samples * 2.0, plan=cube.plan, params=small_params),
-                   path)
+                   path, GEOMETRY)
         assert np.array_equal(loaded.samples, kept)
-        assert np.array_equal(read_cube(path, small_params).samples, kept * 2.0)
+        assert np.array_equal(read_cube(path, small_params, GEOMETRY).samples, kept * 2.0)
 
     def test_symlink_target_is_replaced(self, cube, small_params, tmp_path):
         target, link = tmp_path / "target.rdc", tmp_path / "link.rdc"
-        write_cube(cube, target)
+        write_cube(cube, target, GEOMETRY)
         link.symlink_to(target)
         inode = os.stat(target).st_ino
-        loaded = read_cube(link, small_params)
+        loaded = read_cube(link, small_params, GEOMETRY)
         kept = loaded.samples.copy()
         doubled = DataCube(samples=cube.samples * 2.0, plan=cube.plan, params=small_params)
-        write_cube(doubled, link)
+        write_cube(doubled, link, GEOMETRY)
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert os.stat(target).st_ino != inode
         assert np.array_equal(loaded.samples, kept)
-        write_cube(doubled, tmp_path / "plain.rdc")
+        write_cube(doubled, tmp_path / "plain.rdc", GEOMETRY)
         assert target.read_bytes() == (tmp_path / "plain.rdc").read_bytes()
 
     @pytest.mark.parametrize("extra", [-4_000_000, 1000])
@@ -383,15 +389,15 @@ class TestReplacingWrites:
         first, second = tmp_path / "first.rdc", tmp_path / "second.rdc"
         first.write_bytes(b"x" * (_CUBE_HEADER.size + cube.samples.size * 8 + extra))
         os.link(first, second)
-        write_cube(cube, first)
-        write_cube(cube, tmp_path / "plain.rdc")
+        write_cube(cube, first, GEOMETRY)
+        write_cube(cube, tmp_path / "plain.rdc", GEOMETRY)
         assert os.path.samefile(first, second)
         assert first.read_bytes() == second.read_bytes() == (tmp_path / "plain.rdc").read_bytes()
 
     @pytest.mark.parametrize("link", ["symlink", "hard link"])
     def test_read_cube_written_back_through_a_link(self, cube, small_params, tmp_path, link):
         target, path = tmp_path / "target.rdc", tmp_path / "link.rdc"
-        write_cube(cube, target)
+        write_cube(cube, target, GEOMETRY)
         before = target.read_bytes()
         if link == "symlink":
             path.symlink_to(target)
@@ -419,9 +425,9 @@ def test_open_descriptors_per_live_cube(cube, small_params, tmp_path):
     # before Python 3.13 each mapping keeps a duplicate of its file's descriptor
     per_cube = 0 if sys.version_info >= (3, 13) else 1
     path = tmp_path / "frame.rdc"
-    write_cube(cube, path)
+    write_cube(cube, path, GEOMETRY)
     before = len(os.listdir("/proc/self/fd"))
-    cubes = [read_cube(path, small_params) for _ in range(5)]
+    cubes = [read_cube(path, small_params, GEOMETRY) for _ in range(5)]
     assert len(os.listdir("/proc/self/fd")) - before == 5 * per_cube
     del cubes
     assert len(os.listdir("/proc/self/fd")) == before

@@ -5,7 +5,6 @@ never raised past it, and freed temporaries cannot stay resident by the tens
 of MB under the next unit's two 151 MB simulator cubes."""
 
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -20,6 +19,8 @@ from tdmradar.angle import range_azimuth_map
 from tdmradar.config import _SCRATCH_BYTES
 from tdmradar.dsp import noncoherent_integrate, range_doppler_map, tdm_demux
 from tdmradar.simulate import DataCube
+
+from conftest import SUBPROCESS_ENV
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,10 +53,8 @@ def test_repeated_cli_units_do_not_stack_freed_heap(tmp_path):
     # (the Cartesian lookup cached in the 1st unit, the arenas' untrimmed tops),
     # and 42-44 MB with 8-19 MB temporaries; without the NCI blocks, the range
     # rows or the map passes alone, 21-47 MB.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _UNITS, str(ROOT / "configs"), str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=SUBPROCESS_ENV, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     peaks_mb = [kib / 1024.0 for kib in json.loads(proc.stdout)]
     assert peaks_mb[3] - peaks_mb[0] <= 20.0, peaks_mb

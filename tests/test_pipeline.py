@@ -112,8 +112,8 @@ def test_in_memory_run_equals_file_cube_run(small_params, pipeline_params, geome
     a, b = simulate_frame_pair(scene, params, geometry)
     loaded = []
     for tag, cube in (("a", a), ("b", b)):
-        write_cube(cube, tmp_path / f"{tag}.rdc")
-        loaded.append(read_cube(tmp_path / f"{tag}.rdc", params))
+        write_cube(cube, tmp_path / f"{tag}.rdc", geometry)
+        loaded.append(read_cube(tmp_path / f"{tag}.rdc", params, geometry))
     in_memory = run_pipeline(a, b, params, geometry)
     from_files = run_pipeline(*loaded, params, geometry)
 

@@ -4,12 +4,14 @@ import multiprocessing
 import queue
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tdmradar import (
+    DataCube,
     InvalidParameterError,
     PointTarget,
     Scene,
@@ -307,6 +309,15 @@ def test_receding_target_may_not_cross_rmax_during_frame(small_params, geometry)
 def test_malformed_frame_index_rejected(small_params, geometry, frame_index):
     with pytest.raises(InvalidParameterError, match="frame_index"):
         simulate_frame(single_target_scene(snr_db=20.0), small_params, geometry, frame_index)
+
+
+@pytest.mark.parametrize("change", [{"slot_interval_s": 22e-6}, {"frame_index": 1}])
+def test_cube_refuses_a_plan_its_params_would_not_make(small_params, geometry, change):
+    # a 22 us PRI under 21 us params, and frame 1 on frame 0's 21 us schedule:
+    # the samples fit either plan, but a cube file's digest assumes the params' one
+    cube = simulate_frame(single_target_scene(), small_params, geometry, 0)
+    with pytest.raises(InvalidParameterError, match="schedule under its params"):
+        DataCube(samples=cube.samples, plan=replace(cube.plan, **change), params=small_params)
 
 
 def test_target_validation():
