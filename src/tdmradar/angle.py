@@ -54,11 +54,13 @@ class CalibrationError(RuntimeError):
 
 @dataclass
 class CalibrationVector:
-    """Per-(tx, rx) complex correction gains from a boresight reference."""
+    """Per-(tx, rx) complex correction gains from a boresight reference,
+    measured on the array ``geometry``."""
 
     gains: np.ndarray
     reference_range_m: float
     reference_azimuth_deg: float
+    geometry: ArrayGeometry
 
     def __post_init__(self) -> None:
         self.gains = np.asarray(self.gains, dtype=np.complex128)
@@ -67,6 +69,7 @@ class CalibrationVector:
                  "calibration gains must be finite and non-zero")
         ref = (self.reference_range_m, self.reference_azimuth_deg)
         _require(all(map(_is_number, ref)), f"calibration reference {ref} must be finite numbers")
+        self.geometry.check_shape(*self.gains.shape)
 
     def check_shape(self, n_tx: int, n_rx: int) -> None:
         """Raise unless the gains cover exactly an ``n_tx`` x ``n_rx`` array."""
@@ -77,6 +80,7 @@ class CalibrationVector:
         return {
             "reference": {"range_m": self.reference_range_m,
                           "azimuth_deg": self.reference_azimuth_deg},
+            "geometry": self.geometry.to_dict(),
             "n_tx": self.gains.shape[0],
             "n_rx": self.gains.shape[1],
             "gains": [[float(g.real), float(g.imag)] for g in self.gains.ravel()],
@@ -84,8 +88,8 @@ class CalibrationVector:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationVector":
-        _check_keys("calibration", data, ("gains", "n_tx", "n_rx", "reference"),
-                    ("gains", "n_tx", "n_rx"))
+        _check_keys("calibration", data, ("gains", "geometry", "n_tx", "n_rx", "reference"),
+                    ("gains", "geometry", "n_tx", "n_rx"))
         try:
             gains = np.array([complex(re, im) for re, im in data["gains"]])
         except (TypeError, ValueError) as exc:
@@ -97,7 +101,8 @@ class CalibrationVector:
                  f"calibration lists {gains.size} gains for a {shape} array")
         ref = data.get("reference", {})
         _check_keys("calibration reference", ref, ("range_m", "azimuth_deg"))
-        return cls(gains.reshape(shape), ref.get("range_m", 0.0), ref.get("azimuth_deg", 0.0))
+        return cls(gains.reshape(shape), ref.get("range_m", 0.0), ref.get("azimuth_deg", 0.0),
+                   ArrayGeometry.from_dict(data["geometry"]))
 
     from_json = classmethod(_from_json)
 
@@ -148,7 +153,7 @@ def estimate_calibration(cube: DataCube, truth_range_m: float, truth_azimuth_deg
     gains = response / steering_vector(geometry, truth_azimuth_deg)
     gains = gains / gains[0, 0]
     return CalibrationVector(gains=gains, reference_range_m=truth_range_m,
-                             reference_azimuth_deg=truth_azimuth_deg)
+                             reference_azimuth_deg=truth_azimuth_deg, geometry=geometry)
 
 
 def apply_calibration(rd: RangeDopplerCube, cal: CalibrationVector) -> RangeDopplerCube:

@@ -22,7 +22,7 @@ from .config import (
 from .demos import ALL_DEMOS
 from .dsp import CfarConfig
 from .pipeline import run_pipeline
-from .simulate import Scene, _frame_pair, simulate_frame_pair
+from .simulate import Scene, _check_frame, _frame_pair
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -65,10 +65,14 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         scene = Scene(targets=scene.targets, snr_db=scene.snr_db, rng_seed=args.seed)
     # Both frames are checked before either is made, so a data error writes
-    # nothing; then each is written by the thread that made it.
-    frame_a, frame_b = simulate_frame_pair(scene, params, geometry)
-    _frame_pair(lambda: fileio.write_cube(frame_a, args.out_a, geometry),
-                lambda: fileio.write_cube(frame_b, args.out_b, geometry))
+    # nothing; then each is synthesized straight into its file, frame b on
+    # the frame-b worker thread.
+    start_b = params.frame_duration_s(0)
+    _check_frame(scene, params, geometry, 0, 0.0)
+    _check_frame(scene, params, geometry, 1, start_b)
+    _frame_pair(
+        lambda: fileio.write_simulated_cube(scene, params, geometry, 0, 0.0, args.out_a),
+        lambda: fileio.write_simulated_cube(scene, params, geometry, 1, start_b, args.out_b))
     print(f"wrote {args.out_a} and {args.out_b}")
     return 0
 

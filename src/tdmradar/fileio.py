@@ -27,7 +27,7 @@ import numpy as np
 
 from .angle import FLOOR_DB, CalibrationVector, RangeAzimuthMap
 from .config import _SCRATCH_BYTES, ArrayGeometry, RadarParams, _require, build_frame_plan
-from .simulate import DataCube
+from .simulate import DataCube, Scene, _check_frame, _noise_stream, _signal_sums
 
 CUBE_MAGIC = b"RDC1"
 CUBE_VERSION = 3
@@ -102,11 +102,14 @@ def _digest(params: RadarParams, geometry: ArrayGeometry, frame_index: int) -> b
     return hashlib.sha256(blob.encode("utf-8")).digest()
 
 
+def _cube_header(params: RadarParams, geometry: ArrayGeometry, frame_index: int) -> bytes:
+    return _CUBE_HEADER.pack(CUBE_MAGIC, CUBE_VERSION, frame_index,
+                             _digest(params, geometry, frame_index))
+
+
 def write_cube(cube: DataCube, path, geometry: ArrayGeometry) -> None:
     """Write ``cube``, recorded by ``geometry``, under a header naming what made it."""
-    frame = cube.plan.frame_index
-    header = _CUBE_HEADER.pack(CUBE_MAGIC, CUBE_VERSION, frame,
-                               _digest(cube.params, geometry, frame))
+    header = _cube_header(cube.params, geometry, cube.plan.frame_index)
     flat = cube.samples.reshape(-1)
     buf = np.empty(min(flat.size, _CAST_BLOCK), dtype="<c8")
     with _replacing(path) as fh:
@@ -114,6 +117,55 @@ def write_cube(cube: DataCube, path, geometry: ArrayGeometry) -> None:
         for start in range(0, flat.size, _CAST_BLOCK):
             block = buf[:flat.size - start]
             block[...] = flat[start:start + block.size]
+            fh.write(block)
+
+
+def write_simulated_cube(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
+                         frame_index: int, start_time_s: float, path) -> None:
+    """Write the cube that ``write_cube(simulate_frame(scene, params, geometry,
+    frame_index, start_time_s), path, geometry)`` writes, byte for byte,
+    without holding the complex128 frame (151 MB at default params).  Three
+    passes in the noise stream's order: the real-part noise ``n_re`` is drawn
+    into one float64 array; each signal block's ``S_re + n_re`` is kept as
+    float32 and its float64 slot overwritten with ``S_im``; then the
+    imaginary-part noise is drawn ``_CAST_BLOCK`` samples at a time, added, and
+    written next to the real parts.  So the frame holds 12 bytes a sample,
+    about 113 MB at default params, plus two ``_SCRATCH_BYTES`` buffers.  Each
+    sample is rounded once from the float64 ``S + n``, plus +0.0: a frame's
+    samples start at +0.0, so a -0.0 sum is +0.0 in ``simulate_frame`` too."""
+    plan = _check_frame(scene, params, geometry, frame_index, start_time_s)
+    header = _cube_header(params, geometry, frame_index)
+    shape = (params.n_rx, plan.chirp_count_total, params.adc_samples_per_chirp)
+    size = int(np.prod(shape))
+    stream = _noise_stream(scene, params, frame_index)
+    if stream is None:
+        parts = np.zeros(size)
+    else:
+        rng, scale = stream
+        parts = rng.standard_normal(size)
+        parts *= scale
+    real = np.empty(size, dtype=np.float32)
+    grid, real_grid = parts.reshape(shape), real.reshape(shape)
+    for rx, slots, sums in _signal_sums(scene, params, plan, geometry, start_time_s):
+        chunk = grid[rx, slots]
+        np.add(np.add(chunk, sums.real, out=chunk), 0.0, out=real_grid[rx, slots])
+        chunk[...] = sums.imag
+    if not scene.targets:  # no signal blocks: S = +0.0 everywhere
+        np.add(parts, 0.0, out=real)
+        parts[...] = 0.0
+
+    buf = np.empty(min(parts.size, _CAST_BLOCK), dtype="<c8")
+    draw = np.empty(buf.size)
+    with _replacing(path) as fh:
+        fh.write(header)
+        for start in range(0, parts.size, _CAST_BLOCK):
+            block = buf[:parts.size - start]
+            imag = parts[start:start + block.size]
+            if stream is not None:
+                noise = rng.standard_normal(out=draw[:block.size])
+                imag = np.add(np.multiply(noise, scale, out=noise), imag, out=noise)
+            np.add(imag, 0.0, out=block.imag)
+            block.real[...] = real[start:start + block.size]
             fh.write(block)
 
 

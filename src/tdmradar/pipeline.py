@@ -133,8 +133,9 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
                  cfar: CfarConfig = CfarConfig(), *, cartesian: bool = False) -> PipelineResult:
     """Process one staggered frame pair (``ANGLE_GRID_SIZE`` angle grid);
     cubes simulated or read under other params, params whose CRT margin is
-    not above the intersection tolerance, a mismatched calibration, a virtual
-    array wider than the angle grid or non-finite samples raise."""
+    not above the intersection tolerance, a calibration measured on another
+    array geometry, a virtual array wider than the angle grid or non-finite
+    samples raise."""
     if cube_a.params != params or cube_b.params != params:
         raise InvalidParameterError("the frame pair was made under other radar parameters")
     margin, tolerance = crt_margin(params), crt_tolerance(params)
@@ -142,8 +143,9 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
         raise InvalidParameterError(
             f"CRT margin {margin:.3g} m/s is not above the {tolerance:.3g} m/s "
             "intersection tolerance, so wrong alias candidates of the two frames can agree")
-    if cal is not None:
-        cal.check_shape(params.n_tx, params.n_rx)
+    if cal is not None and cal.geometry != geometry:
+        raise InvalidParameterError(
+            f"the calibration was measured on another array geometry, {cal.geometry}")
     if {cube_a.plan.frame_index % 2, cube_b.plan.frame_index % 2} != {0, 1}:
         raise InvalidParameterError("need one even and one odd frame of a staggered pair")
 

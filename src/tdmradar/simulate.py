@@ -122,16 +122,26 @@ class DataCube:
                  f"cube shape {self.samples.shape} does not match plan {expected}")
 
 
+def _noise_stream(scene: Scene, params: RadarParams, frame_index: int):
+    """``(rng, scale)`` of frame ``frame_index``'s noise, or ``None`` for a
+    noiseless scene: its samples are ``scale`` times the draws of ``rng``,
+    real parts first, then imaginary, in (rx, slot, fast) order."""
+    if scene.snr_db is None:
+        return None
+    # Counter-style seeding: each frame draws from its own reproducible stream.
+    rng = np.random.default_rng([int(scene.rng_seed), int(frame_index)])
+    # Post-range-FFT SNR for unit amplitude: amp^2 * N_fast / sigma^2.
+    sigma = float(np.sqrt(params.adc_samples_per_chirp / 10.0 ** (scene.snr_db / 10.0)))
+    return rng, sigma / np.sqrt(2.0)
+
+
 def _add_noise(cube: DataCube, scene: Scene) -> None:
     """Add the frame's noise in place through one reused buffer, in the draw order
     of ``normal(scale=sigma/sqrt(2), size=(2,) + shape)``: real parts, then imaginary."""
-    if scene.snr_db is None:
+    stream = _noise_stream(scene, cube.params, cube.plan.frame_index)
+    if stream is None:
         return
-    # Counter-style seeding: each frame draws from its own reproducible stream.
-    rng = np.random.default_rng([int(scene.rng_seed), int(cube.plan.frame_index)])
-    # Post-range-FFT SNR for unit amplitude: amp^2 * N_fast / sigma^2.
-    sigma = float(np.sqrt(cube.params.adc_samples_per_chirp / 10.0 ** (scene.snr_db / 10.0)))
-    scale = sigma / np.sqrt(2.0)
+    rng, scale = stream
     buf, flat = np.empty(_NOISE_BLOCK), cube.samples.reshape(-1)
     for part in (flat.real, flat.imag):
         for i in range(0, part.size, _NOISE_BLOCK):
@@ -157,18 +167,18 @@ def _check_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
     return plan
 
 
-def _add_signal(cube: DataCube, scene: Scene, geometry: ArrayGeometry,
-                start_time_s: float) -> None:
-    """Add the scene's targets to the cube in place.  Per block of slots, each
-    target's chirp rows (carrier, TX and beat phase) are built from two short
-    exps; each RX row sums them, each times its (RX, target) gain, in target
-    order into a scratch row, which is then added to the cube once.  So a
-    sample is ``x + S`` with the same ``S`` whether or not the cube already
-    holds noise ``x``.  Elementwise products only: a BLAS call here would
-    compete with the other frame's thread for the cores."""
+def _signal_sums(scene: Scene, params: RadarParams, plan: FramePlan,
+                 geometry: ArrayGeometry, start_time_s: float):
+    """Yield ``(rx, slots, sums)``: the scene's signal ``S`` on RX row ``rx``
+    over the slot slice ``slots``, one block of slots after another.  Per
+    block, each target's chirp rows (carrier, TX and beat phase) are built
+    from two short exps; each RX row sums them, each times its (RX, target)
+    gain, in target order into one scratch block, which the next step
+    overwrites.  Elementwise products only: a BLAS call here would compete
+    with the other frame's thread for the cores.  Yields nothing without
+    targets."""
     if not scene.targets:
         return
-    params, plan = cube.params, cube.plan
     n_fast = params.adc_samples_per_chirp
     n_slots = plan.chirp_count_total
     slot_times = start_time_s + np.arange(n_slots) * plan.slot_interval_s
@@ -199,11 +209,20 @@ def _add_signal(cube: DataCube, scene: Scene, geometry: ArrayGeometry,
         low = np.exp(2j * np.pi * beat_hz[..., None] * fast_lo)
         rows = (high[..., None] * low[..., None, :]).reshape(len(u), s1 - s0, n_fast)
         acc, tmp = sums[:s1 - s0], scratch[:s1 - s0]
-        for out, gains in zip(cube.samples[:, s0:s1], rx_gain):
+        for rx, gains in enumerate(rx_gain):
             np.multiply(rows[0], gains[0], out=acc)
             for row, g in zip(rows[1:], gains[1:]):
                 acc += np.multiply(row, g, out=tmp)
-            out += acc
+            yield rx, slice(s0, s1), acc
+
+
+def _add_signal(cube: DataCube, scene: Scene, geometry: ArrayGeometry,
+                start_time_s: float) -> None:
+    """Add the scene's targets to the cube in place, one ``_signal_sums``
+    block at a time.  So a sample is ``x + S`` with the same ``S`` whether or
+    not the cube already holds noise ``x``."""
+    for rx, slots, sums in _signal_sums(scene, cube.params, cube.plan, geometry, start_time_s):
+        cube.samples[rx, slots] += sums
 
 
 def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tdmradar import (
+    ArrayGeometry,
     PointTarget,
     RadarParams,
     Scene,
@@ -43,6 +44,11 @@ def small_params():
         pri_frame_a_s=21.0e-6,
         pri_frame_b_s=27.2e-6,
     )
+
+
+def line_array(n_tx, n_rx):
+    """An ``n_tx`` x ``n_rx`` array: RX elements at 0..n_rx-1, TX elements n_rx apart."""
+    return ArrayGeometry(tuple(range(0, n_tx * n_rx, n_rx)), tuple(range(n_rx)))
 
 
 def single_target_scene(range_m=20.0, velocity_mps=0.0, azimuth_deg=0.0,

@@ -39,7 +39,7 @@ from tdmradar.angle import FLOOR_DB, RangeAzimuthMap, steering_vector
 from tdmradar.config import ArrayGeometry
 from tdmradar.unfold import migration_rotation
 
-from conftest import peak_cell, random_scene, single_target_scene
+from conftest import line_array, peak_cell, random_scene, single_target_scene
 
 
 def process_frame(scene, params, geometry, frame_index=0):
@@ -103,7 +103,7 @@ class TestApplyCalibration:
         scene = single_target_scene(range_m=10.0, azimuth_deg=4.0)
         _, rd = process_frame(scene, small_params, geometry)
         before = rd.values.copy()
-        cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0)
+        cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0, geometry)
         assert apply_calibration(rd, cal) is rd
         np.testing.assert_array_equal(rd.values, before)
 
@@ -125,14 +125,28 @@ class TestApplyCalibration:
         ratio = restored.values / ideal
         np.testing.assert_allclose(ratio / ratio[0], np.ones_like(ratio), rtol=1e-9)
 
+    def test_calibration_records_its_geometry(self, small_params, geometry):
+        cube, _ = process_frame(single_target_scene(range_m=5.0), small_params, geometry)
+        cal = estimate_calibration(cube, 5.0, 0.0, geometry)
+        assert cal.geometry == geometry
+        data = cal.to_dict()
+        assert CalibrationVector.from_dict(data).geometry == geometry
+        del data["geometry"]
+        with pytest.raises(InvalidParameterError, match=r"missing fields \['geometry'\]"):
+            CalibrationVector.from_dict(data)
+        with pytest.raises(InvalidParameterError, match="geometry of"):
+            CalibrationVector(cal.gains, 5.0, 0.0, line_array(2, 3))
+
     def test_from_dict_gain_count_mismatch(self):
-        data = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
+        data = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0,
+                                 line_array(9, 16)).to_dict()
         data["gains"] = data["gains"][:-1]
         with pytest.raises(InvalidParameterError):
             CalibrationVector.from_dict(data)
 
     def test_from_dict_rejects_malformed_documents(self):
-        data = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
+        data = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0,
+                                 line_array(9, 16)).to_dict()
         cases = {"calibration must be a JSON object": [[1, 2], "x"],
                  r"missing fields \['gains', 'n_rx'\]": [
                      {k: v for k, v in data.items() if k not in ("gains", "n_rx")}],
@@ -154,13 +168,14 @@ class TestApplyCalibration:
             gains = np.ones((2, 2), dtype=complex)
             gains[1, 1] = bad
             with pytest.raises(InvalidParameterError, match="finite and non-zero"):
-                CalibrationVector(gains, 5.0, 0.0)
+                CalibrationVector(gains, 5.0, 0.0, line_array(2, 2))
 
     def test_shape_mismatch(self, small_params, geometry):
         scene = single_target_scene(range_m=10.0)
         _, rd = process_frame(scene, small_params, geometry)
         with pytest.raises(InvalidParameterError):
-            apply_calibration(rd, CalibrationVector(np.ones((2, 3), dtype=complex), 5.0, 0.0))
+            apply_calibration(rd, CalibrationVector(np.ones((2, 3), dtype=complex), 5.0, 0.0,
+                                                      line_array(2, 3)))
 
 
 class TestAssembleSnapshot:
@@ -315,8 +330,8 @@ class TestRangeAzimuthMap:
         # both maps beamform the Doppler bins that the clean cube's NCI ranks
         power = noncoherent_integrate(rd)
         clean = range_azimuth_map(rd, varray, power)
-        restored = range_azimuth_map(apply_calibration(rd_err, CalibrationVector(gains, 5.0, 0.0)),
-                                     varray, power)
+        cal = CalibrationVector(gains, 5.0, 0.0, geometry)
+        restored = range_azimuth_map(apply_calibration(rd_err, cal), varray, power)
         above_floor = clean.power_db > clean.power_db.max() - 100.0
         np.testing.assert_allclose(restored.power_db[above_floor],
                                    clean.power_db[above_floor], atol=1e-6)
@@ -382,7 +397,7 @@ class TestRangeAzimuthMap:
         expected_db = 10.0 * np.log10(np.maximum(power, 10.0 ** (FLOOR_DB / 10.0)))
 
         if calibrated:
-            apply_calibration(rd, CalibrationVector(gains, 5.0, 0.0))
+            apply_calibration(rd, CalibrationVector(gains, 5.0, 0.0, geometry))
         pmap = range_azimuth_map(rd, varray, nci)
         assert pmap.power_db.shape == (n_range, 256)
         np.testing.assert_allclose(pmap.power_db, expected_db, rtol=0, atol=tolerance_db)
@@ -405,7 +420,7 @@ class TestRangeAzimuthMap:
     @pytest.mark.parametrize("shape", [(10, 17), (2, 3)])
     def test_calibration_shape_mismatch(self, small_params, geometry, shape):
         _, rd = process_frame(single_target_scene(range_m=20.0), small_params, geometry)
-        cal = CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0)
+        cal = CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0, line_array(*shape))
         with pytest.raises(InvalidParameterError):
             apply_calibration(rd, cal)
 

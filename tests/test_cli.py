@@ -8,16 +8,20 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tdmradar import (
     CalibrationVector,
+    ArrayGeometry,
     InvalidParameterError,
     RadarParams,
+    Scene,
     default_geometry,
     run_pipeline,
+    simulate_frame,
 )
 from tdmradar import cli
 from tdmradar.fileio import (
@@ -32,7 +36,9 @@ from tdmradar.fileio import (
     write_map,
 )
 
-from conftest import SUBPROCESS_ENV
+from conftest import SUBPROCESS_ENV, line_array
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # The suite's warning policy (pyproject.toml) applies inside CLI subprocesses too.
 CLI = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
@@ -149,6 +155,24 @@ def test_simulate_deterministic(workdir):
             check=True)
     assert (workdir / "g0.rdc").read_bytes() == (workdir / "f0.rdc").read_bytes()
     assert (workdir / "g1.rdc").read_bytes() == (workdir / "f1.rdc").read_bytes()
+
+
+def test_simulate_writes_the_library_frames_at_default_params(tmp_path):
+    # CLI simulate synthesizes each cube straight into its file; the bytes are
+    # write_cube's of simulate_frame's frame, at the full-size waveform
+    configs = ROOT / "configs"
+    run_cli("simulate", "--scene", str(configs / "scene_demo.json"), "--seed", "5",
+            "--params", str(configs / "params.json"),
+            "--geometry", str(configs / "geometry.json"),
+            "--out-a", str(tmp_path / "a.rdc"), "--out-b", str(tmp_path / "b.rdc"), check=True)
+    params = RadarParams.from_json(configs / "params.json")
+    geometry = ArrayGeometry.from_json(configs / "geometry.json")
+    demo = Scene.from_json(configs / "scene_demo.json")
+    scene = Scene(targets=demo.targets, snr_db=demo.snr_db, rng_seed=5)
+    for name, frame, start in (("a", 0, 0.0), ("b", 1, params.frame_duration_s(0))):
+        write_cube(simulate_frame(scene, params, geometry, frame, start),
+                   tmp_path / "ref.rdc", geometry)
+        assert (tmp_path / f"{name}.rdc").read_bytes() == (tmp_path / "ref.rdc").read_bytes()
 
 
 def test_simulate_keeps_one_worker_thread(workdir, tmp_path):
@@ -416,7 +440,8 @@ def test_export_pgm_non_finite_map_exit_2(workdir, tmp_path, bad):
 
 
 def test_malformed_calibration_json_exit_2(workdir, tmp_path):
-    good = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
+    good = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0,
+                             default_geometry()).to_dict()
     docs = [{**good, **change} for change in (
         {"gains": good["gains"][:100]}, {"n_tx": 9.0}, {"n_tx": -9, "n_rx": -16},
         {"reference": 5}, {"reference": {"range_m": "far"}},
@@ -429,6 +454,26 @@ def test_malformed_calibration_json_exit_2(workdir, tmp_path):
         assert "calibration" in proc.stderr
 
 
+
+def test_calibration_from_another_geometry_exit_2(workdir, tmp_path):
+    # calibrate on the RX-reversed array (the same counts), then process the
+    # default array's pair with that calibration
+    geometry = default_geometry()
+    permuted = ArrayGeometry(geometry.tx_positions, geometry.rx_positions[::-1])
+    (tmp_path / "permuted.json").write_text(json.dumps(permuted.to_dict()))
+    config = ["--params", str(workdir / "params.json"),
+              "--geometry", str(tmp_path / "permuted.json")]
+    run_cli("simulate", "--scene", str(workdir / "cal_scene.json"), *config,
+            "--out-a", str(tmp_path / "cal0.rdc"), "--out-b", str(tmp_path / "cal1.rdc"),
+            check=True)
+    run_cli("calibrate", "--in", str(tmp_path / "cal0.rdc"), *config, "--range", "5.0",
+            "--azimuth", "0.0", "--out", str(tmp_path / "cal.json"), check=True)
+    assert json.loads((tmp_path / "cal.json").read_text())["geometry"] == permuted.to_dict()
+    proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
+                               "--cal", str(tmp_path / "cal.json"))
+    assert "calibration was measured on another array geometry" in proc.stderr
+    assert not (tmp_path / "m_b.ram").exists() and not (tmp_path / "d.json").exists()
+
 @pytest.mark.parametrize("shape, scene", [((10, 17), "scene.json"),
                                           ((2, 3), "empty_scene.json")])
 def test_calibration_shape_mismatch_exit_2(workdir, tmp_path, shape, scene):
@@ -439,7 +484,8 @@ def test_calibration_shape_mismatch_exit_2(workdir, tmp_path, shape, scene):
             "--geometry", str(workdir / "geometry.json"),
             "--out-a", str(tmp_path / "a.rdc"), "--out-b", str(tmp_path / "b.rdc"),
             check=True)
-    write_calibration_json(CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0),
+    write_calibration_json(CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0,
+                                             line_array(*shape)),
                            tmp_path / "cal.json")
     proc = _process_data_error(workdir, tmp_path, tmp_path / "a.rdc", tmp_path / "b.rdc",
                                "--cal", str(tmp_path / "cal.json"))
@@ -448,7 +494,7 @@ def test_calibration_shape_mismatch_exit_2(workdir, tmp_path, shape, scene):
 
 @pytest.mark.parametrize("gain", [[1, 0, 0], ["a", 0], [np.nan, 0], [np.inf, 0]])
 def test_malformed_calibration_gain_exit_2(workdir, tmp_path, gain):
-    cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0).to_dict()
+    cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0, default_geometry()).to_dict()
     cal["gains"][7] = gain
     (tmp_path / "cal.json").write_text(json.dumps(cal))
     proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
@@ -693,7 +739,8 @@ def test_duplicate_json_key_exit_2(workdir, tmp_path, name, key):
     # calibration's in its reference)
     paths = {n: workdir / n for n in ("params.json", "geometry.json", "scene.json")}
     paths["cal.json"] = tmp_path / "cal.json"
-    write_calibration_json(CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0),
+    write_calibration_json(CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0,
+                                             default_geometry()),
                            paths["cal.json"])
     text = paths[name].read_text()
     member = re.search(rf'"{key}": (\[[^\]]*\]|[^,}}\n]*)', text).group(0)

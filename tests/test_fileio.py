@@ -12,13 +12,16 @@ from tdmradar import (
     ArrayGeometry,
     DataCube,
     InvalidParameterError,
+    PointTarget,
     RadarParams,
+    Scene,
     default_geometry,
     fileio,
     range_doppler_map,
     simulate_frame,
     tdm_demux,
 )
+from tdmradar import simulate
 from tdmradar.angle import CalibrationVector, RangeAzimuthMap
 from tdmradar.fileio import (
     _CUBE_HEADER,
@@ -31,10 +34,11 @@ from tdmradar.fileio import (
     write_cube,
     write_detections_json,
     write_map,
+    write_simulated_cube,
 )
 from tdmradar.pipeline import ResolvedDetection
 
-from conftest import SUBPROCESS_ENV, single_target_scene
+from conftest import SUBPROCESS_ENV, line_array, random_scene, single_target_scene
 
 GEOMETRY = default_geometry()
 # GEOMETRY with its RX positions reversed: the same counts, another array
@@ -187,6 +191,72 @@ class TestCubeFormat:
             read_cube(path, other, GEOMETRY)
 
 
+def _frames(params):
+    """(frame index, start time) of a staggered pair's two frames."""
+    return [(0, 0.0), (1, params.frame_duration_s(0))]
+
+
+class TestSimulatedCube:
+    """``write_simulated_cube`` against ``write_cube(simulate_frame(...))``, byte
+    for byte: raw bits, so a -0.0 against a +0.0 counts as a difference."""
+
+    @pytest.mark.parametrize("case", ["noiseless", "empty_noisy", "twelve_targets",
+                                      "partial_blocks"])
+    def test_bytes_equal_the_written_frame(self, small_params, geometry, tmp_path, case):
+        # an empty scene's float64 array must not carry the real-part noise
+        # into the imaginary pass; 4 chirps per TX leave a partial last slot
+        # block and a partial last noise block
+        params = small_params
+        if case == "partial_blocks":
+            params = RadarParams(**{**params.to_dict(), "chirps_per_tx_per_frame": 4})
+        two = (PointTarget(12.0, 3.0, -10.0), PointTarget(25.0, -7.0, 20.0, 0.4))
+        scene = {"noiseless": Scene(targets=two),
+                 "empty_noisy": Scene(snr_db=15.0, rng_seed=11),
+                 "twelve_targets": random_scene(params, 4)}.get(case, Scene(two, 15.0, 11))
+        for frame, start in _frames(params):
+            write_cube(simulate_frame(scene, params, geometry, frame, start),
+                       tmp_path / "ref.rdc", geometry)
+            write_simulated_cube(scene, params, geometry, frame, start, tmp_path / "new.rdc")
+            assert (tmp_path / "new.rdc").read_bytes() == (tmp_path / "ref.rdc").read_bytes()
+
+    @pytest.mark.parametrize("snr_db", [None, 15.0])
+    def test_negative_zero_sums_are_written_as_positive_zero(self, small_params, geometry,
+                                                             tmp_path, monkeypatch, snr_db):
+        # A frame's samples start at +0.0, so simulate_frame turns a -0.0 sum into
+        # +0.0.  Signal sums of -0.0 (every fourth sample), and with noise a zero
+        # scale (noise of -0.0 for every negative draw), must reach the file so.
+        signal_sums = simulate._signal_sums
+
+        def with_negative_zeros(*args):
+            for rx, slots, sums in signal_sums(*args):
+                sums[:, ::4] = complex(-0.0, -0.0)
+                yield rx, slots, sums
+
+        def zero_scale(*args):
+            stream = noise_stream(*args)
+            return stream and (stream[0], 0.0)
+
+        noise_stream = simulate._noise_stream
+        for module in (simulate, fileio):
+            monkeypatch.setattr(module, "_signal_sums", with_negative_zeros)
+            monkeypatch.setattr(module, "_noise_stream", zero_scale)
+        scene = Scene(targets=(PointTarget(12.0, 3.0, -10.0),), snr_db=snr_db, rng_seed=2)
+        for frame, start in _frames(small_params):
+            write_cube(simulate_frame(scene, small_params, geometry, frame, start),
+                       tmp_path / "ref.rdc", geometry)
+            write_simulated_cube(scene, small_params, geometry, frame, start,
+                                 tmp_path / "new.rdc")
+            payload = np.fromfile(tmp_path / "new.rdc", dtype="<f4", offset=_CUBE_HEADER.size)
+            assert (payload == 0.0).sum() >= payload.size // 8
+            assert not np.signbit(payload[payload == 0.0]).any()
+            assert (tmp_path / "new.rdc").read_bytes() == (tmp_path / "ref.rdc").read_bytes()
+
+    def test_refuses_a_target_leaving_the_range(self, small_params, geometry, tmp_path):
+        scene = Scene(targets=(PointTarget(small_params.max_unambiguous_range_m - 0.01, 5.0),))
+        with pytest.raises(InvalidParameterError, match="leaves"):
+            write_simulated_cube(scene, small_params, geometry, 0, 0.0, tmp_path / "f.rdc")
+        assert not (tmp_path / "f.rdc").exists()
+
 
 class TestMapFormat:
     def _map(self):
@@ -288,7 +358,7 @@ class TestJson:
     def test_calibration_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         gains = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        cal = CalibrationVector(gains, 5.0, 0.0)
+        cal = CalibrationVector(gains, 5.0, 0.0, line_array(3, 4))
         path = tmp_path / "cal.json"
         write_calibration_json(cal, path)
         loaded = CalibrationVector.from_json(path)
@@ -307,7 +377,7 @@ WRITERS = {
     "pgm": lambda cube, path: export_pgm(_MAP, path),
     "detections": lambda cube, path: write_detections_json([], path),
     "calibration": lambda cube, path: write_calibration_json(
-        CalibrationVector(np.ones((2, 3), complex), 5.0, 0.0), path),
+        CalibrationVector(np.ones((2, 3), complex), 5.0, 0.0, line_array(2, 3)), path),
 }
 
 # Reads the cube at argv[2] under the params at argv[1] and the default

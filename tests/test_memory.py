@@ -1,6 +1,6 @@
-"""Memory held by the per-frame stages at default params, and the peak RSS of
-repeated CLI units.  Every per-frame scratch array stays within
-``_SCRATCH_BYTES`` (2 MB), so glibc's dynamic mmap threshold (mallopt(3)) is
+"""Memory held by the per-frame stages and the cube writer at default params,
+and the peak RSS of CLI simulate and of repeated CLI units.  Every per-frame
+scratch array stays within ``_SCRATCH_BYTES`` (2 MB), so glibc's dynamic mmap threshold (mallopt(3)) is
 never raised past it, and freed temporaries cannot stay resident by the tens
 of MB under the next unit's two 151 MB simulator cubes."""
 
@@ -14,10 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdmradar import build_frame_plan, build_virtual_array, default_geometry, default_params
+from tdmradar import (
+    Scene,
+    build_frame_plan,
+    build_virtual_array,
+    default_geometry,
+    default_params,
+)
 from tdmradar.angle import range_azimuth_map
 from tdmradar.config import _SCRATCH_BYTES
 from tdmradar.dsp import noncoherent_integrate, range_doppler_map, tdm_demux
+from tdmradar.fileio import write_simulated_cube
 from tdmradar.simulate import DataCube
 
 from conftest import SUBPROCESS_ENV
@@ -58,6 +65,56 @@ def test_repeated_cli_units_do_not_stack_freed_heap(tmp_path):
     assert proc.returncode == 0, proc.stderr
     peaks_mb = [kib / 1024.0 for kib in json.loads(proc.stdout)]
     assert peaks_mb[3] - peaks_mb[0] <= 20.0, peaks_mb
+
+
+# CLI simulate of the demo scene at default params in a fresh process (argv:
+# configs directory, work directory); prints ru_maxrss in KiB after the
+# imports and after the command.
+_SIMULATE = """
+import contextlib, io, json, resource, sys
+from tdmradar import cli
+configs, work = sys.argv[1:]
+peaks = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["simulate", "--scene", f"{configs}/scene_demo.json", "--seed", "5",
+                     "--params", f"{configs}/params.json", "--geometry", f"{configs}/geometry.json",
+                     "--out-a", f"{work}/a.rdc", "--out-b", f"{work}/b.rdc"])
+if code != 0:
+    sys.exit("tdmradar simulate failed")
+peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(json.dumps(peaks))
+"""
+
+
+def _frame_samples(params):
+    n_slots = build_frame_plan(params, 0).chirp_count_total
+    return params.n_rx * n_slots * params.adc_samples_per_chirp
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_cli_simulate_holds_no_complex128_frame(tmp_path):
+    # Each frame thread holds 12 bytes a sample (float64 noise then S_im, float32
+    # real parts), 108 MiB at default params, plus 2 MB buffers.  Holding the two
+    # complex128 frames grew ru_maxrss by 284-288 MiB over the imports on a
+    # 2-core box; writing each cube straight from the synthesis, by 220 MiB.
+    proc = subprocess.run([sys.executable, "-c", _SIMULATE, str(ROOT / "configs"), str(tmp_path)],
+                          env=SUBPROCESS_ENV, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    imports, peak = (kib / 1024.0 for kib in json.loads(proc.stdout))
+    held_mib = 2 * 12 * _frame_samples(default_params()) / 2**20
+    assert peak - imports <= held_mib + 24.0, (imports, peak)
+
+
+def test_simulated_cube_writer_holds_less_than_a_complex128_frame(tmp_path):
+    params = default_params()
+    scene = Scene.from_json(ROOT / "configs" / "scene_demo.json")
+    _, peak = _traced(write_simulated_cube, scene, params, default_geometry(), 0, 0.0,
+                      tmp_path / "a.rdc")
+    samples = _frame_samples(params)
+    assert peak < 16 * samples  # the complex128 frame, 151 MB
+    # the float64 and float32 arrays (113 MB), the two buffers of the
+    # imaginary pass, and the signal blocks of 3 targets: 4.6 MiB beyond the arrays
+    assert peak <= 12 * samples + 3 * _SCRATCH_BYTES
 
 
 def _traced(fn, *args, **kwargs):

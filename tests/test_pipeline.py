@@ -29,7 +29,7 @@ from tdmradar import (
     tdm_demux,
 )
 
-from conftest import random_scene, single_target_scene
+from conftest import line_array, random_scene, single_target_scene
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +134,7 @@ def test_calibrated_run_matches_clean_run(small_params, geometry):
     corrupted = [inject_channel_errors(cube, gains) for cube in (a, b)]
     clean = run_pipeline(a, b, small_params, geometry)
     calibrated = run_pipeline(*corrupted, small_params, geometry,
-                              cal=CalibrationVector(gains, 5.0, 0.0))
+                              cal=CalibrationVector(gains, 5.0, 0.0, geometry))
     uncalibrated = run_pipeline(*corrupted, small_params, geometry)
 
     assert len(clean.detections) >= 6
@@ -240,10 +240,25 @@ def test_calibration_shape_checked_before_any_fft(pipeline_params, geometry,
         raise AssertionError("the range/Doppler step ran before the calibration check")
 
     monkeypatch.setattr(pipeline, "range_doppler_map", no_fft)
-    cal = CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0)
+    cal = CalibrationVector(np.ones(shape, dtype=complex), 5.0, 0.0, line_array(*shape))
     with pytest.raises(InvalidParameterError, match="calibration"):
         run_pipeline(a, b, pipeline_params, geometry, cal=cal)
 
+
+
+def test_calibration_from_another_geometry_refused(pipeline_params, geometry, monkeypatch):
+    # the same counts, the RX positions reversed: the gains would fit the cube's
+    # shape and be applied to the wrong channels
+    a, b = simulate_frame_pair(single_target_scene(range_m=20.0), pipeline_params, geometry)
+    permuted = ArrayGeometry(geometry.tx_positions, geometry.rx_positions[::-1])
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("the range/Doppler step ran before the calibration check")
+
+    monkeypatch.setattr(pipeline, "range_doppler_map", no_fft)
+    cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0, permuted)
+    with pytest.raises(InvalidParameterError, match="calibration was measured on another array"):
+        run_pipeline(a, b, pipeline_params, geometry, cal=cal)
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_samples_rejected(pipeline_params, geometry, bad):
