@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -42,17 +43,21 @@ def _sibling_path(path: str, suffix: str) -> str:
 
 
 def _path_clash(args) -> str | None:
-    """The usage error of an output path that resolves to another output of
-    the command or to one of its inputs, else None."""
+    """The usage error of an output path that names another output of the
+    command or one of its inputs, through a symlink or a hard link too, else None."""
     def path(flag):
         return getattr(args, "infile" if flag == "--in" else flag[2:].replace("-", "_"))
+
+    def key(name):  # an existing file's hard links share its device and inode
+        return ((os.stat(name).st_dev, os.stat(name).st_ino) if os.path.exists(name)
+                else Path(name).resolve())
 
     outputs = {flag: path(flag) for flag in args.outputs}
     if args.command == "process":
         outputs["--out-map (frame b)"] = _sibling_path(args.out_map, "_b")
     named = {}
     for flag, name in [*outputs.items(), *((f, path(f)) for f in args.inputs if path(f))]:
-        other = named.setdefault(Path(name).resolve(), flag)
+        other = named.setdefault(key(name), flag)
         if other != flag and other in outputs:
             return f"{other} and {flag} both name {name}"
     return None
@@ -64,12 +69,14 @@ def _cmd_simulate(args) -> int:
     scene = Scene.from_json(args.scene)
     if args.seed is not None:
         scene = Scene(targets=scene.targets, snr_db=scene.snr_db, rng_seed=args.seed)
-    # Both frames are checked before either is made, so a data error writes
-    # nothing; then each is synthesized straight into its file, frame b on
-    # the frame-b worker thread.
+    # Both frames and both outputs are checked before either frame is made, so
+    # a data error writes nothing; then each is synthesized straight into its
+    # file, frame b on the frame-b worker thread.
     start_b = params.frame_duration_s(0)
     _check_frame(scene, params, geometry, 0, 0.0)
     _check_frame(scene, params, geometry, 1, start_b)
+    fileio._check_stageable(args.out_a)
+    fileio._check_stageable(args.out_b)
     _frame_pair(
         lambda: fileio.write_simulated_cube(scene, params, geometry, 0, 0.0, args.out_a),
         lambda: fileio.write_simulated_cube(scene, params, geometry, 1, start_b, args.out_b))

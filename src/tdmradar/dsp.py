@@ -4,6 +4,8 @@ cell-averaging CFAR."""
 
 from __future__ import annotations
 
+import mmap
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,8 @@ from .config import (
     range_resolution,
 )
 from .simulate import DataCube
+
+byte_bounds = getattr(np.lib, "array_utils", np).byte_bounds  # numpy < 2.0: np.byte_bounds
 
 
 @dataclass
@@ -86,16 +90,42 @@ def _window(name: str, n: int) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
+def _release(values: np.ndarray) -> None:
+    """Drop the pages wholly inside ``values`` when it views a file ``mmap``, as
+    ``read_cube``'s samples do, unless ``/proc/self/pagemap`` shows one of them
+    privately written (present or swapped, and not a file page): clean pages map
+    the file in again when read.  In-memory arrays and other systems keep theirs."""
+    source = values
+    while isinstance(source, np.ndarray):
+        source = source.base
+    source = getattr(source, "obj", source)  # np.frombuffer's base is a memoryview
+    if not (sys.platform == "linux" and isinstance(source, mmap.mmap)):
+        return
+    low, high = byte_bounds(values)
+    first, end = -(-low // mmap.PAGESIZE), high // mmap.PAGESIZE
+    try:
+        flags = np.fromfile("/proc/self/pagemap", "<u8", max(end - first, 0), offset=8 * first)
+    except OSError:
+        return
+    if end > first and not ((flags >> 62 != 0) & (flags >> 61 & 1 == 0)).any():
+        origin = byte_bounds(np.frombuffer(source, np.uint8))[0]
+        source.madvise(mmap.MADV_DONTNEED, first * mmap.PAGESIZE - origin,
+                       (end - first) * mmap.PAGESIZE)
+
+
 def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool = False,
                       dtype=None) -> RangeDopplerCube:
     """Fast-time FFT then slow-time FFT over each per-TX stack, both under
     ``window``, computed in complex ``dtype`` (default: the precision of
     ``sub.values``, so complex64 cubes stay complex64).  ``one_sided`` keeps
     only the first ``n_fast // 2`` range bins, which are then all the Doppler
-    FFT runs on.  One TX block at a time, as many of its RX rows as fit in
-    ``_SCRATCH_BYTES`` (at least one), goes through one scratch buffer, windowed
-    and range-transformed in place; the Doppler FFT then runs once, in place,
-    over the whole output.  The samples are rounded to
+    FFT runs on.  The RX rows go in blocks of as many as fit in
+    ``_SCRATCH_BYTES`` (at least one); each TX's stack of a block goes through
+    one scratch buffer, windowed and range-transformed in place, and then the
+    block's samples are released when they are mapped from a cube file
+    (``_release``), so a ``read_cube`` cube stops holding RAM as it is
+    transformed.  The Doppler FFT then runs once, in place, over the whole
+    output.  The samples are rounded to
     ``dtype`` before the window multiply, as ``write_cube`` rounds them, so a
     complex128 cube transformed in complex64 gives the bits of its file copy."""
     params = sub.params
@@ -115,12 +145,13 @@ def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool 
     out = np.empty((n_tx, n_rx, n_slow, n_keep), dtype=dtype)
     # inf times the window's zero imaginary part is NaN; run_pipeline reports it
     with np.errstate(invalid="ignore"):
-        for k in range(n_tx):
-            for r in range(0, n_rx, rows):
+        for r in range(0, n_rx, rows):
+            for k in range(n_tx):
                 block = buf[:n_rx - r]
                 np.multiply(sub.values[k, r:r + rows], w, out=block, dtype=dtype,
                             casting="same_kind")
                 out[k, r:r + rows] = scipy.fft.fft(block, axis=-1, overwrite_x=True)[..., :n_keep]
+            _release(sub.values[:, r:r + rows])
         out = scipy.fft.fft(out, axis=-2, overwrite_x=True)
 
     vmax = folded_vmax(params, sub.plan.frame_index)

@@ -14,6 +14,7 @@ followed by float32 dB values, row-major.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import mmap
@@ -27,7 +28,7 @@ import numpy as np
 
 from .angle import FLOOR_DB, CalibrationVector, RangeAzimuthMap
 from .config import _SCRATCH_BYTES, ArrayGeometry, RadarParams, _require, build_frame_plan
-from .simulate import DataCube, Scene, _check_frame, _noise_stream, _signal_sums
+from .simulate import _SLOT_BLOCK, DataCube, Scene, _check_frame, _noise_stream, _signal_sums
 
 CUBE_MAGIC = b"RDC1"
 CUBE_VERSION = 3
@@ -57,14 +58,14 @@ class MapFormatError(RuntimeError):
 
 @contextlib.contextmanager
 def _replacing(path):
-    """``open(path, "wb")`` for the two large binary formats, without
+    """``open(path, "w+b")`` for the two large binary formats, without
     modifying a regular single-link file in place: that file (a symlink's
     target, if ``path`` is a symlink) is unlinked and made anew, so a reader
     that mapped it keeps its bytes, and ext4 does not flush the new file at
     close as it does one truncated and rewritten.  A hard-linked file is
     rewritten in place under all its names and truncated only after the new
     bytes are written, so writing back a cube mapped from it reads no page
-    past the end of the file.  Devices and FIFOs are written as they are."""
+    past the end of the file.  Devices and FIFOs are written as they are, write-only."""
     links = 0  # of a regular file; devices, FIFOs and missing paths have none
     try:
         st = os.stat(path)
@@ -79,7 +80,8 @@ def _replacing(path):
     if links == 1:
         path = os.path.realpath(path)
         os.unlink(path)
-    with open(path, "wb") as fh:
+    # a file that is still there is a device or a FIFO, which cannot be read back
+    with open(path, "wb" if os.path.exists(path) else "w+b") as fh:
         yield fh
 
 
@@ -120,52 +122,77 @@ def write_cube(cube: DataCube, path, geometry: ArrayGeometry) -> None:
             fh.write(block)
 
 
+def _check_stageable(path) -> None:
+    """A simulated cube is staged in its own file: refuse a directory, as opening
+    it would, and a FIFO or a device, which cannot hold it."""
+    mode = os.stat(path).st_mode if os.path.exists(path) else stat.S_IFREG
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    _require(stat.S_ISREG(mode),
+             f"{path} is not a regular file: a simulated cube is staged in its own file")
+
+
 def write_simulated_cube(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
                          frame_index: int, start_time_s: float, path) -> None:
     """Write the cube that ``write_cube(simulate_frame(scene, params, geometry,
     frame_index, start_time_s), path, geometry)`` writes, byte for byte,
-    without holding the complex128 frame (151 MB at default params).  Three
-    passes in the noise stream's order: the real-part noise ``n_re`` is drawn
-    into one float64 array; each signal block's ``S_re + n_re`` is kept as
-    float32 and its float64 slot overwritten with ``S_im``; then the
-    imaginary-part noise is drawn ``_CAST_BLOCK`` samples at a time, added, and
-    written next to the real parts.  So the frame holds 12 bytes a sample,
-    about 113 MB at default params, plus two ``_SCRATCH_BYTES`` buffers.  Each
-    sample is rounded once from the float64 ``S + n``, plus +0.0: a frame's
-    samples start at +0.0, so a -0.0 sum is +0.0 in ``simulate_frame`` too."""
+    without holding the frame: the output file's 8-byte sample slots stage it.
+    Three passes in the noise stream's order: the real-part noise ``n_re`` is
+    drawn and written as float64, ``_CAST_BLOCK`` samples at a time; each
+    signal block, one contiguous (RX row, slot block) span of the file, is read
+    back, its ``S_re + n_re`` kept as float32 and ``S_im`` written over the
+    span; then each cast block's ``S_im`` is read, the imaginary-part noise
+    drawn and added, and the interleaved complex64 block written in place.  So
+    the frame holds 4 bytes a sample in memory, 37.7 MB at default params,
+    plus two ``_SCRATCH_BYTES`` buffers and one signal block, and ``path`` must
+    be a regular file or new.  Each sample is rounded once from the float64
+    ``S + n``, plus +0.0: a frame's samples start at +0.0, so a -0.0 sum is
+    +0.0 in ``simulate_frame`` too."""
     plan = _check_frame(scene, params, geometry, frame_index, start_time_s)
+    _check_stageable(path)
     header = _cube_header(params, geometry, frame_index)
-    shape = (params.n_rx, plan.chirp_count_total, params.adc_samples_per_chirp)
-    size = int(np.prod(shape))
-    stream = _noise_stream(scene, params, frame_index)
-    if stream is None:
-        parts = np.zeros(size)
-    else:
-        rng, scale = stream
-        parts = rng.standard_normal(size)
-        parts *= scale
+    n_slots, n_fast = plan.chirp_count_total, params.adc_samples_per_chirp
+    size = params.n_rx * n_slots * n_fast
+    rng, scale = _noise_stream(scene, params, frame_index) or (None, None)
     real = np.empty(size, dtype=np.float32)
-    grid, real_grid = parts.reshape(shape), real.reshape(shape)
-    for rx, slots, sums in _signal_sums(scene, params, plan, geometry, start_time_s):
-        chunk = grid[rx, slots]
-        np.add(np.add(chunk, sums.real, out=chunk), 0.0, out=real_grid[rx, slots])
-        chunk[...] = sums.imag
-    if not scene.targets:  # no signal blocks: S = +0.0 everywhere
-        np.add(parts, 0.0, out=real)
-        parts[...] = 0.0
-
-    buf = np.empty(min(parts.size, _CAST_BLOCK), dtype="<c8")
+    buf = np.empty(min(size, _CAST_BLOCK), dtype="<c8")
     draw = np.empty(buf.size)
+    stage = np.empty((min(n_slots, _SLOT_BLOCK), n_fast))
     with _replacing(path) as fh:
         fh.write(header)
-        for start in range(0, parts.size, _CAST_BLOCK):
-            block = buf[:parts.size - start]
-            imag = parts[start:start + block.size]
-            if stream is not None:
-                noise = rng.standard_normal(out=draw[:block.size])
-                imag = np.add(np.multiply(noise, scale, out=noise), imag, out=noise)
+        for start in range(0, size, _CAST_BLOCK):
+            part = draw[:size - start]
+            if rng is None:
+                part[...] = 0.0
+            else:
+                np.multiply(rng.standard_normal(out=part), scale, out=part)
+            if not scene.targets:  # no signal blocks: S = +0.0 everywhere
+                np.add(part, 0.0, out=real[start:start + part.size])
+                part[...] = 0.0
+            fh.write(part)
+
+        real_grid = real.reshape(params.n_rx, n_slots, n_fast)
+        for rx, slots, sums in _signal_sums(scene, params, plan, geometry, start_time_s):
+            chunk = stage[:len(sums)]
+            offset = _CUBE_HEADER.size + 8 * n_fast * (rx * n_slots + slots.start)
+            fh.seek(offset)
+            fh.readinto(chunk)
+            np.add(np.add(chunk, sums.real, out=chunk), 0.0, out=real_grid[rx, slots])
+            chunk[...] = sums.imag
+            fh.seek(offset)
+            fh.write(chunk)
+
+        for start in range(0, size, _CAST_BLOCK):
+            block, imag = buf[:size - start], draw[:size - start]
+            offset = _CUBE_HEADER.size + 8 * start
+            fh.seek(offset)
+            fh.readinto(imag)
+            if rng is not None:
+                noise = rng.standard_normal(out=block.view(np.float64))
+                imag += np.multiply(noise, scale, out=noise)
             np.add(imag, 0.0, out=block.imag)
             block.real[...] = real[start:start + block.size]
+            fh.seek(offset)
             fh.write(block)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import re
 import struct
 import subprocess
@@ -274,6 +275,40 @@ def test_simulate_one_output_for_both_frames_exit_1(workdir, tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "--out-a and --out-b" in proc.stderr
     assert not (tmp_path / "f.rdc").exists()
+
+
+def test_simulate_hard_links_of_one_file_exit_1(workdir, tmp_path):
+    # two names of one file would have both frame threads rewrite one inode
+    (tmp_path / "x.rdc").write_bytes(b"old")
+    os.link(tmp_path / "x.rdc", tmp_path / "y.rdc")
+    proc = run_cli("simulate", "--scene", str(workdir / "scene.json"),
+                   "--params", str(workdir / "params.json"),
+                   "--geometry", str(workdir / "geometry.json"),
+                   "--out-a", str(tmp_path / "x.rdc"), "--out-b", str(tmp_path / "y.rdc"))
+    _check_clash(proc, ("--out-a", "--out-b"), {tmp_path / "x.rdc": b"old"})
+
+
+@pytest.mark.parametrize("flag", ["--out-a", "--out-b"])
+@pytest.mark.parametrize("kind", ["fifo", "device"])
+def test_simulate_into_a_fifo_or_device_exit_2(workdir, tmp_path, kind, flag):
+    # a cube is staged in its output file, so such an output is refused
+    # before either frame is made; a subprocess, so a regression cannot hang
+    # the suite on the FIFO
+    odd = str(tmp_path / "odd.rdc") if kind == "fifo" else os.devnull
+    if kind == "fifo":
+        os.mkfifo(odd)
+    other = "--out-b" if flag == "--out-a" else "--out-a"
+    proc = subprocess.run(
+        CLI + ["simulate", "--scene", str(workdir / "scene.json"),
+               "--params", str(workdir / "params.json"),
+               "--geometry", str(workdir / "geometry.json"),
+               flag, odd, other, str(tmp_path / "other.rdc")],
+        env=SUBPROCESS_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("tdmradar: error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert f"{odd} is not a regular file" in proc.stderr
+    assert not (tmp_path / "other.rdc").exists()
 
 
 def _check_clash(proc, flags, files):
@@ -782,7 +817,8 @@ def test_process_reports_frame_a_error_first(workdir, tmp_path):
 
 
 def test_directory_as_output_exit_2(workdir, tmp_path):
-    # the two cubes are written at the same time, so frame b's may still land
+    # both outputs are checked before either frame is made, so frame b's
+    # cube does not land either
     (tmp_path / "a.rdc").mkdir()
     proc = run_cli("simulate", "--scene", str(workdir / "scene.json"),
                    "--params", str(workdir / "params.json"),
@@ -792,6 +828,7 @@ def test_directory_as_output_exit_2(workdir, tmp_path):
     assert proc.stderr.startswith("tdmradar: error:")
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Is a directory" in proc.stderr
+    assert not (tmp_path / "b.rdc").exists()
 
 
 def test_params_not_utf8_exit_2(workdir, tmp_path):

@@ -1,3 +1,6 @@
+import mmap
+import sys
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -17,6 +20,7 @@ from tdmradar import (
     simulate_frame,
     tdm_demux,
 )
+from tdmradar import dsp
 from tdmradar.dsp import _window, parabolic_offset
 from tdmradar.fileio import read_cube, write_cube
 from tdmradar.simulate import DataCube
@@ -35,6 +39,14 @@ def synthetic_cube(params, fill=None, seed=None):
     else:
         samples = np.zeros(shape, dtype=complex)
     return DataCube(samples=samples, plan=plan, params=params)
+
+
+def _resident_pages(array):
+    """How many of the pages ``array`` spans are present in memory."""
+    low, high = getattr(np.lib, "array_utils", np).byte_bounds(array)
+    first, end = low // mmap.PAGESIZE, -(-high // mmap.PAGESIZE)
+    flags = np.fromfile("/proc/self/pagemap", "<u8", end - first, offset=8 * first)
+    return int((flags >> 63).sum())
 
 
 class TestDemux:
@@ -157,6 +169,23 @@ class TestRangeDopplerMap:
              * get_window(window, n_fast)[None, :]).astype(cube.samples.real.dtype)
         ref = scipy.fft.fft(scipy.fft.fft(sub.values * w, axis=-1), axis=-2)
         np.testing.assert_array_equal(full.values, np.fft.fftshift(ref, axes=-2))
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_mapped_cube_transforms_like_an_in_ram_copy(self, small_params, geometry, tmp_path,
+                                                        monkeypatch, rows):
+        # RX blocks of `rows` rows (3 leaves a partial last block): each block's
+        # pages are released once transformed, which changes no bit of the map
+        # and none of the samples, read back from the file
+        monkeypatch.setattr(dsp, "_SCRATCH_BYTES", rows * 32 * 128 * 8)
+        write_cube(synthetic_cube(small_params, seed=4), tmp_path / "c.rdc", geometry)
+        mapped = read_cube(tmp_path / "c.rdc", small_params, geometry)
+        copy = DataCube(samples=mapped.samples.copy(), plan=mapped.plan, params=small_params)
+        rd = [range_doppler_map(tdm_demux(c, c.plan), one_sided=True, dtype=np.complex64)
+              for c in (mapped, copy)]
+        if sys.platform == "linux":  # a block boundary inside a page keeps that page
+            assert _resident_pages(mapped.samples) <= -(-16 // rows) + 1
+        assert rd[0].values.tobytes() == rd[1].values.tobytes()
+        assert mapped.samples.tobytes() == copy.samples.tobytes()
 
     @pytest.mark.parametrize("window", ["hann", "rect"])
     def test_complex64_kernel_equals_file_copy(self, small_params, geometry, tmp_path, window):

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from tdmradar.fileio import (
     write_map,
     write_simulated_cube,
 )
-from tdmradar.pipeline import ResolvedDetection
+from tdmradar.pipeline import ResolvedDetection, run_pipeline
 
 from conftest import SUBPROCESS_ENV, line_array, random_scene, single_target_scene
 
@@ -94,6 +95,19 @@ class TestCubeFormat:
         assert path.read_bytes() == before
         assert not np.array_equal(read_cube(path, small_params, GEOMETRY).samples,
                                   loaded.samples)
+
+    def test_writes_into_the_read_array_survive_the_pipeline(self, small_params, tmp_path):
+        # range_doppler_map releases each transformed RX block's pages, but
+        # not a block holding a private write, which releasing would revert
+        scene = single_target_scene(range_m=12.0, velocity_mps=1.0, snr_db=25.0, seed=2)
+        for frame, start in _frames(small_params):
+            write_simulated_cube(scene, small_params, GEOMETRY, frame, start,
+                                 tmp_path / f"{frame}.rdc")
+        cube_a, cube_b = (read_cube(tmp_path / f"{frame}.rdc", small_params, GEOMETRY)
+                          for frame in (0, 1))
+        cube_a.samples[5, 3, 7] = cube_b.samples[9, 100, 60] = 1e3
+        run_pipeline(cube_a, cube_b, small_params, GEOMETRY)
+        assert cube_a.samples[5, 3, 7] == cube_b.samples[9, 100, 60] == 1e3
 
     def test_unaligned_read_cube_transforms_like_an_aligned_copy(self, cube, small_params,
                                                                 tmp_path):
@@ -250,6 +264,18 @@ class TestSimulatedCube:
             assert (payload == 0.0).sum() >= payload.size // 8
             assert not np.signbit(payload[payload == 0.0]).any()
             assert (tmp_path / "new.rdc").read_bytes() == (tmp_path / "ref.rdc").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["fifo", "device"])
+    def test_refuses_an_output_that_cannot_stage_it(self, small_params, geometry, tmp_path,
+                                                     kind):
+        # the cube is staged in its output file, which a FIFO or a device
+        # cannot hold; the refusal comes before any synthesis
+        path = tmp_path / "f.rdc" if kind == "fifo" else os.devnull
+        if kind == "fifo":
+            os.mkfifo(path)
+        with pytest.raises(InvalidParameterError, match="is not a regular file"):
+            write_simulated_cube(Scene(targets=(PointTarget(12.0, 3.0),)), small_params,
+                                 geometry, 0, 0.0, path)
 
     def test_refuses_a_target_leaving_the_range(self, small_params, geometry, tmp_path):
         scene = Scene(targets=(PointTarget(small_params.max_unambiguous_range_m - 0.01, 5.0),))
@@ -488,6 +514,19 @@ class TestReplacingWrites:
         monkeypatch.setattr(os, "unlink", refuse)
         write_map(_MAP, os.devnull)
         assert unlinked == []
+
+
+    def test_map_streams_into_a_fifo(self, tmp_path):
+        # a FIFO cannot be sought or read back, so it is opened write-only
+        path = tmp_path / "map.fifo"
+        os.mkfifo(path)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+        reader.start()
+        write_map(_MAP, path)
+        reader.join(timeout=60)
+        write_map(_MAP, tmp_path / "plain.ram")
+        assert received == [(tmp_path / "plain.ram").read_bytes()]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

@@ -1,8 +1,10 @@
 """Memory held by the per-frame stages and the cube writer at default params,
-and the peak RSS of CLI simulate and of repeated CLI units.  Every per-frame
-scratch array stays within ``_SCRATCH_BYTES`` (2 MB), so glibc's dynamic mmap threshold (mallopt(3)) is
-never raised past it, and freed temporaries cannot stay resident by the tens
-of MB under the next unit's two 151 MB simulator cubes."""
+and the peak RSS of CLI simulate, of CLI process and of repeated CLI units.
+Every per-frame scratch array stays within ``_SCRATCH_BYTES`` (2 MB), so glibc's
+dynamic mmap threshold (mallopt(3)) is never raised past it, and freed
+temporaries cannot stay resident by the tens of MB under the next unit's cubes:
+the writer's 38 MB of float32 real parts per frame and the reader's two 38 MB
+range/Doppler cubes."""
 
 import json
 import platform
@@ -67,20 +69,26 @@ def test_repeated_cli_units_do_not_stack_freed_heap(tmp_path):
     assert peaks_mb[3] - peaks_mb[0] <= 20.0, peaks_mb
 
 
-# CLI simulate of the demo scene at default params in a fresh process (argv:
-# configs directory, work directory); prints ru_maxrss in KiB after the
-# imports and after the command.
-_SIMULATE = """
+# A fresh process runs CLI simulate of the demo scene at default params, then,
+# with "process" as a third argument, CLI process --cartesian of its two cubes
+# in a second fresh process (argv: configs directory, work directory[, process]);
+# prints ru_maxrss in KiB after the imports and after the command.
+_CLI = """
 import contextlib, io, json, resource, sys
 from tdmradar import cli
-configs, work = sys.argv[1:]
+configs, work = sys.argv[1:3]
+inputs = ["--params", f"{configs}/params.json", "--geometry", f"{configs}/geometry.json"]
+if sys.argv[3:] == ["process"]:
+    argv = ["process", "--in-a", f"{work}/a.rdc", "--in-b", f"{work}/b.rdc",
+            "--out-map", f"{work}/map.ram", "--out-det", f"{work}/det.json", "--cartesian"]
+else:
+    argv = ["simulate", "--scene", f"{configs}/scene_demo.json", "--seed", "5",
+            "--out-a", f"{work}/a.rdc", "--out-b", f"{work}/b.rdc"]
 peaks = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["simulate", "--scene", f"{configs}/scene_demo.json", "--seed", "5",
-                     "--params", f"{configs}/params.json", "--geometry", f"{configs}/geometry.json",
-                     "--out-a", f"{work}/a.rdc", "--out-b", f"{work}/b.rdc"])
+    code = cli.main(argv + inputs)
 if code != 0:
-    sys.exit("tdmradar simulate failed")
+    sys.exit(f"tdmradar {argv[0]} failed")
 peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 print(json.dumps(peaks))
 """
@@ -91,18 +99,43 @@ def _frame_samples(params):
     return params.n_rx * n_slots * params.adc_samples_per_chirp
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_cli_simulate_holds_no_complex128_frame(tmp_path):
-    # Each frame thread holds 12 bytes a sample (float64 noise then S_im, float32
-    # real parts), 108 MiB at default params, plus 2 MB buffers.  Holding the two
-    # complex128 frames grew ru_maxrss by 284-288 MiB over the imports on a
-    # 2-core box; writing each cube straight from the synthesis, by 220 MiB.
-    proc = subprocess.run([sys.executable, "-c", _SIMULATE, str(ROOT / "configs"), str(tmp_path)],
-                          env=SUBPROCESS_ENV, capture_output=True, text=True, timeout=300)
+def _cli_growth_mib(work, *command):
+    """ru_maxrss growth over the imports of one fresh-process CLI run, in MiB."""
+    proc = subprocess.run([sys.executable, "-c", _CLI, str(ROOT / "configs"), str(work),
+                           *command], env=SUBPROCESS_ENV, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     imports, peak = (kib / 1024.0 for kib in json.loads(proc.stdout))
-    held_mib = 2 * 12 * _frame_samples(default_params()) / 2**20
-    assert peak - imports <= held_mib + 24.0, (imports, peak)
+    return peak - imports
+
+
+@pytest.fixture(scope="module")
+def cli_growth_mib(tmp_path_factory):
+    """CLI simulate's and then CLI process's growth over their imports."""
+    work = tmp_path_factory.mktemp("cli")
+    return _cli_growth_mib(work), _cli_growth_mib(work, "process")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_cli_simulate_holds_no_complex128_frame(cli_growth_mib):
+    # Each frame thread holds its float32 real parts, 36 MiB at default params,
+    # and stages the rest in its output file, plus 2 MB buffers.  Over the
+    # imports on a 2-core box: 284-288 MiB holding the two complex128 frames,
+    # 220 MiB holding 12 bytes a sample per frame, 80-85 MiB staging in the file.
+    held_mib = 2 * 4 * _frame_samples(default_params()) / 2**20
+    assert cli_growth_mib[0] <= held_mib + 24.0, cli_growth_mib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss and pagemap are Linux's")
+def test_cli_process_releases_each_transformed_rx_block(cli_growth_mib):
+    # The two one-sided range/Doppler cubes hold 4 bytes per cube sample, 36
+    # MiB each at default params, and each frame thread keeps the mapped pages
+    # of one RX block, 9 TX x 2 MB, until it is transformed.  Over the imports
+    # on a 2-core box: 240 MiB keeping every page of both mapped cubes, 115 MiB
+    # releasing them.
+    params = default_params()
+    held_mib = (2 * 4 * _frame_samples(params) + 2 * params.n_tx * _SCRATCH_BYTES) / 2**20
+    assert cli_growth_mib[1] <= held_mib + 16.0, cli_growth_mib
 
 
 def test_simulated_cube_writer_holds_less_than_a_complex128_frame(tmp_path):
@@ -110,11 +143,11 @@ def test_simulated_cube_writer_holds_less_than_a_complex128_frame(tmp_path):
     scene = Scene.from_json(ROOT / "configs" / "scene_demo.json")
     _, peak = _traced(write_simulated_cube, scene, params, default_geometry(), 0, 0.0,
                       tmp_path / "a.rdc")
-    samples = _frame_samples(params)
-    assert peak < 16 * samples  # the complex128 frame, 151 MB
-    # the float64 and float32 arrays (113 MB), the two buffers of the
-    # imaginary pass, and the signal blocks of 3 targets: 4.6 MiB beyond the arrays
-    assert peak <= 12 * samples + 3 * _SCRATCH_BYTES
+    # the float32 real parts (37.7 MB), the two 2 MB buffers of the first and
+    # last passes, one 0.26 MB signal block read from the file and the signal
+    # blocks of 3 targets: 9.1 MB beyond the real parts; 12 bytes a sample
+    # held 118 MB
+    assert peak <= 4 * _frame_samples(params) + 5 * _SCRATCH_BYTES
 
 
 def _traced(fn, *args, **kwargs):
