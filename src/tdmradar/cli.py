@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .config import (
 from .demos import ALL_DEMOS
 from .dsp import CfarConfig
 from .pipeline import run_pipeline
-from .simulate import Scene, _check_frame, _frame_pair
+from .simulate import Scene, _make_frame_pair
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -42,21 +43,21 @@ def _sibling_path(path: str, suffix: str) -> str:
     return str(p.with_name(p.stem + suffix + p.suffix))
 
 
-def _path_clash(args) -> str | None:
+def _paths(args, flags) -> dict:
+    """The path given for each of ``flags``, by flag, leaving out an option not given."""
+    return {flag: name for flag in flags
+            if (name := getattr(args, "infile" if flag == "--in" else flag[2:].replace("-", "_")))}
+
+
+def _path_clash(outputs: dict, inputs: dict) -> str | None:
     """The usage error of an output path that names another output of the
     command or one of its inputs, through a symlink or a hard link too, else None."""
-    def path(flag):
-        return getattr(args, "infile" if flag == "--in" else flag[2:].replace("-", "_"))
-
     def key(name):  # an existing file's hard links share its device and inode
         return ((os.stat(name).st_dev, os.stat(name).st_ino) if os.path.exists(name)
                 else Path(name).resolve())
 
-    outputs = {flag: path(flag) for flag in args.outputs}
-    if args.command == "process":
-        outputs["--out-map (frame b)"] = _sibling_path(args.out_map, "_b")
     named = {}
-    for flag, name in [*outputs.items(), *((f, path(f)) for f in args.inputs if path(f))]:
+    for flag, name in [*outputs.items(), *inputs.items()]:
         other = named.setdefault(key(name), flag)
         if other != flag and other in outputs:
             return f"{other} and {flag} both name {name}"
@@ -69,17 +70,13 @@ def _cmd_simulate(args) -> int:
     scene = Scene.from_json(args.scene)
     if args.seed is not None:
         scene = Scene(targets=scene.targets, snr_db=scene.snr_db, rng_seed=args.seed)
-    # Both frames and both outputs are checked before either frame is made, so
-    # a data error writes nothing; then each is synthesized straight into its
-    # file, frame b on the frame-b worker thread.
-    start_b = params.frame_duration_s(0)
-    _check_frame(scene, params, geometry, 0, 0.0)
-    _check_frame(scene, params, geometry, 1, start_b)
-    fileio._check_stageable(args.out_a)
-    fileio._check_stageable(args.out_b)
-    _frame_pair(
-        lambda: fileio.write_simulated_cube(scene, params, geometry, 0, 0.0, args.out_a),
-        lambda: fileio.write_simulated_cube(scene, params, geometry, 1, start_b, args.out_b))
+    # Both outputs, then both frames, are checked before either frame is made,
+    # so a data error writes nothing; each is synthesized straight into its file.
+    outputs = (args.out_a, args.out_b)
+    for path in outputs:
+        fileio._check_output(path)
+    _make_frame_pair(scene, params, geometry, lambda frame, start: fileio.write_simulated_cube(
+        scene, params, geometry, frame, start, outputs[frame]))
     print(f"wrote {args.out_a} and {args.out_b}")
     return 0
 
@@ -89,12 +86,14 @@ def _cmd_process(args) -> int:
     geometry = ArrayGeometry.from_json(args.geometry)
     cal = CalibrationVector.from_json(args.cal) if args.cal else None
     cfar = CfarConfig(pfa=args.pfa) if args.pfa is not None else CfarConfig()
+    map_b_path = _sibling_path(args.out_map, "_b")
+    for path in (args.out_map, map_b_path):
+        fileio._check_output(path)
     cube_a = fileio.read_cube(args.in_a, params, geometry)
     cube_b = fileio.read_cube(args.in_b, params, geometry)
 
     result = run_pipeline(cube_a, cube_b, params, geometry, cal=cal, cfar=cfar,
                           cartesian=args.cartesian)
-    map_b_path = _sibling_path(args.out_map, "_b")
     for rmap, path in zip((result.map_a, result.map_b), (args.out_map, map_b_path)):
         fileio.write_map(rmap, path)
     fileio.write_detections_json(result.detections, args.out_det)
@@ -185,11 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    clash = _path_clash(args)
+    outputs = _paths(args, args.outputs)
+    if args.command == "process":
+        outputs["--out-map (frame b)"] = _sibling_path(args.out_map, "_b")
+    clash = _path_clash(outputs, _paths(args, args.inputs))
     if clash:
         print(f"tdmradar: error: {clash}", file=sys.stderr)
         return USAGE_EXIT
     try:
+        for name in outputs.values():  # a missing directory fails before any work
+            if not os.path.isdir(os.path.dirname(os.path.realpath(name))):
+                raise FileNotFoundError(errno.ENOENT, "No such directory", name)
         return args.func(args)
     except (InvalidParameterError, CalibrationError,
             fileio.CubeFormatError, fileio.MapFormatError,

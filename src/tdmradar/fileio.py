@@ -56,33 +56,34 @@ class MapFormatError(RuntimeError):
     """Malformed map file; the message names the failing byte offset."""
 
 
+def _check_output(path) -> None:
+    """Cubes and maps are written as new regular files: refuse a directory, as
+    opening it would, and a FIFO or a device, which cannot be replaced."""
+    mode = os.stat(path).st_mode if os.path.exists(path) else stat.S_IFREG
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    _require(stat.S_ISREG(mode),
+             f"{path} is not a regular file: cubes and maps are written as new files")
+
+
 @contextlib.contextmanager
 def _replacing(path):
-    """``open(path, "w+b")`` for the two large binary formats, without
-    modifying a regular single-link file in place: that file (a symlink's
-    target, if ``path`` is a symlink) is unlinked and made anew, so a reader
-    that mapped it keeps its bytes, and ext4 does not flush the new file at
-    close as it does one truncated and rewritten.  A hard-linked file is
-    rewritten in place under all its names and truncated only after the new
-    bytes are written, so writing back a cube mapped from it reads no page
-    past the end of the file.  Devices and FIFOs are written as they are, write-only."""
-    links = 0  # of a regular file; devices, FIFOs and missing paths have none
-    try:
-        st = os.stat(path)
-        links = st.st_nlink if stat.S_ISREG(st.st_mode) else 0
-    except FileNotFoundError:
-        pass
-    if links > 1:
-        with open(path, "r+b") as fh:
-            yield fh
-            fh.truncate()
-        return
-    if links == 1:
-        path = os.path.realpath(path)
+    """``open(path, "w+b")`` on a new inode, for the two large binary formats.
+    A regular file at ``path`` (a symlink's target, if ``path`` is one) is
+    unlinked, whatever its link count, so its readers and its other names keep
+    its bytes, and ext4 does not flush the new file at close as it does one
+    truncated and rewritten; anything else there is refused.  A body that
+    raises unlinks the new file, so no partly written file is left to read."""
+    _check_output(path)
+    path = os.path.realpath(path)
+    with contextlib.suppress(FileNotFoundError):
         os.unlink(path)
-    # a file that is still there is a device or a FIFO, which cannot be read back
-    with open(path, "wb" if os.path.exists(path) else "w+b") as fh:
-        yield fh
+    with open(path, "w+b") as fh:
+        try:
+            yield fh
+        except BaseException:
+            os.unlink(path)
+            raise
 
 
 def _read_payload(fh, offset: int, dtype: str, count: int, error) -> np.ndarray:
@@ -122,16 +123,6 @@ def write_cube(cube: DataCube, path, geometry: ArrayGeometry) -> None:
             fh.write(block)
 
 
-def _check_stageable(path) -> None:
-    """A simulated cube is staged in its own file: refuse a directory, as opening
-    it would, and a FIFO or a device, which cannot hold it."""
-    mode = os.stat(path).st_mode if os.path.exists(path) else stat.S_IFREG
-    if stat.S_ISDIR(mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    _require(stat.S_ISREG(mode),
-             f"{path} is not a regular file: a simulated cube is staged in its own file")
-
-
 def write_simulated_cube(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
                          frame_index: int, start_time_s: float, path) -> None:
     """Write the cube that ``write_cube(simulate_frame(scene, params, geometry,
@@ -149,7 +140,6 @@ def write_simulated_cube(scene: Scene, params: RadarParams, geometry: ArrayGeome
     ``S + n``, plus +0.0: a frame's samples start at +0.0, so a -0.0 sum is
     +0.0 in ``simulate_frame`` too."""
     plan = _check_frame(scene, params, geometry, frame_index, start_time_s)
-    _check_stageable(path)
     header = _cube_header(params, geometry, frame_index)
     n_slots, n_fast = plan.chirp_count_total, params.adc_samples_per_chirp
     size = params.n_rx * n_slots * n_fast

@@ -246,18 +246,22 @@ def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
     return frame
 
 
-def simulate_frame_pair(scene: Scene, params: RadarParams,
-                        geometry: ArrayGeometry) -> tuple:
-    """Two back-to-back frames with staggered PRIs (frame 0 then frame 1).
-    Both frames are checked on this thread before either is made, so a target
-    that leaves the range only during frame b costs no synthesis.  Frame b is
-    then simulated on the frame-b worker thread; each frame draws its own
-    noise stream, so the result does not depend on the threads."""
+def _make_frame_pair(scene: Scene, params: RadarParams, geometry: ArrayGeometry, make):
+    """``(make(0, 0.0), make(1, start_b))``, frame b on the frame-b worker
+    thread and starting when frame a ends.  Both frames are checked first, so
+    a target that leaves the range only during frame b costs no synthesis."""
     start_b = params.frame_duration_s(0)
     _check_frame(scene, params, geometry, 0, 0.0)
     _check_frame(scene, params, geometry, 1, start_b)
-    return _frame_pair(lambda: simulate_frame(scene, params, geometry, 0),
-                       lambda: simulate_frame(scene, params, geometry, 1, start_b))
+    return _frame_pair(lambda: make(0, 0.0), lambda: make(1, start_b))
+
+
+def simulate_frame_pair(scene: Scene, params: RadarParams,
+                        geometry: ArrayGeometry) -> tuple:
+    """Two back-to-back frames with staggered PRIs (frame 0 then frame 1); each
+    draws its own noise stream, so the result does not depend on the threads."""
+    return _make_frame_pair(scene, params, geometry,
+                            lambda *frame: simulate_frame(scene, params, geometry, *frame))
 
 
 def inject_channel_errors(cube: DataCube, gains) -> DataCube:

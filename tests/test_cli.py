@@ -400,12 +400,13 @@ def test_invalid_process_option_exit_2(workdir, tmp_path, flag, value):
     assert not (tmp_path / "m.ram").exists()
 
 
-@pytest.mark.parametrize("flag", ["--pfa", "--cal"])
+@pytest.mark.parametrize("flag", ["--pfa", "--cal", "--out-map"])
 def test_bad_process_option_reads_no_cube(workdir, tmp_path, monkeypatch, capsys, flag):
     # options are checked before either cube is read: at default params the
-    # two cubes are about 150 MB
+    # two cubes are about 150 MB; a map is written as a new regular file, so
+    # a device is refused
     (tmp_path / "cal.json").write_text('{"gains": [[1.0, 0.0]')  # malformed JSON
-    value = {"--pfa": "0", "--cal": str(tmp_path / "cal.json")}[flag]
+    value = {"--pfa": "0", "--cal": str(tmp_path / "cal.json"), "--out-map": os.devnull}[flag]
     reads = []
     real_read_cube = cli.fileio.read_cube
 
@@ -829,6 +830,24 @@ def test_directory_as_output_exit_2(workdir, tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Is a directory" in proc.stderr
     assert not (tmp_path / "b.rdc").exists()
+
+
+def test_simulate_output_in_a_missing_directory_exit_2(workdir, tmp_path):
+    # every output's directory is checked before either frame is made, so
+    # the --out-a cube does not land either
+    missing = tmp_path / "missing_dir" / "b.rdc"
+    proc = _simulate_data_error(workdir, tmp_path, workdir / "params.json",
+                                workdir / "geometry.json", None, "--out-b", str(missing))
+    assert str(missing) in proc.stderr
+
+
+def test_process_output_in_a_missing_directory_exit_2(workdir, tmp_path):
+    # checked before either cube is read, so neither map lands either
+    missing = tmp_path / "missing_dir" / "d.json"
+    proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
+                               "--out-det", str(missing))
+    assert str(missing) in proc.stderr
+    assert not (tmp_path / "m_b.ram").exists()
 
 
 def test_params_not_utf8_exit_2(workdir, tmp_path):

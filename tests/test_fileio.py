@@ -1,10 +1,10 @@
 import hashlib
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -407,28 +407,53 @@ WRITERS = {
 }
 
 # Reads the cube at argv[2] under the params at argv[1] and the default
-# geometry and writes it back to the same path, in a child process so that a
-# SIGBUS shows as its exit.
+# geometry and writes it back to the path argv[3], in a child process so that
+# a SIGBUS shows as its exit.  With a fourth argument, the cube written back is
+# a smaller one, made under argv[1]'s params with that many chirps per TX; the
+# cube read must keep its samples either way.
 _WRITE_BACK = """
 import sys
-from tdmradar import RadarParams, default_geometry, fileio
+import numpy as np
+from tdmradar import RadarParams, Scene, default_geometry, fileio, simulate_frame
 geometry = default_geometry()
-cube = fileio.read_cube(sys.argv[2], RadarParams.from_json(sys.argv[1]), geometry)
-fileio.write_cube(cube, sys.argv[2], geometry)
+params = RadarParams.from_json(sys.argv[1])
+cube = fileio.read_cube(sys.argv[2], params, geometry)
+kept = cube.samples.copy()
+if len(sys.argv) > 4:
+    smaller = RadarParams(**{**params.to_dict(), "chirps_per_tx_per_frame": int(sys.argv[4])})
+    fileio.write_cube(simulate_frame(Scene(), smaller, geometry, 0), sys.argv[3], geometry)
+else:
+    fileio.write_cube(cube, sys.argv[3], geometry)
+assert np.array_equal(cube.samples, kept)
 """
 
 
-def _write_back_in_child(params, path, tmp_path):
+def _write_back_in_child(params, read, written, tmp_path, *chirps_per_tx):
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps(params.to_dict()))
-    return subprocess.run([sys.executable, "-c", _WRITE_BACK, str(params_path), str(path)],
+    return subprocess.run([sys.executable, "-c", _WRITE_BACK, str(params_path), str(read),
+                           str(written), *map(str, chirps_per_tx)],
                           env=SUBPROCESS_ENV, capture_output=True, text=True)
 
 
+# Writes a 3 x 4 map to the path argv[1] and prints the error that refuses it.
+_WRITE_MAP = """
+import sys
+import numpy as np
+from tdmradar import InvalidParameterError, fileio
+from tdmradar.angle import RangeAzimuthMap
+try:
+    fileio.write_map(RangeAzimuthMap(np.zeros((3, 4)), "polar", 1.0, 0.0, 1.0, 0.0), sys.argv[1])
+except InvalidParameterError as exc:
+    print(exc)
+"""
+
+
 class TestReplacingWrites:
-    """The cube and map writers replace a regular single-link file with a
-    new inode instead of truncating it, and write through anything else;
-    the small-file writers rewrite in place."""
+    """The cube and map writers write a new inode: a regular file at the path
+    is unlinked, whatever its link count, and anything else is refused, so
+    no other name of the file and no reader of it sees the write.  A write
+    that fails leaves no file.  The small-file writers rewrite in place."""
 
     @pytest.mark.parametrize("writer", ["cube", "map"])
     def test_overwrite_gives_the_path_a_new_inode(self, cube, tmp_path, writer):
@@ -480,15 +505,18 @@ class TestReplacingWrites:
 
     @pytest.mark.parametrize("extra", [-4_000_000, 1000])
     def test_hard_links_keep_both_names(self, cube, tmp_path, extra):
-        # the old file is smaller or larger than the cube; a larger one is cut
-        # to the cube's length once the cube is written
+        # the old file is smaller or larger than the cube; the written name
+        # gets a new inode, and the other name keeps the old bytes
         first, second = tmp_path / "first.rdc", tmp_path / "second.rdc"
-        first.write_bytes(b"x" * (_CUBE_HEADER.size + cube.samples.size * 8 + extra))
+        old = b"x" * (_CUBE_HEADER.size + cube.samples.size * 8 + extra)
+        first.write_bytes(old)
         os.link(first, second)
+        inode = os.stat(second).st_ino
         write_cube(cube, first, GEOMETRY)
         write_cube(cube, tmp_path / "plain.rdc", GEOMETRY)
-        assert os.path.samefile(first, second)
-        assert first.read_bytes() == second.read_bytes() == (tmp_path / "plain.rdc").read_bytes()
+        assert os.stat(first).st_ino != inode == os.stat(second).st_ino
+        assert first.read_bytes() == (tmp_path / "plain.rdc").read_bytes()
+        assert second.read_bytes() == old
 
     @pytest.mark.parametrize("link", ["symlink", "hard link"])
     def test_read_cube_written_back_through_a_link(self, cube, small_params, tmp_path, link):
@@ -499,10 +527,42 @@ class TestReplacingWrites:
             path.symlink_to(target)
         else:
             os.link(target, path)
-        child = _write_back_in_child(small_params, path, tmp_path)
+        child = _write_back_in_child(small_params, path, path, tmp_path)
         assert child.returncode == 0, (child.returncode, child.stderr)
         assert path.read_bytes() == target.read_bytes() == before
-        assert path.is_symlink() if link == "symlink" else os.path.samefile(path, target)
+        assert path.is_symlink() if link == "symlink" else not os.path.samefile(path, target)
+
+    def test_smaller_cube_over_another_name_of_a_read_cube(self, cube, small_params, tmp_path):
+        # the cube read through one hard link keeps its samples when a smaller
+        # cube is written over the other name: were the shared inode rewritten
+        # in place and cut to the smaller length, the reader would die of SIGBUS
+        x, y = tmp_path / "x.rdc", tmp_path / "y.rdc"
+        write_cube(cube, x, GEOMETRY)
+        before = x.read_bytes()
+        os.link(x, y)
+        child = _write_back_in_child(small_params, y, x, tmp_path, 4)
+        assert child.returncode == 0, (child.returncode, child.stderr)
+        assert y.read_bytes() == before
+        assert x.stat().st_size < len(before)
+
+    def test_failed_write_leaves_no_file(self, small_params, geometry, tmp_path, monkeypatch):
+        # a write_simulated_cube cut short would leave a full-size file with a
+        # valid header, whose samples are staging bytes that read_cube accepts
+        signal_sums = fileio._signal_sums
+
+        def failing(*args):
+            for i, block in enumerate(signal_sums(*args)):
+                if i == 5:
+                    raise RuntimeError("interrupted")
+                yield block
+
+        monkeypatch.setattr(fileio, "_signal_sums", failing)
+        path = tmp_path / "f.rdc"
+        path.write_bytes(b"old contents")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_simulated_cube(Scene(targets=(PointTarget(12.0, 3.0),), snr_db=15.0),
+                                 small_params, geometry, 0, 0.0, path)
+        assert not path.exists()
 
     def test_device_is_never_unlinked(self, monkeypatch):
         unlinked = []
@@ -512,21 +572,20 @@ class TestReplacingWrites:
             raise AssertionError(f"unlink({path!r})")
 
         monkeypatch.setattr(os, "unlink", refuse)
-        write_map(_MAP, os.devnull)
+        with pytest.raises(InvalidParameterError, match=f"{os.devnull} is not a regular file"):
+            write_map(_MAP, os.devnull)
         assert unlinked == []
 
-
-    def test_map_streams_into_a_fifo(self, tmp_path):
-        # a FIFO cannot be sought or read back, so it is opened write-only
+    def test_map_into_a_fifo_is_refused(self, tmp_path):
+        # opening a FIFO with no reader blocks, so the map must be refused
+        # before any open; a child process, so a regression cannot hang the suite
         path = tmp_path / "map.fifo"
         os.mkfifo(path)
-        received = []
-        reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
-        reader.start()
-        write_map(_MAP, path)
-        reader.join(timeout=60)
-        write_map(_MAP, tmp_path / "plain.ram")
-        assert received == [(tmp_path / "plain.ram").read_bytes()]
+        child = subprocess.run([sys.executable, "-c", _WRITE_MAP, str(path)], env=SUBPROCESS_ENV,
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.startswith(f"{path} is not a regular file")
+        assert stat.S_ISFIFO(os.stat(path).st_mode)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
