@@ -120,12 +120,12 @@ def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool 
     ``sub.values``, so complex64 cubes stay complex64).  ``one_sided`` keeps
     only the first ``n_fast // 2`` range bins, which are then all the Doppler
     FFT runs on.  The RX rows go in blocks of as many as fit in
-    ``_SCRATCH_BYTES`` (at least one); each TX's stack of a block goes through
-    one scratch buffer, windowed and range-transformed in place, and then the
-    block's samples are released when they are mapped from a cube file
-    (``_release``), so a ``read_cube`` cube stops holding RAM as it is
-    transformed.  The Doppler FFT then runs once, in place, over the whole
-    output.  The samples are rounded to
+    ``_SCRATCH_BYTES`` with their samples of every TX (at least one row);
+    each TX's stack of a block goes through one scratch buffer, windowed and
+    range-transformed in place, and then the block's samples are released
+    when they are mapped from a cube file (``_release``), so a ``read_cube``
+    cube stops holding RAM as it is transformed.  The Doppler FFT then runs
+    once, in place, over the whole output.  The samples are rounded to
     ``dtype`` before the window multiply, as ``write_cube`` rounds them, so a
     complex128 cube transformed in complex64 gives the bits of its file copy."""
     params = sub.params
@@ -140,7 +140,7 @@ def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool 
     # part 0) once here, not cast again by the multiply on every TX block.
     ws = _window(window, n_slow) * (-1.0) ** np.arange(n_slow)
     w = (ws[:, None] * wf[None, :]).astype(dtype)
-    rows = max(1, _SCRATCH_BYTES // w.nbytes)
+    rows = max(1, _SCRATCH_BYTES // (n_tx * w.nbytes))
     buf = np.empty((min(rows, n_rx), n_slow, n_fast), dtype=dtype)
     out = np.empty((n_tx, n_rx, n_slow, n_keep), dtype=dtype)
     # inf times the window's zero imaginary part is NaN; run_pipeline reports it

@@ -135,7 +135,8 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
     cubes simulated or read under other params, params whose CRT margin is
     not above the intersection tolerance, a calibration measured on another
     array geometry, a virtual array wider than the angle grid or non-finite
-    samples raise."""
+    samples raise.  With ``cartesian``, both polar maps are resampled once
+    the range/Doppler cubes are dropped."""
     if cube_a.params != params or cube_b.params != params:
         raise InvalidParameterError("the frame pair was made under other radar parameters")
     margin, tolerance = crt_margin(params), crt_tolerance(params)
@@ -182,11 +183,12 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
             doppler_bin_b=det_b.doppler_bin if det_b is not None else None,
         ))
 
-    def maps(rd, power, velocities):
-        polar = range_azimuth_map(rd, varray, power, velocities=velocities)
-        return polar_to_cartesian(polar) if cartesian else polar
-
     map_a, map_b = _frame_pair(
-        lambda: maps(rd_a, power_a, velocities_a), lambda: maps(rd_b, power_b, velocities_b))
+        lambda: range_azimuth_map(rd_a, varray, power_a, velocities=velocities_a),
+        lambda: range_azimuth_map(rd_b, varray, power_b, velocities=velocities_b))
+    if cartesian:
+        del rd_a, rd_b  # the resample's lookup is built with no cube held
+        map_a, map_b = _frame_pair(lambda: polar_to_cartesian(map_a),
+                                   lambda: polar_to_cartesian(map_b))
     return PipelineResult(map_a=map_a, map_b=map_b, detections=resolved,
                           detections_a=detections_a, detections_b=detections_b)

@@ -36,6 +36,11 @@ from .config import (
 
 _SLOT_BLOCK = 64        # slots per block: the chirp rows hold T * 64 * n_fast samples
 _NOISE_BLOCK = 1 << 16  # noise samples per draw: a 512 KB float64 buffer
+# A scene's levels (each target's amplitude, the noise set by snr_db) stay
+# within half of float32's power range in dB, 192.7 dB of unity; the other half
+# is headroom for the FFT and channel-sum gains of the complex64 chain.
+_LEVEL_LIMIT_DB = 5.0 * float(np.log10(np.finfo(np.float32).max))
+_MAX_AMPLITUDE = 10.0 ** (_LEVEL_LIMIT_DB / 20.0)
 
 
 def _start_frame_b() -> None:
@@ -76,7 +81,8 @@ class PointTarget:
         _check_fields(self)
         _require(self.range_m > 0, "target range must be positive")
         _require(-90.0 < self.azimuth_deg < 90.0, "azimuth must lie in (-90, 90) degrees")
-        _require(self.amplitude > 0, "amplitude must be positive")
+        _require(0 < self.amplitude <= _MAX_AMPLITUDE,
+                 f"amplitude must lie in (0, {_MAX_AMPLITUDE:.3g}], got {self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,8 @@ class Scene:
     def __post_init__(self) -> None:
         _check_fields(self)
         _require(self.rng_seed >= 0, f"rng_seed must be non-negative, got {self.rng_seed!r}")
+        _require(self.snr_db is None or abs(self.snr_db) <= _LEVEL_LIMIT_DB,
+                 f"snr_db must lie within +-{_LEVEL_LIMIT_DB:.1f} dB, got {self.snr_db!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scene":

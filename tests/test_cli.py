@@ -736,6 +736,12 @@ def test_geometry_unknown_key_exit_2(workdir, tmp_path):
     ("targets", [{"range_m": "a"}], "range_m"),
     ("targets", [{"range_m": 20.0, "speed": 5.0}], "speed"),
     ("snr_db", "x", "snr_db"),
+    # levels a complex64 cube cannot carry: an OverflowError and a
+    # ZeroDivisionError traceback, then cubes of inf samples at exit 0
+    ("snr_db", 1e308, "snr_db"),
+    ("snr_db", -1e308, "snr_db"),
+    ("snr_db", -800.0, "snr_db"),
+    ("targets", [{"range_m": 20.0, "amplitude": 1e39}], "amplitude"),
     ("rng_seed", 1.7, "rng_seed"),
     ("rng_seed", -1, "rng_seed"),
     ("snr", 10.0, "snr"),

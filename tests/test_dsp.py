@@ -173,10 +173,11 @@ class TestRangeDopplerMap:
     @pytest.mark.parametrize("rows", [1, 3, 16])
     def test_mapped_cube_transforms_like_an_in_ram_copy(self, small_params, geometry, tmp_path,
                                                         monkeypatch, rows):
-        # RX blocks of `rows` rows (3 leaves a partial last block): each block's
-        # pages are released once transformed, which changes no bit of the map
-        # and none of the samples, read back from the file
-        monkeypatch.setattr(dsp, "_SCRATCH_BYTES", rows * 32 * 128 * 8)
+        # RX blocks of `rows` rows, each with its samples of all 9 TX (3 leaves a
+        # partial last block): each block's pages are released once transformed,
+        # which changes no bit of the map and none of the samples, read back
+        # from the file
+        monkeypatch.setattr(dsp, "_SCRATCH_BYTES", rows * small_params.n_tx * 32 * 128 * 8)
         write_cube(synthetic_cube(small_params, seed=4), tmp_path / "c.rdc", geometry)
         mapped = read_cube(tmp_path / "c.rdc", small_params, geometry)
         copy = DataCube(samples=mapped.samples.copy(), plan=mapped.plan, params=small_params)

@@ -33,11 +33,20 @@ from conftest import SUBPROCESS_ENV
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# A child's own peak RSS in KiB.  Its ru_maxrss would start at the RSS of
+# the pytest process that forked it, so a child smaller than the suite
+# would read no growth at all; VmHWM belongs to the child's own memory.
+_PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return int(status.read().split("VmHWM:")[1].split()[0])
+"""
+
 # Four CLI simulate + process --cartesian units at default params in one
 # process (argv: configs directory, work directory); prints each unit's
-# ru_maxrss in KiB.
-_UNITS = """
-import contextlib, io, json, resource, sys
+# peak RSS in KiB.
+_UNITS = _PEAK_KIB + """
+import contextlib, io, json, sys
 from tdmradar import cli
 configs, work = sys.argv[1:]
 inputs = ["--params", f"{configs}/params.json", "--geometry", f"{configs}/geometry.json"]
@@ -50,7 +59,7 @@ for seed in range(4):
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(argv + inputs) != 0:
                 sys.exit(f"tdmradar {argv[0]} failed")
-    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    peaks.append(peak_kib())
 print(json.dumps(peaks))
 """
 
@@ -72,9 +81,9 @@ def test_repeated_cli_units_do_not_stack_freed_heap(tmp_path):
 # A fresh process runs CLI simulate of the demo scene at default params, then,
 # with "process" as a third argument, CLI process --cartesian of its two cubes
 # in a second fresh process (argv: configs directory, work directory[, process]);
-# prints ru_maxrss in KiB after the imports and after the command.
-_CLI = """
-import contextlib, io, json, resource, sys
+# prints the peak RSS in KiB after the imports and after the command.
+_CLI = _PEAK_KIB + """
+import contextlib, io, json, sys
 from tdmradar import cli
 configs, work = sys.argv[1:3]
 inputs = ["--params", f"{configs}/params.json", "--geometry", f"{configs}/geometry.json"]
@@ -84,12 +93,12 @@ if sys.argv[3:] == ["process"]:
 else:
     argv = ["simulate", "--scene", f"{configs}/scene_demo.json", "--seed", "5",
             "--out-a", f"{work}/a.rdc", "--out-b", f"{work}/b.rdc"]
-peaks = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
+peaks = [peak_kib()]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(argv + inputs)
 if code != 0:
     sys.exit(f"tdmradar {argv[0]} failed")
-peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+peaks.append(peak_kib())
 print(json.dumps(peaks))
 """
 
@@ -100,7 +109,7 @@ def _frame_samples(params):
 
 
 def _cli_growth_mib(work, *command):
-    """ru_maxrss growth over the imports of one fresh-process CLI run, in MiB."""
+    """Peak RSS growth over the imports of one fresh-process CLI run, in MiB."""
     proc = subprocess.run([sys.executable, "-c", _CLI, str(ROOT / "configs"), str(work),
                            *command], env=SUBPROCESS_ENV, capture_output=True, text=True,
                           timeout=300)
@@ -116,7 +125,7 @@ def cli_growth_mib(tmp_path_factory):
     return _cli_growth_mib(work), _cli_growth_mib(work, "process")
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="the peak RSS is read from Linux's /proc")
 def test_cli_simulate_holds_no_complex128_frame(cli_growth_mib):
     # Each frame thread holds its float32 real parts, 36 MiB at default params,
     # and stages the rest in its output file, plus 2 MB buffers.  Over the
@@ -126,15 +135,17 @@ def test_cli_simulate_holds_no_complex128_frame(cli_growth_mib):
     assert cli_growth_mib[0] <= held_mib + 24.0, cli_growth_mib
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss and pagemap are Linux's")
+@pytest.mark.skipif(sys.platform != "linux", reason="the peak RSS and pagemap are Linux's")
 def test_cli_process_releases_each_transformed_rx_block(cli_growth_mib):
     # The two one-sided range/Doppler cubes hold 4 bytes per cube sample, 36
     # MiB each at default params, and each frame thread keeps the mapped pages
-    # of one RX block, 9 TX x 2 MB, until it is transformed.  Over the imports
-    # on a 2-core box: 240 MiB keeping every page of both mapped cubes, 115 MiB
-    # releasing them.
+    # of one input RX row, 4.5 MiB of complex64 over all 9 TX, until it is
+    # transformed.  Over the imports on a 2-core box: 240 MiB keeping every
+    # page of both mapped cubes, 115 MiB releasing 4-row blocks, 88 MiB
+    # releasing each row with the Cartesian resample after the cubes are freed.
     params = default_params()
-    held_mib = (2 * 4 * _frame_samples(params) + 2 * params.n_tx * _SCRATCH_BYTES) / 2**20
+    row_bytes = 8 * _frame_samples(params) // params.n_rx
+    held_mib = (2 * 4 * _frame_samples(params) + 2 * row_bytes) / 2**20
     assert cli_growth_mib[1] <= held_mib + 16.0, cli_growth_mib
 
 

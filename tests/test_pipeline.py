@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 from dataclasses import MISSING, astuple, fields, replace
@@ -13,6 +14,7 @@ from tdmradar import (
     PipelineResult,
     PointTarget,
     RadarParams,
+    RangeDopplerCube,
     Scene,
     UnsupportedGeometryError,
     build_virtual_array,
@@ -316,6 +318,23 @@ def test_one_range_doppler_call_per_frame(pipeline_params, geometry, monkeypatch
     assert sorted(calls, key=lambda call: call[0]) == [
         (frame, (), {"one_sided": True, "dtype": np.complex64}, np.complex64, shape)
         for frame in (0, 1)]
+
+
+def test_cartesian_resample_holds_no_range_doppler_cube(small_params, geometry, monkeypatch):
+    # both polar maps are beamformed, then the two range/Doppler cubes are
+    # dropped before either frame's resample builds its lookup (2 were held)
+    a, b = simulate_frame_pair(single_target_scene(range_m=20.0), small_params, geometry)
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, RangeDopplerCube)]
+    held, original = [], pipeline.polar_to_cartesian
+
+    def spy(pmap):
+        held.append(sum(isinstance(o, RangeDopplerCube) for o in gc.get_objects()) - len(before))
+        return original(pmap)
+
+    monkeypatch.setattr(pipeline, "polar_to_cartesian", spy)
+    run_pipeline(a, b, small_params, geometry, cartesian=True)
+    assert held == [0, 0]
 
 
 def test_one_nci_call_per_frame(pipeline_params, geometry, monkeypatch):

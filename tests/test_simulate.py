@@ -20,6 +20,7 @@ from tdmradar import (
     noncoherent_integrate,
     phase_migration,
     range_doppler_map,
+    run_pipeline,
     simulate_frame,
     simulate_frame_pair,
     tdm_demux,
@@ -329,6 +330,20 @@ def test_target_validation():
         PointTarget(range_m=5.0, velocity_mps=0.0, azimuth_deg=0.0, amplitude=0.0)
 
 
+def test_levels_at_the_limit_stay_finite_through_the_chain(small_params, geometry):
+    # the loudest targets in the loudest noise, and in the faintest, rounded to
+    # complex64 as a cube file stores them: every map cell stays finite
+    loud = tuple(PointTarget(r, v, az, simulate._MAX_AMPLITUDE)
+                 for r, v, az in ((12.0, 3.0, -10.0), (25.0, -4.0, 15.0)))
+    for snr_db in (-simulate._LEVEL_LIMIT_DB, simulate._LEVEL_LIMIT_DB):
+        frames = simulate_frame_pair(Scene(targets=loud, snr_db=snr_db, rng_seed=1),
+                                     small_params, geometry)
+        a, b = (replace(f, samples=f.samples.astype(np.complex64)) for f in frames)
+        result = run_pipeline(a, b, small_params, geometry, cartesian=True)
+        assert np.isfinite(result.map_a.power_db).all()
+        assert np.isfinite(result.map_b.power_db).all()
+
+
 class TestInjectChannelErrors:
     def test_identity(self, small_params, geometry):
         cube = simulate_frame(single_target_scene(), small_params, geometry, 0)
@@ -388,6 +403,13 @@ def test_shipped_scenes_load_unchanged(name):
     {"rng_seed": -1},
     [],
     {"snr": 10.0},
+    # levels a complex64 cube cannot carry: the noise scale overflowed at 1e308
+    # dB and divided by zero at -1e308 dB; -800 dB noise and a 1e39 target were
+    # synthesized, and became inf in a cube file
+    {"snr_db": 1e308},
+    {"snr_db": -1e308},
+    {"snr_db": -800.0},
+    {"targets": [{"range_m": 20.0, "amplitude": 1e39}]},
 ])
 def test_malformed_scene_rejected(data):
     with pytest.raises(InvalidParameterError) as info:
