@@ -115,17 +115,16 @@ def steering_vector(geometry: ArrayGeometry, azimuth_deg: float) -> np.ndarray:
     return tx[:, None] * rx[None, :]
 
 
-def estimate_calibration(cube: DataCube, truth_range_m: float, truth_azimuth_deg: float,
-                         geometry: ArrayGeometry) -> CalibrationVector:
-    """Derive correction gains from a recording of a single static corner
-    reflector at a known range/azimuth.
+def estimate_calibration(cube: DataCube, truth_range_m: float,
+                         truth_azimuth_deg: float) -> CalibrationVector:
+    """Derive correction gains, for the array that recorded ``cube``, from its
+    recording of a single static corner reflector at a known range/azimuth.
 
     The reflector's range bin is located on the channel-averaged spectrum,
     the per-(tx, rx) response there is divided by the ideal steering
     response of the truth angle, and the result is normalized so the first
     element is 1+0j.
     """
-    geometry.check_shape(cube.params.n_tx, cube.params.n_rx)
     _require(_is_number(truth_range_m), f"reference range must be finite, got {truth_range_m!r}")
     _require(_is_number(truth_azimuth_deg) and -90.0 < truth_azimuth_deg < 90.0,
              f"reference azimuth must lie in (-90, 90) degrees, got {truth_azimuth_deg!r}")
@@ -150,10 +149,10 @@ def estimate_calibration(cube: DataCube, truth_range_m: float, truth_azimuth_deg
 
     # The reflector is static, so its response sits in the zero-Doppler bin.
     response = rd.values[:, :, rd.n_doppler // 2, peak_bin]
-    gains = response / steering_vector(geometry, truth_azimuth_deg)
+    gains = response / steering_vector(cube.geometry, truth_azimuth_deg)
     gains = gains / gains[0, 0]
     return CalibrationVector(gains=gains, reference_range_m=truth_range_m,
-                             reference_azimuth_deg=truth_azimuth_deg, geometry=geometry)
+                             reference_azimuth_deg=truth_azimuth_deg, geometry=cube.geometry)
 
 
 def apply_calibration(rd: RangeDopplerCube, cal: CalibrationVector) -> RangeDopplerCube:

@@ -104,9 +104,8 @@ def _cmd_process(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     params = RadarParams.from_json(args.params)
-    geometry = ArrayGeometry.from_json(args.geometry)
-    cube = fileio.read_cube(args.infile, params, geometry)
-    cal = estimate_calibration(cube, args.range, args.azimuth, geometry)
+    cube = fileio.read_cube(args.infile, params, ArrayGeometry.from_json(args.geometry))
+    cal = estimate_calibration(cube, args.range, args.azimuth)
     fileio.write_calibration_json(cal, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -63,13 +63,12 @@ _RESOLUTION_PARAMS = RadarParams(
 def _strongest_snapshot(params: RadarParams, *targets: PointTarget) -> tuple:
     """Frame 0 of the noiseless ``targets`` on the default array: two-sided
     map, strongest NCI cell (range bin, Doppler bin) and that cell's snapshot."""
-    geometry = default_geometry()
-    cube = simulate_frame(Scene(targets=targets), params, geometry, frame_index=0)
+    cube = simulate_frame(Scene(targets=targets), params, default_geometry(), frame_index=0)
     rd = range_doppler_map(tdm_demux(cube, cube.plan))
     power = noncoherent_integrate(rd)
     doppler_bin, range_bin = np.unravel_index(np.argmax(power), power.shape)
     cell = (int(range_bin), int(doppler_bin))
-    return rd, cell, assemble_snapshot(rd, cell, build_virtual_array(geometry))
+    return rd, cell, assemble_snapshot(rd, cell, build_virtual_array(cube.geometry))
 
 
 def _peaks(x: np.ndarray, height: float) -> np.ndarray:

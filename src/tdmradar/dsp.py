@@ -4,8 +4,10 @@ cell-averaging CFAR."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import mmap
-import sys
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,24 +92,25 @@ def _window(name: str, n: int) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
-def _release(values: np.ndarray) -> None:
+def _release(values: np.ndarray, pagemap) -> None:
     """Drop the pages wholly inside ``values`` when it views a file ``mmap``, as
-    ``read_cube``'s samples do, unless ``/proc/self/pagemap`` shows one of them
-    privately written (present or swapped, and not a file page): clean pages map
-    the file in again when read.  In-memory arrays and other systems keep theirs."""
+    ``read_cube``'s samples do, unless ``/proc/self/pagemap``, read through the
+    file ``pagemap()`` returns, shows one of them privately written (present or
+    swapped, and not a file page): clean pages map the file in again when read.
+    In-memory arrays, and systems without that file, keep theirs."""
     source = values
     while isinstance(source, np.ndarray):
         source = source.base
     source = getattr(source, "obj", source)  # np.frombuffer's base is a memoryview
-    if not (sys.platform == "linux" and isinstance(source, mmap.mmap)):
-        return
     low, high = byte_bounds(values)
     first, end = -(-low // mmap.PAGESIZE), high // mmap.PAGESIZE
+    if not isinstance(source, mmap.mmap) or end <= first:
+        return
     try:
-        flags = np.fromfile("/proc/self/pagemap", "<u8", max(end - first, 0), offset=8 * first)
+        flags = np.frombuffer(os.pread(pagemap().fileno(), 8 * (end - first), 8 * first), "<u8")
     except OSError:
         return
-    if end > first and not ((flags >> 62 != 0) & (flags >> 61 & 1 == 0)).any():
+    if not ((flags >> 62 != 0) & (flags >> 61 & 1 == 0)).any():
         origin = byte_bounds(np.frombuffer(source, np.uint8))[0]
         source.madvise(mmap.MADV_DONTNEED, first * mmap.PAGESIZE - origin,
                        (end - first) * mmap.PAGESIZE)
@@ -144,14 +147,15 @@ def range_doppler_map(sub: TxSubCubes, window: str = "hann", *, one_sided: bool 
     buf = np.empty((min(rows, n_rx), n_slow, n_fast), dtype=dtype)
     out = np.empty((n_tx, n_rx, n_slow, n_keep), dtype=dtype)
     # inf times the window's zero imaginary part is NaN; run_pipeline reports it
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"), contextlib.ExitStack() as files:
+        pagemap = functools.cache(lambda: files.enter_context(open("/proc/self/pagemap", "rb")))
         for r in range(0, n_rx, rows):
             for k in range(n_tx):
                 block = buf[:n_rx - r]
                 np.multiply(sub.values[k, r:r + rows], w, out=block, dtype=dtype,
                             casting="same_kind")
                 out[k, r:r + rows] = scipy.fft.fft(block, axis=-1, overwrite_x=True)[..., :n_keep]
-            _release(sub.values[:, r:r + rows])
+            _release(sub.values[:, r:r + rows], pagemap)
         out = scipy.fft.fft(out, axis=-2, overwrite_x=True)
 
     vmax = folded_vmax(params, sub.plan.frame_index)

@@ -110,9 +110,9 @@ def _cube_header(params: RadarParams, geometry: ArrayGeometry, frame_index: int)
                              _digest(params, geometry, frame_index))
 
 
-def write_cube(cube: DataCube, path, geometry: ArrayGeometry) -> None:
-    """Write ``cube``, recorded by ``geometry``, under a header naming what made it."""
-    header = _cube_header(cube.params, geometry, cube.plan.frame_index)
+def write_cube(cube: DataCube, path) -> None:
+    """Write ``cube`` under a header naming its params, geometry and frame index."""
+    header = _cube_header(cube.params, cube.geometry, cube.plan.frame_index)
     flat = cube.samples.reshape(-1)
     buf = np.empty(min(flat.size, _CAST_BLOCK), dtype="<c8")
     with _replacing(path) as fh:
@@ -126,7 +126,7 @@ def write_cube(cube: DataCube, path, geometry: ArrayGeometry) -> None:
 def write_simulated_cube(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
                          frame_index: int, start_time_s: float, path) -> None:
     """Write the cube that ``write_cube(simulate_frame(scene, params, geometry,
-    frame_index, start_time_s), path, geometry)`` writes, byte for byte,
+    frame_index, start_time_s), path)`` writes, byte for byte,
     without holding the frame: the output file's 8-byte sample slots stage it.
     Three passes in the noise stream's order: the real-part noise ``n_re`` is
     drawn and written as float64, ``_CAST_BLOCK`` samples at a time; each
@@ -191,7 +191,7 @@ def read_cube(path, params: RadarParams, geometry: ArrayGeometry) -> DataCube:
     ``write_cube`` up to the float32 storage width).  A cube whose digest names other
     params, another geometry or another frame index raises ``InvalidParameterError``.
     The samples come back as a writable complex64 array, the width they are stored
-    in, mapped copy-on-write from the file."""
+    in, mapped copy-on-write from the file, with ``geometry`` as the cube's own."""
     with open(path, "rb") as fh:
         raw = fh.read(_CUBE_HEADER.size)
         if len(raw) < _CUBE_HEADER.size:
@@ -209,7 +209,7 @@ def read_cube(path, params: RadarParams, geometry: ArrayGeometry) -> DataCube:
         shape = (params.n_rx, plan.chirp_count_total, params.adc_samples_per_chirp)
         samples = _read_payload(fh, _CUBE_HEADER.size, "<c8", int(np.prod(shape)),
                                 CubeFormatError)
-    return DataCube(samples=samples.reshape(shape), plan=plan, params=params)
+    return DataCube(samples.reshape(shape), plan, params, geometry)
 
 
 def write_map(rmap: RangeAzimuthMap, path) -> None:

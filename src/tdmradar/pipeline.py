@@ -132,11 +132,11 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
                  geometry: ArrayGeometry, cal: CalibrationVector | None = None,
                  cfar: CfarConfig = CfarConfig(), *, cartesian: bool = False) -> PipelineResult:
     """Process one staggered frame pair (``ANGLE_GRID_SIZE`` angle grid);
-    cubes simulated or read under other params, params whose CRT margin is
-    not above the intersection tolerance, a calibration measured on another
-    array geometry, a virtual array wider than the angle grid or non-finite
-    samples raise.  With ``cartesian``, both polar maps are resampled once
-    the range/Doppler cubes are dropped."""
+    cubes simulated or read under other params or another geometry, params
+    whose CRT margin is not above the intersection tolerance, a calibration
+    measured on another array geometry, a virtual array wider than the angle
+    grid or non-finite samples raise.  With ``cartesian``, both polar maps are
+    resampled once the range/Doppler cubes are dropped."""
     if cube_a.params != params or cube_b.params != params:
         raise InvalidParameterError("the frame pair was made under other radar parameters")
     margin, tolerance = crt_margin(params), crt_tolerance(params)
@@ -156,6 +156,8 @@ def run_pipeline(cube_a: DataCube, cube_b: DataCube, params: RadarParams,
     if not varray.overlapped_pairs:
         raise UnsupportedGeometryError(
             "velocity unfolding needs overlapped virtual elements from distinct TXs")
+    if cube_a.geometry != geometry or cube_b.geometry != geometry:
+        raise InvalidParameterError("the frame pair was recorded by another array geometry")
 
     # Frame b runs on the frame-b worker while frame a runs here.
     (rd_a, power_a, detections_a), (rd_b, power_b, detections_b) = _frame_pair(

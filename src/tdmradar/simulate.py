@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -120,8 +120,10 @@ class DataCube:
     samples: np.ndarray
     plan: FramePlan
     params: RadarParams
+    geometry: ArrayGeometry  # the array that recorded the samples
 
     def __post_init__(self) -> None:
+        self.geometry.check_shape(self.params.n_tx, self.params.n_rx)
         _require(self.plan == build_frame_plan(self.params, self.plan.frame_index),
                  f"{self.plan} is not frame {self.plan.frame_index}'s schedule under its params")
         expected = (self.params.n_rx, self.plan.chirp_count_total,
@@ -224,12 +226,11 @@ def _signal_sums(scene: Scene, params: RadarParams, plan: FramePlan,
             yield rx, slice(s0, s1), acc
 
 
-def _add_signal(cube: DataCube, scene: Scene, geometry: ArrayGeometry,
-                start_time_s: float) -> None:
+def _add_signal(cube: DataCube, scene: Scene, start_time_s: float) -> None:
     """Add the scene's targets to the cube in place, one ``_signal_sums``
     block at a time.  So a sample is ``x + S`` with the same ``S`` whether or
     not the cube already holds noise ``x``."""
-    for rx, slots, sums in _signal_sums(scene, cube.params, cube.plan, geometry, start_time_s):
+    for rx, slots, sums in _signal_sums(scene, cube.params, cube.plan, cube.geometry, start_time_s):
         cube.samples[rx, slots] += sums
 
 
@@ -244,12 +245,12 @@ def simulate_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
     frames are chained."""
     plan = _check_frame(scene, params, geometry, frame_index, start_time_s)
     shape = (params.n_rx, plan.chirp_count_total, params.adc_samples_per_chirp)
-    frame = DataCube(samples=np.zeros(shape, dtype=np.complex128), plan=plan, params=params)
+    frame = DataCube(np.zeros(shape, dtype=np.complex128), plan, params, geometry)
     if frame_index % 2:
         _add_noise(frame, scene)
-        _add_signal(frame, scene, geometry, start_time_s)
+        _add_signal(frame, scene, start_time_s)
     else:
-        _add_signal(frame, scene, geometry, start_time_s)
+        _add_signal(frame, scene, start_time_s)
         _add_noise(frame, scene)
     return frame
 
@@ -279,5 +280,4 @@ def inject_channel_errors(cube: DataCube, gains) -> DataCube:
     gains = np.asarray(gains, dtype=np.complex128)
     _require(gains.shape == shape, f"gains of shape {gains.shape} for a {shape} TX x RX radar")
     per_slot_rx = gains[cube.plan.tx_order, :]  # (n_slots, n_rx)
-    samples = cube.samples * per_slot_rx.T[:, :, None]
-    return DataCube(samples=samples, plan=cube.plan, params=cube.params)
+    return replace(cube, samples=cube.samples * per_slot_rx.T[:, :, None])

@@ -52,7 +52,7 @@ class TestEstimateCalibration:
     def test_clean_reflector_gives_all_ones(self, small_params, geometry):
         scene = single_target_scene(range_m=5.0, azimuth_deg=0.0)
         cube, _ = process_frame(scene, small_params, geometry)
-        cal = estimate_calibration(cube, 5.0, 0.0, geometry)
+        cal = estimate_calibration(cube, 5.0, 0.0)
         np.testing.assert_allclose(cal.gains, np.ones_like(cal.gains), atol=1e-9)
 
     def test_injected_gain_round_trip(self, small_params, geometry):
@@ -62,7 +62,7 @@ class TestEstimateCalibration:
         scene = single_target_scene(range_m=5.0, azimuth_deg=0.0)
         cube, _ = process_frame(scene, small_params, geometry)
         corrupted = inject_channel_errors(cube, gains)
-        cal = estimate_calibration(corrupted, 5.0, 0.0, geometry)
+        cal = estimate_calibration(corrupted, 5.0, 0.0)
         # recovered gains equal injected up to one global complex scalar
         ratio = cal.gains / gains
         np.testing.assert_allclose(ratio, ratio[0, 0], rtol=1e-6)
@@ -73,7 +73,7 @@ class TestEstimateCalibration:
         scene = single_target_scene(range_m=5.0, azimuth_deg=0.0, snr_db=30.0, seed=8)
         cube, _ = process_frame(scene, small_params, geometry)
         corrupted = inject_channel_errors(cube, gains)
-        cal = estimate_calibration(corrupted, 5.0, 0.0, geometry)
+        cal = estimate_calibration(corrupted, 5.0, 0.0)
         phase_err = np.angle(cal.gains / gains / (cal.gains[0, 0] / gains[0, 0]))
         rms_deg = np.degrees(np.sqrt(np.mean(phase_err ** 2)))
         assert rms_deg < 2.0
@@ -82,20 +82,20 @@ class TestEstimateCalibration:
         scene = single_target_scene(range_m=5.0, amplitude=0.02, snr_db=20.0, seed=1)
         cube, _ = process_frame(scene, small_params, geometry)
         with pytest.raises(CalibrationError):
-            estimate_calibration(cube, 5.0, 0.0, geometry)
+            estimate_calibration(cube, 5.0, 0.0)
 
     @pytest.mark.parametrize("range_m, azimuth_deg", [(np.nan, 0.0), (np.inf, 0.0),
                                                       (5.0, np.nan), (5.0, 90.0)])
     def test_bad_truth_rejected(self, small_params, geometry, range_m, azimuth_deg):
         cube = simulate_frame(single_target_scene(range_m=5.0), small_params, geometry, 0)
         with pytest.raises(InvalidParameterError, match="reference"):
-            estimate_calibration(cube, range_m, azimuth_deg, geometry)
+            estimate_calibration(cube, range_m, azimuth_deg)
 
     def test_wrong_truth_range_rejected(self, small_params, geometry):
         scene = single_target_scene(range_m=20.0, azimuth_deg=0.0)
         cube, _ = process_frame(scene, small_params, geometry)
         with pytest.raises(CalibrationError):
-            estimate_calibration(cube, 5.0, 0.0, geometry)
+            estimate_calibration(cube, 5.0, 0.0)
 
 
 class TestApplyCalibration:
@@ -113,7 +113,7 @@ class TestApplyCalibration:
                  * np.exp(1j * rng.uniform(-np.pi, np.pi, (9, 16))))
         cal_scene = single_target_scene(range_m=5.0, azimuth_deg=0.0)
         cal_cube, _ = process_frame(cal_scene, small_params, geometry)
-        cal = estimate_calibration(inject_channel_errors(cal_cube, gains), 5.0, 0.0, geometry)
+        cal = estimate_calibration(inject_channel_errors(cal_cube, gains), 5.0, 0.0)
 
         scene = single_target_scene(range_m=20.0, azimuth_deg=17.0)
         cube = simulate_frame(scene, small_params, geometry, 0)
@@ -127,7 +127,7 @@ class TestApplyCalibration:
 
     def test_calibration_records_its_geometry(self, small_params, geometry):
         cube, _ = process_frame(single_target_scene(range_m=5.0), small_params, geometry)
-        cal = estimate_calibration(cube, 5.0, 0.0, geometry)
+        cal = estimate_calibration(cube, 5.0, 0.0)
         assert cal.geometry == geometry
         data = cal.to_dict()
         assert CalibrationVector.from_dict(data).geometry == geometry

@@ -171,8 +171,7 @@ def test_simulate_writes_the_library_frames_at_default_params(tmp_path):
     demo = Scene.from_json(configs / "scene_demo.json")
     scene = Scene(targets=demo.targets, snr_db=demo.snr_db, rng_seed=5)
     for name, frame, start in (("a", 0, 0.0), ("b", 1, params.frame_duration_s(0))):
-        write_cube(simulate_frame(scene, params, geometry, frame, start),
-                   tmp_path / "ref.rdc", geometry)
+        write_cube(simulate_frame(scene, params, geometry, frame, start), tmp_path / "ref.rdc")
         assert (tmp_path / f"{name}.rdc").read_bytes() == (tmp_path / "ref.rdc").read_bytes()
 
 
@@ -449,7 +448,7 @@ def test_non_finite_cube_exit_2(workdir, tmp_path):
     params = RadarParams.from_json(workdir / "params.json")
     cube = read_cube(workdir / "f0.rdc", params, default_geometry())
     cube.samples[2, 5, 9] = np.nan
-    write_cube(cube, tmp_path / "nan.rdc", default_geometry())
+    write_cube(cube, tmp_path / "nan.rdc")
     proc = _process_data_error(workdir, tmp_path, tmp_path / "nan.rdc", workdir / "f1.rdc")
     assert "non-finite" in proc.stderr
 
@@ -459,7 +458,7 @@ def test_non_finite_frame_b_cube_exit_2(workdir, tmp_path, bad):
     params = RadarParams.from_json(workdir / "params.json")
     cube = read_cube(workdir / "f1.rdc", params, default_geometry())
     cube.samples[4, 3, 1] = bad
-    write_cube(cube, tmp_path / "bad.rdc", default_geometry())
+    write_cube(cube, tmp_path / "bad.rdc")
     proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", tmp_path / "bad.rdc")
     assert "frame 1 has non-finite" in proc.stderr
 

@@ -1,5 +1,7 @@
+import builtins
 import mmap
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from tdmradar.dsp import _window, parabolic_offset
 from tdmradar.fileio import read_cube, write_cube
 from tdmradar.simulate import DataCube
 
-from conftest import peak_cell, single_target_scene
+from conftest import line_array, peak_cell, single_target_scene
 
 
 def synthetic_cube(params, fill=None, seed=None):
@@ -38,7 +40,8 @@ def synthetic_cube(params, fill=None, seed=None):
         samples = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     else:
         samples = np.zeros(shape, dtype=complex)
-    return DataCube(samples=samples, plan=plan, params=params)
+    return DataCube(samples=samples, plan=plan, params=params,
+                    geometry=line_array(params.n_tx, params.n_rx))
 
 
 def _resident_pages(array):
@@ -99,7 +102,7 @@ class TestRangeDopplerMap:
         t = np.arange(512) / p.sample_rate_hz
         tone = np.exp(1j * 2 * np.pi * 5e6 * t)
         samples = np.broadcast_to(tone, (1, 4, 512)).copy()
-        rd = range_doppler_map(tdm_demux(DataCube(samples, plan, p), plan),
+        rd = range_doppler_map(tdm_demux(DataCube(samples, plan, p, line_array(1, 1)), plan),
                                window="rect")
         profile = np.abs(rd.values[0, 0, rd.n_doppler // 2, :])
         assert int(np.argmax(profile)) == 250
@@ -134,7 +137,7 @@ class TestRangeDopplerMap:
         cube_y = synthetic_cube(small_params, seed=5)
         a, b = 2.5 - 1j, -0.75 + 0.2j
         plan = cube_x.plan
-        mixed = DataCube(a * cube_x.samples + b * cube_y.samples, plan, small_params)
+        mixed = replace(cube_x, samples=a * cube_x.samples + b * cube_y.samples)
         rd_mixed = range_doppler_map(tdm_demux(mixed, plan))
         rd_x = range_doppler_map(tdm_demux(cube_x, plan))
         rd_y = range_doppler_map(tdm_demux(cube_y, plan))
@@ -145,14 +148,14 @@ class TestRangeDopplerMap:
 
     @pytest.mark.parametrize("window", ["hann", "rect"], ids=["windows0", "windows1"])
     @pytest.mark.parametrize("from_file", [False, True])
-    def test_one_sided_kernel_equals_cropped_map(self, small_params, geometry, tmp_path,
-                                                 window, from_file):
+    def test_one_sided_kernel_equals_cropped_map(self, small_params, tmp_path, window,
+                                                 from_file):
         # the pipeline's one-sided kernel is the two-sided map cropped, bit
         # for bit, on complex128 cubes and on complex64 file cubes
         cube = synthetic_cube(small_params, seed=6)
         if from_file:
-            write_cube(cube, tmp_path / "c.rdc", geometry)
-            cube = read_cube(tmp_path / "c.rdc", small_params, geometry)
+            write_cube(cube, tmp_path / "c.rdc")
+            cube = read_cube(tmp_path / "c.rdc", small_params, cube.geometry)
         sub = tdm_demux(cube, cube.plan)
         n_fast = small_params.adc_samples_per_chirp
         full = range_doppler_map(sub, window)
@@ -171,16 +174,17 @@ class TestRangeDopplerMap:
         np.testing.assert_array_equal(full.values, np.fft.fftshift(ref, axes=-2))
 
     @pytest.mark.parametrize("rows", [1, 3, 16])
-    def test_mapped_cube_transforms_like_an_in_ram_copy(self, small_params, geometry, tmp_path,
+    def test_mapped_cube_transforms_like_an_in_ram_copy(self, small_params, tmp_path,
                                                         monkeypatch, rows):
         # RX blocks of `rows` rows, each with its samples of all 9 TX (3 leaves a
         # partial last block): each block's pages are released once transformed,
         # which changes no bit of the map and none of the samples, read back
         # from the file
         monkeypatch.setattr(dsp, "_SCRATCH_BYTES", rows * small_params.n_tx * 32 * 128 * 8)
-        write_cube(synthetic_cube(small_params, seed=4), tmp_path / "c.rdc", geometry)
-        mapped = read_cube(tmp_path / "c.rdc", small_params, geometry)
-        copy = DataCube(samples=mapped.samples.copy(), plan=mapped.plan, params=small_params)
+        cube = synthetic_cube(small_params, seed=4)
+        write_cube(cube, tmp_path / "c.rdc")
+        mapped = read_cube(tmp_path / "c.rdc", small_params, cube.geometry)
+        copy = replace(mapped, samples=mapped.samples.copy())
         rd = [range_doppler_map(tdm_demux(c, c.plan), one_sided=True, dtype=np.complex64)
               for c in (mapped, copy)]
         if sys.platform == "linux":  # a block boundary inside a page keeps that page
@@ -188,14 +192,36 @@ class TestRangeDopplerMap:
         assert rd[0].values.tobytes() == rd[1].values.tobytes()
         assert mapped.samples.tobytes() == copy.samples.tobytes()
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="only Linux has a pagemap")
+    def test_mapped_cube_opens_the_pagemap_once(self, small_params, tmp_path, monkeypatch):
+        # the 16 RX rows go in 3 blocks of at most 7 at small params; the 3
+        # release checks read /proc/self/pagemap through one file, opened and
+        # closed by the call, and an in-RAM cube opens none
+        cube = synthetic_cube(small_params, seed=4)
+        write_cube(cube, tmp_path / "c.rdc")
+        mapped = read_cube(tmp_path / "c.rdc", small_params, cube.geometry)
+        real_open, pagemaps = builtins.open, []
+
+        def counting_open(file, *args, **kwargs):
+            opened = real_open(file, *args, **kwargs)
+            if file == "/proc/self/pagemap":
+                pagemaps.append(opened)
+            return opened
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        for c, opens in ((cube, 0), (mapped, 1)):
+            range_doppler_map(tdm_demux(c, c.plan), one_sided=True, dtype=np.complex64)
+            assert len(pagemaps) == opens
+        assert all(f.closed for f in pagemaps)
+
     @pytest.mark.parametrize("window", ["hann", "rect"])
-    def test_complex64_kernel_equals_file_copy(self, small_params, geometry, tmp_path, window):
+    def test_complex64_kernel_equals_file_copy(self, small_params, tmp_path, window):
         # in complex64 the kernel rounds a complex128 cube's samples before
         # the window multiply, as write_cube does, so it gives the bits of the
         # cube's file copy; the default keeps complex128
         cube = synthetic_cube(small_params, seed=8)
-        write_cube(cube, tmp_path / "c.rdc", geometry)
-        copy = read_cube(tmp_path / "c.rdc", small_params, geometry)
+        write_cube(cube, tmp_path / "c.rdc")
+        copy = read_cube(tmp_path / "c.rdc", small_params, cube.geometry)
         sub = tdm_demux(cube, cube.plan)
         rd = range_doppler_map(sub, window, one_sided=True, dtype=np.complex64)
         ref = range_doppler_map(tdm_demux(copy, copy.plan), window, one_sided=True)

@@ -5,13 +5,13 @@ import stat
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tdmradar import (
     ArrayGeometry,
-    DataCube,
     InvalidParameterError,
     PointTarget,
     RadarParams,
@@ -56,12 +56,12 @@ def cube(small_params, geometry):
 class TestCubeFormat:
     def test_round_trip_bit_identical(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         loaded = read_cube(path, small_params, GEOMETRY)
         # payload is float32, so one write/read quantizes; a second pass
         # must be exactly lossless
         path2 = tmp_path / "frame2.rdc"
-        write_cube(loaded, path2, GEOMETRY)
+        write_cube(loaded, path2)
         again = read_cube(path2, small_params, GEOMETRY)
         assert np.array_equal(loaded.samples, again.samples)
         assert path.read_bytes() == path2.read_bytes()
@@ -74,13 +74,13 @@ class TestCubeFormat:
         if block is not None:
             monkeypatch.setattr(fileio, "_CAST_BLOCK", block)
         assert cube.samples.size % fileio._CAST_BLOCK != 0
-        write_cube(cube, tmp_path / "frame.rdc", GEOMETRY)
+        write_cube(cube, tmp_path / "frame.rdc")
         payload = (tmp_path / "frame.rdc").read_bytes()[_CUBE_HEADER.size:]
         assert payload == np.ascontiguousarray(cube.samples, dtype="<c8").tobytes()
 
     def test_read_returns_writable_complex64(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         loaded = read_cube(path, small_params, GEOMETRY)
         assert loaded.samples.dtype == np.complex64
         assert loaded.samples.flags.writeable
@@ -88,7 +88,7 @@ class TestCubeFormat:
 
     def test_writes_into_the_read_array_stay_private(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         before = path.read_bytes()
         loaded = read_cube(path, small_params, GEOMETRY)
         loaded.samples[...] = 7.0
@@ -112,10 +112,10 @@ class TestCubeFormat:
     def test_unaligned_read_cube_transforms_like_an_aligned_copy(self, cube, small_params,
                                                                 tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         loaded = read_cube(path, small_params, GEOMETRY)
         assert not loaded.samples.flags.aligned  # the payload starts at byte 42
-        aligned = DataCube(samples=loaded.samples.copy(), plan=loaded.plan, params=small_params)
+        aligned = replace(loaded, samples=loaded.samples.copy())
         assert aligned.samples.flags.aligned
         rd = [range_doppler_map(tdm_demux(c, c.plan), one_sided=True, dtype=np.complex64)
               for c in (loaded, aligned)]
@@ -125,7 +125,7 @@ class TestCubeFormat:
         # the size check runs before the payload is mapped, so an empty
         # payload never reaches mmap ("cannot mmap an empty file")
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         path.write_bytes(path.read_bytes()[:_CUBE_HEADER.size])
         with pytest.raises(CubeFormatError,
                            match=f"payload is 0 bytes, expected {cube.samples.size * 8} "
@@ -136,7 +136,7 @@ class TestCubeFormat:
         # magic, version, frame index and digest, then the payload; its size
         # comes from the params, so the header holds no dimension
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         n_rx, n_chirps, n_fast = cube.samples.shape
         header_size = 4 + 2 + 4 + 32
         assert _CUBE_HEADER.size == header_size == 42
@@ -144,7 +144,7 @@ class TestCubeFormat:
 
     def test_header_fields(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         magic, version, frame_index, digest = _CUBE_HEADER.unpack_from(path.read_bytes())
         assert (magic, version, frame_index) == (b"RDC1", 3, 0)
         blob = json.dumps({"params": small_params.to_dict(), "geometry": GEOMETRY.to_dict(),
@@ -161,7 +161,7 @@ class TestCubeFormat:
 
     def test_bad_magic(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
@@ -170,7 +170,7 @@ class TestCubeFormat:
 
     def test_bad_version(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         data = bytearray(path.read_bytes())
         # version 2 is the format before this one; no compatibility path is kept
         for version in (1, 2, 99):
@@ -181,7 +181,7 @@ class TestCubeFormat:
 
     def test_truncated_payload(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         data = path.read_bytes()
         path.write_bytes(data[:-100])
         with pytest.raises(CubeFormatError, match="offset"):
@@ -189,7 +189,7 @@ class TestCubeFormat:
 
     def test_params_mismatch(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         # other dimensions, and the same dimensions and PRIs under another carrier
         other_dims = RadarParams(77e9, 250e6, 20e-6, 256, 32, 9, 16, 21.0e-6, 27.2e-6)
         other_carrier = RadarParams(**{**small_params.to_dict(), "carrier_frequency_hz": 70e9})
@@ -199,10 +199,21 @@ class TestCubeFormat:
 
     def test_pri_mismatch(self, cube, small_params, tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         other = RadarParams(**{**small_params.to_dict(), "pri_frame_a_s": 22e-6})
         with pytest.raises(InvalidParameterError, match="digest mismatch"):
             read_cube(path, other, GEOMETRY)
+
+    @pytest.mark.parametrize("own, other", [(GEOMETRY, PERMUTED), (PERMUTED, GEOMETRY)],
+                             ids=["default", "reversed_rx"])
+    def test_cube_is_written_under_its_own_geometry(self, small_params, tmp_path, own, other):
+        # write_cube stamps the array the cube carries, so the file reads back
+        # under that array, and only under it
+        path = tmp_path / "frame.rdc"
+        write_cube(simulate_frame(Scene(), small_params, own, 0), path)
+        assert read_cube(path, small_params, own).geometry == own
+        with pytest.raises(InvalidParameterError, match="digest mismatch"):
+            read_cube(path, small_params, other)
 
 
 def _frames(params):
@@ -228,8 +239,7 @@ class TestSimulatedCube:
                  "empty_noisy": Scene(snr_db=15.0, rng_seed=11),
                  "twelve_targets": random_scene(params, 4)}.get(case, Scene(two, 15.0, 11))
         for frame, start in _frames(params):
-            write_cube(simulate_frame(scene, params, geometry, frame, start),
-                       tmp_path / "ref.rdc", geometry)
+            write_cube(simulate_frame(scene, params, geometry, frame, start), tmp_path / "ref.rdc")
             write_simulated_cube(scene, params, geometry, frame, start, tmp_path / "new.rdc")
             assert (tmp_path / "new.rdc").read_bytes() == (tmp_path / "ref.rdc").read_bytes()
 
@@ -257,7 +267,7 @@ class TestSimulatedCube:
         scene = Scene(targets=(PointTarget(12.0, 3.0, -10.0),), snr_db=snr_db, rng_seed=2)
         for frame, start in _frames(small_params):
             write_cube(simulate_frame(scene, small_params, geometry, frame, start),
-                       tmp_path / "ref.rdc", geometry)
+                       tmp_path / "ref.rdc")
             write_simulated_cube(scene, small_params, geometry, frame, start,
                                  tmp_path / "new.rdc")
             payload = np.fromfile(tmp_path / "new.rdc", dtype="<f4", offset=_CUBE_HEADER.size)
@@ -398,7 +408,7 @@ _MAP = RangeAzimuthMap(power_db=np.arange(12.0).reshape(3, 4), kind="polar",
 
 # Each writer, with the argument it writes.
 WRITERS = {
-    "cube": lambda cube, path: write_cube(cube, path, GEOMETRY),
+    "cube": lambda cube, path: write_cube(cube, path),
     "map": lambda cube, path: write_map(_MAP, path),
     "pgm": lambda cube, path: export_pgm(_MAP, path),
     "detections": lambda cube, path: write_detections_json([], path),
@@ -421,9 +431,9 @@ cube = fileio.read_cube(sys.argv[2], params, geometry)
 kept = cube.samples.copy()
 if len(sys.argv) > 4:
     smaller = RadarParams(**{**params.to_dict(), "chirps_per_tx_per_frame": int(sys.argv[4])})
-    fileio.write_cube(simulate_frame(Scene(), smaller, geometry, 0), sys.argv[3], geometry)
+    fileio.write_cube(simulate_frame(Scene(), smaller, geometry, 0), sys.argv[3])
 else:
-    fileio.write_cube(cube, sys.argv[3], geometry)
+    fileio.write_cube(cube, sys.argv[3])
 assert np.array_equal(cube.samples, kept)
 """
 
@@ -480,27 +490,26 @@ class TestReplacingWrites:
     def test_read_cube_keeps_its_samples_when_its_path_is_rewritten(self, cube, small_params,
                                                                      tmp_path):
         path = tmp_path / "frame.rdc"
-        write_cube(cube, path, GEOMETRY)
+        write_cube(cube, path)
         loaded = read_cube(path, small_params, GEOMETRY)
         kept = loaded.samples.copy()
-        write_cube(DataCube(samples=cube.samples * 2.0, plan=cube.plan, params=small_params),
-                   path, GEOMETRY)
+        write_cube(replace(cube, samples=cube.samples * 2.0), path)
         assert np.array_equal(loaded.samples, kept)
         assert np.array_equal(read_cube(path, small_params, GEOMETRY).samples, kept * 2.0)
 
     def test_symlink_target_is_replaced(self, cube, small_params, tmp_path):
         target, link = tmp_path / "target.rdc", tmp_path / "link.rdc"
-        write_cube(cube, target, GEOMETRY)
+        write_cube(cube, target)
         link.symlink_to(target)
         inode = os.stat(target).st_ino
         loaded = read_cube(link, small_params, GEOMETRY)
         kept = loaded.samples.copy()
-        doubled = DataCube(samples=cube.samples * 2.0, plan=cube.plan, params=small_params)
-        write_cube(doubled, link, GEOMETRY)
+        doubled = replace(cube, samples=cube.samples * 2.0)
+        write_cube(doubled, link)
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert os.stat(target).st_ino != inode
         assert np.array_equal(loaded.samples, kept)
-        write_cube(doubled, tmp_path / "plain.rdc", GEOMETRY)
+        write_cube(doubled, tmp_path / "plain.rdc")
         assert target.read_bytes() == (tmp_path / "plain.rdc").read_bytes()
 
     @pytest.mark.parametrize("extra", [-4_000_000, 1000])
@@ -512,8 +521,8 @@ class TestReplacingWrites:
         first.write_bytes(old)
         os.link(first, second)
         inode = os.stat(second).st_ino
-        write_cube(cube, first, GEOMETRY)
-        write_cube(cube, tmp_path / "plain.rdc", GEOMETRY)
+        write_cube(cube, first)
+        write_cube(cube, tmp_path / "plain.rdc")
         assert os.stat(first).st_ino != inode == os.stat(second).st_ino
         assert first.read_bytes() == (tmp_path / "plain.rdc").read_bytes()
         assert second.read_bytes() == old
@@ -521,7 +530,7 @@ class TestReplacingWrites:
     @pytest.mark.parametrize("link", ["symlink", "hard link"])
     def test_read_cube_written_back_through_a_link(self, cube, small_params, tmp_path, link):
         target, path = tmp_path / "target.rdc", tmp_path / "link.rdc"
-        write_cube(cube, target, GEOMETRY)
+        write_cube(cube, target)
         before = target.read_bytes()
         if link == "symlink":
             path.symlink_to(target)
@@ -537,7 +546,7 @@ class TestReplacingWrites:
         # cube is written over the other name: were the shared inode rewritten
         # in place and cut to the smaller length, the reader would die of SIGBUS
         x, y = tmp_path / "x.rdc", tmp_path / "y.rdc"
-        write_cube(cube, x, GEOMETRY)
+        write_cube(cube, x)
         before = x.read_bytes()
         os.link(x, y)
         child = _write_back_in_child(small_params, y, x, tmp_path, 4)
@@ -593,7 +602,7 @@ def test_open_descriptors_per_live_cube(cube, small_params, tmp_path):
     # before Python 3.13 each mapping keeps a duplicate of its file's descriptor
     per_cube = 0 if sys.version_info >= (3, 13) else 1
     path = tmp_path / "frame.rdc"
-    write_cube(cube, path, GEOMETRY)
+    write_cube(cube, path)
     before = len(os.listdir("/proc/self/fd"))
     cubes = [read_cube(path, small_params, GEOMETRY) for _ in range(5)]
     assert len(os.listdir("/proc/self/fd")) - before == 5 * per_cube

@@ -182,7 +182,8 @@ def sub():
     plan = build_frame_plan(params, 0)
     shape = (params.n_rx, plan.chirp_count_total, params.adc_samples_per_chirp)
     noise = np.random.default_rng(3).standard_normal(2 * int(np.prod(shape)), dtype=np.float32)
-    return tdm_demux(DataCube(noise.view(np.complex64).reshape(shape), plan, params), plan)
+    return tdm_demux(DataCube(noise.view(np.complex64).reshape(shape), plan, params,
+                              default_geometry()), plan)
 
 
 @pytest.fixture(scope="module")

@@ -114,7 +114,7 @@ def test_in_memory_run_equals_file_cube_run(small_params, pipeline_params, geome
     a, b = simulate_frame_pair(scene, params, geometry)
     loaded = []
     for tag, cube in (("a", a), ("b", b)):
-        write_cube(cube, tmp_path / f"{tag}.rdc", geometry)
+        write_cube(cube, tmp_path / f"{tag}.rdc")
         loaded.append(read_cube(tmp_path / f"{tag}.rdc", params, geometry))
     in_memory = run_pipeline(a, b, params, geometry)
     from_files = run_pipeline(*loaded, params, geometry)
@@ -406,6 +406,20 @@ def test_cube_params_must_match(small_params, geometry):
     _, b_76ghz = simulate_frame_pair(scene, at_76ghz, geometry)
     with pytest.raises(InvalidParameterError, match="other radar parameters"):
         run_pipeline(a, b_76ghz, small_params, geometry)
+
+
+def test_cube_geometry_must_match(small_params, geometry):
+    # a pair recorded by the default array is refused under that array with
+    # its RX order reversed, which has the same counts but would mirror every
+    # azimuth; so is a pair recorded by two arrays
+    scene = single_target_scene(range_m=20.0, velocity_mps=3.0, azimuth_deg=15.0)
+    a, b = simulate_frame_pair(scene, small_params, geometry)
+    reversed_rx = ArrayGeometry(geometry.tx_positions, geometry.rx_positions[::-1])
+    with pytest.raises(InvalidParameterError, match="recorded by another array geometry"):
+        run_pipeline(a, b, small_params, reversed_rx)
+    _, b_reversed = simulate_frame_pair(scene, small_params, reversed_rx)
+    with pytest.raises(InvalidParameterError, match="recorded by another array geometry"):
+        run_pipeline(a, b_reversed, small_params, geometry)
 
 
 def test_pipeline_keeps_one_worker_thread(small_params, geometry):

@@ -28,7 +28,7 @@ from tdmradar import (
 from tdmradar import simulate
 from tdmradar.config import SPEED_OF_LIGHT
 
-from conftest import peak_cell, single_target_scene
+from conftest import line_array, peak_cell, single_target_scene
 
 
 def test_empty_scene_noiseless_is_zero(small_params, geometry):
@@ -318,7 +318,16 @@ def test_cube_refuses_a_plan_its_params_would_not_make(small_params, geometry, c
     # the samples fit either plan, but a cube file's digest assumes the params' one
     cube = simulate_frame(single_target_scene(), small_params, geometry, 0)
     with pytest.raises(InvalidParameterError, match="schedule under its params"):
-        DataCube(samples=cube.samples, plan=replace(cube.plan, **change), params=small_params)
+        DataCube(samples=cube.samples, plan=replace(cube.plan, **change), params=small_params,
+                 geometry=geometry)
+
+
+@pytest.mark.parametrize("counts", [(8, 16), (9, 15)], ids=["tx", "rx"])
+def test_cube_refuses_a_geometry_of_other_counts(small_params, geometry, counts):
+    # a 9 TX x 16 RX cube cannot have been recorded by 8 TX or by 15 RX
+    cube = simulate_frame(single_target_scene(), small_params, geometry, 0)
+    with pytest.raises(InvalidParameterError, match=r"geometry of \(\d+, \d+\) elements"):
+        DataCube(cube.samples, cube.plan, small_params, line_array(*counts))
 
 
 def test_target_validation():
