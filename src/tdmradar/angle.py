@@ -23,7 +23,7 @@ from .config import (
     range_resolution,
 )
 from .dsp import RangeDopplerCube, noncoherent_integrate, range_doppler_map, tdm_demux
-from .simulate import DataCube
+from .simulate import _MAX_AMPLITUDE, DataCube
 from .unfold import VirtualSnapshot, migration_rotation
 
 FLOOR_DB = -120.0
@@ -65,8 +65,11 @@ class CalibrationVector:
     def __post_init__(self) -> None:
         self.gains = np.asarray(self.gains, dtype=np.complex128)
         _require(self.gains.ndim == 2, "calibration gains must be a (n_tx, n_rx) matrix")
-        _require(not np.any(self.gains == 0) and np.isfinite(self.gains).all(),
-                 "calibration gains must be finite and non-zero")
+        # A channel is divided by its gain in complex64: a scene's level limit holds.
+        magnitudes = np.abs(self.gains)
+        _require(np.all((magnitudes >= 1.0 / _MAX_AMPLITUDE) & (magnitudes <= _MAX_AMPLITUDE)),
+                 f"calibration gains must be finite and non-zero, with magnitudes in "
+                 f"[{1.0 / _MAX_AMPLITUDE:.3g}, {_MAX_AMPLITUDE:.3g}]")
         ref = (self.reference_range_m, self.reference_azimuth_deg)
         _require(all(map(_is_number, ref)), f"calibration reference {ref} must be finite numbers")
         self.geometry.check_shape(*self.gains.shape)

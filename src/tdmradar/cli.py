@@ -197,7 +197,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidParameterError, CalibrationError,
             fileio.CubeFormatError, fileio.MapFormatError,
-            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            OSError, MemoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"tdmradar: error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

@@ -5,13 +5,12 @@ its results against the acceptance thresholds and reports pass/fail."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .angle import angle_spectrum, assemble_snapshot, collapse_snapshot
 from .config import (
-    SPEED_OF_LIGHT,
     RadarParams,
     azimuth_resolution_3db,
     build_virtual_array,
@@ -44,13 +43,14 @@ class DemoResult:
 
 
 def _params_for_vmax(vmax_a: float, vmax_b: float) -> RadarParams:
-    """9 x 16 radar parameters whose folded vmax per frame equals the given values."""
-    wavelength = SPEED_OF_LIGHT / 77e9
-    return RadarParams(
+    """9 x 16 radar parameters whose folded vmax per frame equals the given values:
+    placeholder PRIs replaced by ones set from the params' own wavelength."""
+    params = RadarParams(
         carrier_frequency_hz=77e9, bandwidth_hz=250e6, chirp_duration_s=25e-6,
         adc_samples_per_chirp=128, chirps_per_tx_per_frame=32, n_tx=9, n_rx=16,
-        pri_frame_a_s=wavelength / (4.0 * 9 * vmax_a),
-        pri_frame_b_s=wavelength / (4.0 * 9 * vmax_b))
+        pri_frame_a_s=25e-6, pri_frame_b_s=50e-6)
+    return replace(params, pri_frame_a_s=params.wavelength_m / (4.0 * params.n_tx * vmax_a),
+                   pri_frame_b_s=params.wavelength_m / (4.0 * params.n_tx * vmax_b))
 
 
 # Waveform of both resolution demos.

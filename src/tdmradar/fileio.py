@@ -28,7 +28,7 @@ import numpy as np
 
 from .angle import FLOOR_DB, CalibrationVector, RangeAzimuthMap
 from .config import _SCRATCH_BYTES, ArrayGeometry, RadarParams, _require, build_frame_plan
-from .simulate import _SLOT_BLOCK, DataCube, Scene, _check_frame, _noise_stream, _signal_sums
+from .simulate import _SLOT_BLOCK, DataCube, Scene, _check_frame, _noise, _signal_sums
 
 CUBE_MAGIC = b"RDC1"
 CUBE_VERSION = 3
@@ -143,7 +143,7 @@ def write_simulated_cube(scene: Scene, params: RadarParams, geometry: ArrayGeome
     header = _cube_header(params, geometry, frame_index)
     n_slots, n_fast = plan.chirp_count_total, params.adc_samples_per_chirp
     size = params.n_rx * n_slots * n_fast
-    rng, scale = _noise_stream(scene, params, frame_index) or (None, None)
+    noise = _noise(scene, params, frame_index)
     real = np.empty(size, dtype=np.float32)
     buf = np.empty(min(size, _CAST_BLOCK), dtype="<c8")
     draw = np.empty(buf.size)
@@ -151,11 +151,7 @@ def write_simulated_cube(scene: Scene, params: RadarParams, geometry: ArrayGeome
     with _replacing(path) as fh:
         fh.write(header)
         for start in range(0, size, _CAST_BLOCK):
-            part = draw[:size - start]
-            if rng is None:
-                part[...] = 0.0
-            else:
-                np.multiply(rng.standard_normal(out=part), scale, out=part)
+            part = noise(draw[:size - start])
             if not scene.targets:  # no signal blocks: S = +0.0 everywhere
                 np.add(part, 0.0, out=real[start:start + part.size])
                 part[...] = 0.0
@@ -177,9 +173,7 @@ def write_simulated_cube(scene: Scene, params: RadarParams, geometry: ArrayGeome
             offset = _CUBE_HEADER.size + 8 * start
             fh.seek(offset)
             fh.readinto(imag)
-            if rng is not None:
-                noise = rng.standard_normal(out=block.view(np.float64))
-                imag += np.multiply(noise, scale, out=noise)
+            imag += noise(block.view(np.float64))
             np.add(imag, 0.0, out=block.imag)
             block.real[...] = real[start:start + block.size]
             fh.seek(offset)

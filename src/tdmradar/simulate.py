@@ -17,6 +17,7 @@ injected.
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 
@@ -132,40 +133,42 @@ class DataCube:
                  f"cube shape {self.samples.shape} does not match plan {expected}")
 
 
-def _noise_stream(scene: Scene, params: RadarParams, frame_index: int):
-    """``(rng, scale)`` of frame ``frame_index``'s noise, or ``None`` for a
-    noiseless scene: its samples are ``scale`` times the draws of ``rng``,
-    real parts first, then imaginary, in (rx, slot, fast) order."""
-    if scene.snr_db is None:
-        return None
+def _noise(scene: Scene, params: RadarParams, frame_index: int):
+    """``fill(out)``: write the next ``out.size`` values of frame ``frame_index``'s
+    noise into the contiguous float64 ``out`` and return ``out``.  The noise is
+    sigma/sqrt(2) times the draws of the frame's own stream, real parts first,
+    then imaginary, in (rx, slot, fast) order; a noiseless scene's is +0.0."""
+    if scene.snr_db is None:  # assigned, not scaled by 0: np.empty may hold NaN
+        return lambda out: np.copyto(out, 0.0) or out
     # Counter-style seeding: each frame draws from its own reproducible stream.
     rng = np.random.default_rng([int(scene.rng_seed), int(frame_index)])
     # Post-range-FFT SNR for unit amplitude: amp^2 * N_fast / sigma^2.
     sigma = float(np.sqrt(params.adc_samples_per_chirp / 10.0 ** (scene.snr_db / 10.0)))
-    return rng, sigma / np.sqrt(2.0)
+    scale = sigma / np.sqrt(2.0)
+    return lambda out: np.multiply(rng.standard_normal(out=out), scale, out=out)
 
 
 def _add_noise(cube: DataCube, scene: Scene) -> None:
     """Add the frame's noise in place through one reused buffer, in the draw order
     of ``normal(scale=sigma/sqrt(2), size=(2,) + shape)``: real parts, then imaginary."""
-    stream = _noise_stream(scene, cube.params, cube.plan.frame_index)
-    if stream is None:
-        return
-    rng, scale = stream
+    fill = _noise(scene, cube.params, cube.plan.frame_index)
     buf, flat = np.empty(_NOISE_BLOCK), cube.samples.reshape(-1)
     for part in (flat.real, flat.imag):
         for i in range(0, part.size, _NOISE_BLOCK):
-            draw = rng.standard_normal(out=buf[:part.size - i])
-            part[i:i + draw.size] += np.multiply(draw, scale, out=draw)
+            part[i:i + _NOISE_BLOCK] += fill(buf[:part.size - i])
 
 
 def _check_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
                  frame_index: int, start_time_s: float) -> FramePlan:
-    """The plan of frame ``frame_index``, once the geometry matches ``params``
+    """The plan of frame ``frame_index``, once the geometry matches ``params``,
+    the frame's complex128 samples fit in the platform's ``sys.maxsize`` bytes,
     and every target stays inside (0, r_max) from the frame's start to its end."""
     geometry.check_shape(params.n_tx, params.n_rx)
     plan = build_frame_plan(params, frame_index)
     n_slots = plan.chirp_count_total
+    n_samples = params.n_rx * n_slots * params.adc_samples_per_chirp
+    _require(16 * n_samples <= sys.maxsize,
+             f"a frame of {n_samples} samples exceeds {sys.maxsize} bytes as complex128")
     frame_end = start_time_s + (n_slots - 1) * plan.slot_interval_s + params.chirp_duration_s
     r_max = params.max_unambiguous_range_m
     for target in scene.targets:

@@ -37,6 +37,7 @@ from tdmradar import (
 from tdmradar import angle
 from tdmradar.angle import FLOOR_DB, RangeAzimuthMap, steering_vector
 from tdmradar.config import ArrayGeometry
+from tdmradar.simulate import _MAX_AMPLITUDE
 from tdmradar.unfold import migration_rotation
 
 from conftest import line_array, peak_cell, random_scene, single_target_scene
@@ -169,6 +170,20 @@ class TestApplyCalibration:
             gains[1, 1] = bad
             with pytest.raises(InvalidParameterError, match="finite and non-zero"):
                 CalibrationVector(gains, 5.0, 0.0, line_array(2, 2))
+
+    @pytest.mark.parametrize("gain", [1e300, 1e-38, -1e10, 1e-10j])
+    def test_gain_beyond_the_level_limit_rejected(self, gain):
+        # a complex64 cube is divided by the gains: the reciprocal of 1e300
+        # underflows to 0 there, that of 1e-38 overflows to inf
+        gains = np.ones((2, 2), dtype=complex)
+        gains[0, 1] = gain
+        with pytest.raises(InvalidParameterError, match="calibration gains"):
+            CalibrationVector(gains, 5.0, 0.0, line_array(2, 2))
+
+    def test_gains_at_the_level_limit_accepted(self):
+        limit = _MAX_AMPLITUDE
+        cal = CalibrationVector(np.array([[limit, 1j / limit]]), 5.0, 0.0, line_array(1, 2))
+        assert np.abs(cal.gains).tolist() == [[limit, 1.0 / limit]]
 
     def test_shape_mismatch(self, small_params, geometry):
         scene = single_target_scene(range_m=10.0)

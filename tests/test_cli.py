@@ -21,6 +21,7 @@ from tdmradar import (
     RadarParams,
     Scene,
     default_geometry,
+    default_params,
     run_pipeline,
     simulate_frame,
 )
@@ -535,6 +536,34 @@ def test_malformed_calibration_gain_exit_2(workdir, tmp_path, gain):
     proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
                                "--cal", str(tmp_path / "cal.json"))
     assert "calibration gain" in proc.stderr
+
+
+@pytest.mark.parametrize("gain", [1e300, 1e-38])
+def test_calibration_gain_beyond_the_level_limit_exit_2(workdir, tmp_path, gain):
+    # the complex64 reciprocals of 1e300 underflow to 0, which would write
+    # floor-only maps and put every detection at -90 degrees; those of 1e-38
+    # overflow to inf
+    cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0, default_geometry()).to_dict()
+    cal["gains"] = [[gain, 0.0]] * len(cal["gains"])
+    (tmp_path / "cal.json").write_text(json.dumps(cal))
+    proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
+                               "--cal", str(tmp_path / "cal.json"))
+    assert "calibration gains" in proc.stderr
+    assert not (tmp_path / "m_b.ram").exists() and not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("samples", [2**62, 2**42])
+def test_oversized_frame_exit_2(workdir, tmp_path, samples):
+    # at default params (16 RX x 1152 slots), 2**62 samples a chirp exceed
+    # sys.maxsize bytes as complex128 and are refused before any allocation;
+    # 2**42 pass that check, and the 2**58-byte float32 staging array, beyond
+    # any address space, fails to allocate
+    params = {**default_params().to_dict(), "adc_samples_per_chirp": samples}
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    proc = _simulate_data_error(workdir, tmp_path, tmp_path / "params.json",
+                                workdir / "geometry.json")
+    assert ("exceeds" if samples == 2**62 else "Unable to allocate") in proc.stderr
+    assert not (tmp_path / "b.rdc").exists()
 
 
 def _field_offsets(header: struct.Struct) -> list:

@@ -257,13 +257,13 @@ class TestSimulatedCube:
                 yield rx, slots, sums
 
         def zero_scale(*args):
-            stream = noise_stream(*args)
-            return stream and (stream[0], 0.0)
+            fill = noise(*args)
+            return lambda out: np.multiply(fill(out), 0.0, out=out)
 
-        noise_stream = simulate._noise_stream
+        noise = simulate._noise
         for module in (simulate, fileio):
             monkeypatch.setattr(module, "_signal_sums", with_negative_zeros)
-            monkeypatch.setattr(module, "_noise_stream", zero_scale)
+            monkeypatch.setattr(module, "_noise", zero_scale)
         scene = Scene(targets=(PointTarget(12.0, 3.0, -10.0),), snr_db=snr_db, rng_seed=2)
         for frame, start in _frames(small_params):
             write_cube(simulate_frame(scene, small_params, geometry, frame, start),

@@ -30,6 +30,7 @@ from tdmradar import (
     simulate_frame_pair,
     tdm_demux,
 )
+from tdmradar.simulate import _MAX_AMPLITUDE
 
 from conftest import line_array, random_scene, single_target_scene
 
@@ -231,6 +232,25 @@ def test_detection_azimuth_matches_map_peak(pipeline_params, geometry):
         for det in result.detections:
             peak = np.argmax(result.map_a.power_db[det.range_bin])
             assert det.azimuth_deg == np.degrees(np.arcsin(sin_axis[peak])), seed
+
+
+def test_calibration_at_the_level_limit_keeps_the_detection(pipeline_params, geometry):
+    # uniform gains of either limit's magnitude scale the complex64 cube by
+    # 1/4.29e9 or 4.29e9 after the CFAR: the maps stay finite and the target's
+    # velocity and azimuth are the uncalibrated run's
+    scene = single_target_scene(range_m=20.0, velocity_mps=3.0, azimuth_deg=10.0, snr_db=20.0)
+    a, b = simulate_frame_pair(scene, pipeline_params, geometry)
+    (plain,) = run_pipeline(a, b, pipeline_params, geometry).detections
+    for gain in (_MAX_AMPLITUDE, 1.0 / _MAX_AMPLITUDE):
+        cal = CalibrationVector(np.full((9, 16), gain, dtype=complex), 5.0, 0.0, geometry)
+        result = run_pipeline(a, b, pipeline_params, geometry, cal=cal)
+        assert np.isfinite(result.map_a.power_db).all()
+        assert np.isfinite(result.map_b.power_db).all()
+        (det,) = result.detections
+        assert det.velocity_mps == pytest.approx(plain.velocity_mps, abs=1e-6)
+        assert det.azimuth_deg == plain.azimuth_deg
+    assert plain.velocity_mps == pytest.approx(3.0, abs=0.05)
+    assert plain.azimuth_deg == pytest.approx(10.0, abs=0.5)
 
 
 @pytest.mark.parametrize("shape", [(10, 17), (2, 3)])

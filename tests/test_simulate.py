@@ -330,6 +330,14 @@ def test_cube_refuses_a_geometry_of_other_counts(small_params, geometry, counts)
         DataCube(cube.samples, cube.plan, small_params, line_array(*counts))
 
 
+def test_frame_beyond_the_platform_size_rejected(small_params, geometry):
+    # 2**62 samples a chirp: the frame's complex128 samples would exceed
+    # sys.maxsize bytes, so it is refused before any allocation
+    params = replace(small_params, adc_samples_per_chirp=2**62)
+    with pytest.raises(InvalidParameterError, match="exceeds"):
+        simulate_frame(single_target_scene(), params, geometry, 0)
+
+
 def test_target_validation():
     with pytest.raises(InvalidParameterError):
         PointTarget(range_m=-5.0, velocity_mps=0.0, azimuth_deg=0.0)
