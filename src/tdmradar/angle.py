@@ -64,7 +64,7 @@ class CalibrationVector:
 
     def __post_init__(self) -> None:
         self.gains = np.asarray(self.gains, dtype=np.complex128)
-        _require(self.gains.ndim == 2, "calibration gains must be a (n_tx, n_rx) matrix")
+        _require(self.gains.ndim == 2, "calibration gains must be a TX x RX matrix")
         # A channel is divided by its gain in complex64: a scene's level limit holds.
         magnitudes = np.abs(self.gains)
         _require(np.all((magnitudes >= 1.0 / _MAX_AMPLITUDE) & (magnitudes <= _MAX_AMPLITUDE)),
@@ -74,38 +74,29 @@ class CalibrationVector:
         _require(all(map(_is_number, ref)), f"calibration reference {ref} must be finite numbers")
         self.geometry.check_shape(*self.gains.shape)
 
-    def check_shape(self, n_tx: int, n_rx: int) -> None:
-        """Raise unless the gains cover exactly an ``n_tx`` x ``n_rx`` array."""
-        _require(self.gains.shape == (n_tx, n_rx),
-                 f"calibration {self.gains.shape} does not match the {(n_tx, n_rx)} array")
-
     def to_dict(self) -> dict:
         return {
             "reference": {"range_m": self.reference_range_m,
                           "azimuth_deg": self.reference_azimuth_deg},
             "geometry": self.geometry.to_dict(),
-            "n_tx": self.gains.shape[0],
-            "n_rx": self.gains.shape[1],
             "gains": [[float(g.real), float(g.imag)] for g in self.gains.ravel()],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationVector":
-        _check_keys("calibration", data, ("gains", "geometry", "n_tx", "n_rx", "reference"),
-                    ("gains", "geometry", "n_tx", "n_rx"))
+        _check_keys("calibration", data, ("gains", "geometry", "reference"), ("gains", "geometry"))
+        geometry = ArrayGeometry.from_dict(data["geometry"])
+        shape = (len(geometry.tx_positions), len(geometry.rx_positions))
         try:
             gains = np.array([complex(re, im) for re, im in data["gains"]])
         except (TypeError, ValueError) as exc:
             raise InvalidParameterError(f"calibration gain is not an [re, im] pair: {exc}") from None
-        shape = (data["n_tx"], data["n_rx"])
-        if not all(_is_number(n, integral=True) and n > 0 for n in shape):
-            raise InvalidParameterError(f"calibration n_tx, n_rx {shape} must be positive integers")
         _require(gains.size == shape[0] * shape[1],
                  f"calibration lists {gains.size} gains for a {shape} array")
         ref = data.get("reference", {})
         _check_keys("calibration reference", ref, ("range_m", "azimuth_deg"))
         return cls(gains.reshape(shape), ref.get("range_m", 0.0), ref.get("azimuth_deg", 0.0),
-                   ArrayGeometry.from_dict(data["geometry"]))
+                   geometry)
 
     from_json = classmethod(_from_json)
 
@@ -161,7 +152,7 @@ def estimate_calibration(cube: DataCube, truth_range_m: float,
 def apply_calibration(rd: RangeDopplerCube, cal: CalibrationVector) -> RangeDopplerCube:
     """Divide each (tx, rx) channel of the cube by its calibration gain, in
     place (a multiply by 1/gain in the cube's precision); returns ``rd``."""
-    cal.check_shape(*rd.values.shape[:2])
+    cal.geometry.check_shape(*rd.values.shape[:2])
     rd.values *= (1.0 / cal.gains).astype(rd.values.dtype)[:, :, None, None]
     return rd
 

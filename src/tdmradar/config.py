@@ -114,6 +114,12 @@ class RadarParams:
                  "adc_samples_per_chirp must be a power of two")
         _require(_is_power_of_two(self.chirps_per_tx_per_frame),
                  "chirps_per_tx_per_frame must be a power of two")
+        # The simulator's largest carrier phase, 4*pi*f_c*r_max/c, formed in its order.
+        derived = (self.wavelength_m, self.sample_rate_hz, self.max_unambiguous_range_m,
+                   2.0 * math.pi * 2.0 * self.carrier_frequency_hz
+                   * self.max_unambiguous_range_m / SPEED_OF_LIGHT)
+        _require(all(map(math.isfinite, derived)),
+                 f"wavelength, sample rate, range limit and carrier phase {derived} must be finite")
 
     @property
     def wavelength_m(self) -> float:

@@ -151,6 +151,8 @@ def _noise(scene: Scene, params: RadarParams, frame_index: int):
 def _add_noise(cube: DataCube, scene: Scene) -> None:
     """Add the frame's noise in place through one reused buffer, in the draw order
     of ``normal(scale=sigma/sqrt(2), size=(2,) + shape)``: real parts, then imaginary."""
+    if scene.snr_db is None:  # a pass of +0.0 adds would change no bit
+        return
     fill = _noise(scene, cube.params, cube.plan.frame_index)
     buf, flat = np.empty(_NOISE_BLOCK), cube.samples.reshape(-1)
     for part in (flat.real, flat.imag):

@@ -149,8 +149,8 @@ class TestApplyCalibration:
         data = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0,
                                  line_array(9, 16)).to_dict()
         cases = {"calibration must be a JSON object": [[1, 2], "x"],
-                 r"missing fields \['gains', 'n_rx'\]": [
-                     {k: v for k, v in data.items() if k not in ("gains", "n_rx")}],
+                 r"missing fields \['gains', 'geometry'\]": [
+                     {k: v for k, v in data.items() if k not in ("gains", "geometry")}],
                  r"calibration: unknown fields \['offset'\]": [{**data, "offset": 1.0}],
                  r"calibration reference: unknown fields \['range'\]": [
                      {**data, "reference": {"range": 5.0}}],
@@ -162,6 +162,18 @@ class TestApplyCalibration:
             for doc in docs:
                 with pytest.raises(InvalidParameterError, match=message):
                     CalibrationVector.from_dict(doc)
+
+    def test_document_names_its_array_once(self):
+        cal = CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0, line_array(9, 16))
+        assert sorted(cal.to_dict()) == ["gains", "geometry", "reference"]
+
+    def test_counts_beside_the_geometry_rejected(self):
+        # the earlier format restated the geometry's TX and RX counts
+        data = {**CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0,
+                                    line_array(9, 16)).to_dict(), "n_tx": 9, "n_rx": 16}
+        with pytest.raises(InvalidParameterError,
+                           match=r"calibration: unknown fields \['n_rx', 'n_tx'\]"):
+            CalibrationVector.from_dict(data)
 
     def test_zero_gain_rejected_at_construction(self):
         # non-finite gains are rejected the same way

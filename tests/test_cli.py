@@ -491,6 +491,17 @@ def test_malformed_calibration_json_exit_2(workdir, tmp_path):
 
 
 
+def test_calibration_with_counts_beside_its_geometry_exit_2(workdir, tmp_path):
+    # a cal.json of the earlier format, which restated the geometry's counts
+    doc = {**CalibrationVector(np.ones((9, 16), dtype=complex), 5.0, 0.0,
+                               default_geometry()).to_dict(), "n_tx": 9, "n_rx": 16}
+    (tmp_path / "cal.json").write_text(json.dumps(doc))
+    proc = _process_data_error(workdir, tmp_path, workdir / "f0.rdc", workdir / "f1.rdc",
+                               "--cal", str(tmp_path / "cal.json"))
+    assert "calibration: unknown fields ['n_rx', 'n_tx']" in proc.stderr
+    assert not (tmp_path / "m_b.ram").exists() and not (tmp_path / "d.json").exists()
+
+
 def test_calibration_from_another_geometry_exit_2(workdir, tmp_path):
     # calibrate on the RX-reversed array (the same counts), then process the
     # default array's pair with that calibration
@@ -635,6 +646,16 @@ def _simulate_data_error(workdir, tmp_path, params_path, geometry_path, scene_pa
                    "--out-a", str(tmp_path / "a.rdc"), "--out-b", str(tmp_path / "b.rdc"),
                    *extra)
     return _check_data_error(proc, tmp_path / "a.rdc")
+
+
+def test_params_with_non_finite_carrier_phase_exit_2(workdir, tmp_path):
+    # a 1e308 carrier once wrote cubes of non-finite samples and exited 0
+    params = {**json.loads((workdir / "params.json").read_text()), "carrier_frequency_hz": 1e308}
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    proc = _simulate_data_error(workdir, tmp_path, tmp_path / "params.json",
+                                workdir / "geometry.json")
+    assert "must be finite" in proc.stderr
+    assert not (tmp_path / "b.rdc").exists()
 
 
 @pytest.mark.parametrize("key, value", [("n_chirps", 64), ("n_tx", None), ("n_tx", "9")])
@@ -802,7 +823,7 @@ def test_target_leaving_range_in_frame_b_writes_nothing(workdir, tmp_path):
 
 @pytest.mark.parametrize("name, key", [("params.json", "n_tx"), ("geometry.json", "tx_positions"),
                                        ("scene.json", "snr_db"), ("scene.json", "range_m"),
-                                       ("cal.json", "n_rx"), ("cal.json", "range_m")])
+                                       ("cal.json", "tx_positions"), ("cal.json", "range_m")])
 def test_duplicate_json_key_exit_2(workdir, tmp_path, name, key):
     # json.load keeps the last of two values without a word; every JSON input
     # refuses the document instead (scene "range_m" sits in a target, the

@@ -310,6 +310,15 @@ class TestParamsValidation:
         with pytest.raises(InvalidParameterError, match=field):
             params_with(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("carrier_frequency_hz", 1e308),
+                                              ("carrier_frequency_hz", 1e-300),
+                                              ("bandwidth_hz", 1e-300)])
+    def test_derived_values_must_be_finite(self, field, value):
+        # a 1e308 carrier overflows the simulator's carrier phase, a 1e-300
+        # carrier the wavelength and a 1e-300 bandwidth the range limit
+        with pytest.raises(InvalidParameterError, match="carrier phase .* must be finite"):
+            params_with(**{field: value})
+
     def test_geometry_from_dict_needs_lists(self):
         with pytest.raises(InvalidParameterError):
             ArrayGeometry.from_dict({"tx_positions": 5, "rx_positions": [0]})

@@ -146,6 +146,15 @@ def test_frame_b_draws_noise_first(small_params, geometry, monkeypatch):
     assert [c for c in calls if c[0] == 1] == [(1, "_add_noise"), (1, "_add_signal")]
 
 
+@pytest.mark.parametrize("frame_index", [0, 1])
+def test_noiseless_frame_draws_no_noise(small_params, geometry, monkeypatch, frame_index):
+    # adding a noiseless scene's +0.0 would change no bit, so no pass is made
+    calls = []
+    monkeypatch.setattr(simulate, "_noise", lambda *args: calls.append(args))
+    cube = simulate_frame(Scene(targets=_TWO_TARGETS), small_params, geometry, frame_index)
+    assert calls == [] and np.all(cube.samples != 0)
+
+
 def test_pair_refused_in_frame_b_does_no_work(small_params, geometry, monkeypatch):
     # the target stays below r_max through frame a and crosses it during
     # frame b: the pair is refused before either frame adds anything
