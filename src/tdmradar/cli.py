@@ -191,7 +191,9 @@ def main(argv=None) -> int:
         print(f"tdmradar: error: {clash}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        for name in outputs.values():  # a missing directory fails before any work
+        for name in outputs.values():  # a directory, or a missing one, fails before any work
+            if os.path.isdir(name):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
             if not os.path.isdir(os.path.dirname(os.path.realpath(name))):
                 raise FileNotFoundError(errno.ENOENT, "No such directory", name)
         return args.func(args)

@@ -114,8 +114,11 @@ class RadarParams:
                  "adc_samples_per_chirp must be a power of two")
         _require(_is_power_of_two(self.chirps_per_tx_per_frame),
                  "chirps_per_tx_per_frame must be a power of two")
-        # The simulator's largest carrier phase, 4*pi*f_c*r_max/c, formed in its order.
-        derived = (self.wavelength_m, self.sample_rate_hz, self.max_unambiguous_range_m,
+        # The carrier's wavelength, the unit of the half-wavelength antenna grid
+        # (the Doppler one, below it, is then finite too), and the simulator's
+        # largest carrier phase, 4*pi*f_c*r_max/c, formed in its order.
+        derived = (SPEED_OF_LIGHT / self.carrier_frequency_hz, self.sample_rate_hz,
+                   self.max_unambiguous_range_m,
                    2.0 * math.pi * 2.0 * self.carrier_frequency_hz
                    * self.max_unambiguous_range_m / SPEED_OF_LIGHT)
         _require(all(map(math.isfinite, derived)),
@@ -123,7 +126,12 @@ class RadarParams:
 
     @property
     def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_frequency_hz
+        """The wavelength that Doppler is converted with: at the centre of the
+        sampled sweep, f_c + B*(N-1)/(2N) for N samples, where a sample at fast
+        time t carries the phase 4*pi*(f_c + S*t)*R/c."""
+        n = self.adc_samples_per_chirp
+        return SPEED_OF_LIGHT / (self.carrier_frequency_hz
+                                 + self.bandwidth_hz * ((n - 1) / (2 * n)))
 
     @property
     def sample_rate_hz(self) -> float:
@@ -150,7 +158,7 @@ class RadarParams:
 def default_params() -> RadarParams:
     """Imaging-radar defaults: 77 GHz carrier, 250 MHz sweep (0.6 m range
     bins), 9 TX x 16 RX, staggered 21.0/27.2 us PRIs (folded vmax
-    5.15/3.97 m/s with 9 TX)."""
+    5.14/3.97 m/s with 9 TX)."""
     return RadarParams(
         carrier_frequency_hz=77e9,
         bandwidth_hz=250e6,
@@ -175,7 +183,8 @@ def range_resolution(params: RadarParams) -> float:
 
 
 def folded_vmax(params: RadarParams, frame_index: int) -> float:
-    """Maximum unambiguous velocity of one TDM frame, lambda/(4*N_tx*PRI).
+    """Maximum unambiguous velocity of one TDM frame, lambda/(4*N_tx*PRI), with
+    the Doppler wavelength ``params.wavelength_m``.
 
     The TX revisit interval is N_tx times the chirp repetition interval, so
     the usual lambda/(4*PRI) limit shrinks by the TX count.

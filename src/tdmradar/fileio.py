@@ -126,58 +126,31 @@ def write_cube(cube: DataCube, path) -> None:
 def write_simulated_cube(scene: Scene, params: RadarParams, geometry: ArrayGeometry,
                          frame_index: int, start_time_s: float, path) -> None:
     """Write the cube that ``write_cube(simulate_frame(scene, params, geometry,
-    frame_index, start_time_s), path)`` writes, byte for byte,
-    without holding the frame: the output file's 8-byte sample slots stage it.
-    Three passes in the noise stream's order: the real-part noise ``n_re`` is
-    drawn and written as float64, ``_CAST_BLOCK`` samples at a time; each
-    signal block, one contiguous (RX row, slot block) span of the file, is read
-    back, its ``S_re + n_re`` kept as float32 and ``S_im`` written over the
-    span; then each cast block's ``S_im`` is read, the imaginary-part noise
-    drawn and added, and the interleaved complex64 block written in place.  So
-    the frame holds 4 bytes a sample in memory, 37.7 MB at default params,
-    plus two ``_SCRATCH_BYTES`` buffers and one signal block, and ``path`` must
-    be a regular file or new.  Each sample is rounded once from the float64
-    ``S + n``, plus +0.0: a frame's samples start at +0.0, so a -0.0 sum is
-    +0.0 in ``simulate_frame`` too."""
+    frame_index, start_time_s), path)`` writes, byte for byte, without holding
+    the frame: one pass over ``_signal_sums``' (RX row, slot block) blocks.
+    Each block's noise is drawn from its row's stream into one complex128
+    block, the signal added, and the sum rounded once to ``<c8``, plus +0.0 (a
+    frame's samples start at +0.0, so a -0.0 sum is +0.0 in ``simulate_frame``
+    too), then written at its offset, so ``path`` must be a regular file or
+    new.  It holds two block buffers and ``_signal_sums``' own."""
     plan = _check_frame(scene, params, geometry, frame_index, start_time_s)
     header = _cube_header(params, geometry, frame_index)
     n_slots, n_fast = plan.chirp_count_total, params.adc_samples_per_chirp
-    size = params.n_rx * n_slots * n_fast
-    noise = _noise(scene, params, frame_index)
-    real = np.empty(size, dtype=np.float32)
-    buf = np.empty(min(size, _CAST_BLOCK), dtype="<c8")
-    draw = np.empty(buf.size)
-    stage = np.empty((min(n_slots, _SLOT_BLOCK), n_fast))
+    blocks = _signal_sums(scene, params, plan, geometry, start_time_s)
+    if not scene.targets:  # no signal blocks: S = +0.0 everywhere
+        blocks = ((rx, slice(s0, min(s0 + _SLOT_BLOCK, n_slots)), 0.0)
+                  for s0 in range(0, n_slots, _SLOT_BLOCK) for rx in range(params.n_rx))
+    noise = [_noise(scene, params, frame_index, rx) for rx in range(params.n_rx)]
+    buf = np.empty((min(n_slots, _SLOT_BLOCK), n_fast), dtype=np.complex128)
+    cast = np.empty(buf.shape, dtype="<c8")
     with _replacing(path) as fh:
         fh.write(header)
-        for start in range(0, size, _CAST_BLOCK):
-            part = noise(draw[:size - start])
-            if not scene.targets:  # no signal blocks: S = +0.0 everywhere
-                np.add(part, 0.0, out=real[start:start + part.size])
-                part[...] = 0.0
-            fh.write(part)
-
-        real_grid = real.reshape(params.n_rx, n_slots, n_fast)
-        for rx, slots, sums in _signal_sums(scene, params, plan, geometry, start_time_s):
-            chunk = stage[:len(sums)]
-            offset = _CUBE_HEADER.size + 8 * n_fast * (rx * n_slots + slots.start)
-            fh.seek(offset)
-            fh.readinto(chunk)
-            np.add(np.add(chunk, sums.real, out=chunk), 0.0, out=real_grid[rx, slots])
-            chunk[...] = sums.imag
-            fh.seek(offset)
-            fh.write(chunk)
-
-        for start in range(0, size, _CAST_BLOCK):
-            block, imag = buf[:size - start], draw[:size - start]
-            offset = _CUBE_HEADER.size + 8 * start
-            fh.seek(offset)
-            fh.readinto(imag)
-            imag += noise(block.view(np.float64))
-            np.add(imag, 0.0, out=block.imag)
-            block.real[...] = real[start:start + block.size]
-            fh.seek(offset)
-            fh.write(block)
+        for rx, slots, sums in blocks:
+            block = buf[:slots.stop - slots.start]
+            noise[rx](block.view(np.float64))
+            block += sums
+            fh.seek(_CUBE_HEADER.size + 8 * n_fast * (rx * n_slots + slots.start))
+            fh.write(np.add(block, 0.0, out=cast[:len(block)]))
 
 
 def read_cube(path, params: RadarParams, geometry: ArrayGeometry) -> DataCube:

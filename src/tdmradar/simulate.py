@@ -36,7 +36,7 @@ from .config import (
 )
 
 _SLOT_BLOCK = 64        # slots per block: the chirp rows hold T * 64 * n_fast samples
-_NOISE_BLOCK = 1 << 16  # noise samples per draw: a 512 KB float64 buffer
+_NOISE_BLOCK = 1 << 16  # noise values per draw: a 512 KB float64 buffer
 # A scene's levels (each target's amplitude, the noise set by snr_db) stay
 # within half of float32's power range in dB, 192.7 dB of unity; the other half
 # is headroom for the FFT and channel-sum gains of the complex64 chain.
@@ -133,15 +133,16 @@ class DataCube:
                  f"cube shape {self.samples.shape} does not match plan {expected}")
 
 
-def _noise(scene: Scene, params: RadarParams, frame_index: int):
-    """``fill(out)``: write the next ``out.size`` values of frame ``frame_index``'s
-    noise into the contiguous float64 ``out`` and return ``out``.  The noise is
-    sigma/sqrt(2) times the draws of the frame's own stream, real parts first,
-    then imaginary, in (rx, slot, fast) order; a noiseless scene's is +0.0."""
+def _noise(scene: Scene, params: RadarParams, frame_index: int, rx: int):
+    """``fill(out)``: write the next ``out.size`` values of RX row ``rx``'s noise
+    in frame ``frame_index`` into the contiguous float64 ``out`` and return
+    ``out``.  Each row draws from its own stream: sigma/sqrt(2) times its
+    draws, as (re, im) pairs in (slot, fast) order, so a complex128 block's
+    float64 view takes them as they come.  A noiseless scene's is +0.0."""
     if scene.snr_db is None:  # assigned, not scaled by 0: np.empty may hold NaN
         return lambda out: np.copyto(out, 0.0) or out
-    # Counter-style seeding: each frame draws from its own reproducible stream.
-    rng = np.random.default_rng([int(scene.rng_seed), int(frame_index)])
+    # Counter-style seeding: each (frame, RX row) draws from its own reproducible stream.
+    rng = np.random.default_rng([int(scene.rng_seed), int(frame_index), int(rx)])
     # Post-range-FFT SNR for unit amplitude: amp^2 * N_fast / sigma^2.
     sigma = float(np.sqrt(params.adc_samples_per_chirp / 10.0 ** (scene.snr_db / 10.0)))
     scale = sigma / np.sqrt(2.0)
@@ -149,15 +150,16 @@ def _noise(scene: Scene, params: RadarParams, frame_index: int):
 
 
 def _add_noise(cube: DataCube, scene: Scene) -> None:
-    """Add the frame's noise in place through one reused buffer, in the draw order
-    of ``normal(scale=sigma/sqrt(2), size=(2,) + shape)``: real parts, then imaginary."""
+    """Add the frame's noise in place, each RX row's draws through one reused
+    buffer onto the row's contiguous float64 view."""
     if scene.snr_db is None:  # a pass of +0.0 adds would change no bit
         return
-    fill = _noise(scene, cube.params, cube.plan.frame_index)
-    buf, flat = np.empty(_NOISE_BLOCK), cube.samples.reshape(-1)
-    for part in (flat.real, flat.imag):
-        for i in range(0, part.size, _NOISE_BLOCK):
-            part[i:i + _NOISE_BLOCK] += fill(buf[:part.size - i])
+    buf = np.empty(_NOISE_BLOCK)
+    for rx, row in enumerate(cube.samples):
+        fill = _noise(scene, cube.params, cube.plan.frame_index, rx)
+        flat = row.reshape(-1).view(np.float64)
+        for i in range(0, flat.size, _NOISE_BLOCK):
+            flat[i:i + _NOISE_BLOCK] += fill(buf[:flat.size - i])
 
 
 def _check_frame(scene: Scene, params: RadarParams, geometry: ArrayGeometry,

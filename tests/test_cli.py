@@ -887,6 +887,32 @@ def test_directory_as_output_exit_2(workdir, tmp_path):
     assert not (tmp_path / "b.rdc").exists()
 
 
+@pytest.mark.parametrize("command", ["process", "calibrate", "export-pgm"])
+def test_directory_as_text_or_image_output_exit_2_before_any_work(workdir, tmp_path,
+                                                                  monkeypatch, capsys, command):
+    # process --out-det, calibrate --out and export-pgm --out are refused in
+    # the pre-check too: no input is read and nothing is written
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    config = ["--params", str(workdir / "params.json"),
+              "--geometry", str(workdir / "geometry.json")]
+    argv = {"process": ["process", "--in-a", str(workdir / "f0.rdc"),
+                        "--in-b", str(workdir / "f1.rdc"), *config,
+                        "--out-map", str(tmp_path / "m.ram"), "--out-det", str(folder)],
+            "calibrate": ["calibrate", "--in", str(workdir / "f0.rdc"), *config,
+                          "--range", "5.0", "--azimuth", "0.0", "--out", str(folder)],
+            "export-pgm": ["export-pgm", "--in", str(workdir / "map.ram"),
+                           "--out", str(folder)]}[command]
+    reads = []
+    for name in ("read_cube", "read_map"):
+        monkeypatch.setattr(cli.fileio, name, lambda *args, name=name: reads.append(name))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tdmradar: error:") and "Is a directory" in err
+    assert reads == []
+    assert [p.name for p in tmp_path.iterdir()] == ["folder"] and not any(folder.iterdir())
+
+
 def test_simulate_output_in_a_missing_directory_exit_2(workdir, tmp_path):
     # every output's directory is checked before either frame is made, so
     # the --out-a cube does not land either

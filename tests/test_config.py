@@ -50,13 +50,21 @@ class TestRangeResolution:
 
 class TestFoldedVmax:
     def test_reference_table_values(self):
+        # the paper's Table III gives vmax at the carrier, 5.15 and 3.97 m/s;
+        # the chain's is at the sampled band's centre, f_c / f_mid of that
         p = params_with()
-        assert folded_vmax(p, 0) == pytest.approx(5.15, abs=5e-3)
-        assert folded_vmax(p, 1) == pytest.approx(3.97, abs=7e-3)
+        n = p.adc_samples_per_chirp
+        f_mid = p.carrier_frequency_hz + p.bandwidth_hz * (n - 1) / (2 * n)
+        at_carrier = [folded_vmax(p, i) * f_mid / p.carrier_frequency_hz for i in (0, 1)]
+        assert at_carrier[0] == pytest.approx(5.15, abs=5e-3)
+        assert at_carrier[1] == pytest.approx(3.97, abs=7e-3)
+        assert folded_vmax(p, 0) == pytest.approx(5.1419, abs=1e-4)
+        assert folded_vmax(p, 1) == pytest.approx(3.9698, abs=1e-4)
 
     def test_single_tx(self):
+        # c / f_mid / (4 * 50 us), f_mid = 77.1245 GHz; 19.46 at the carrier
         p = params_with(n_tx=1, pri_frame_a_s=50e-6, pri_frame_b_s=60e-6)
-        assert folded_vmax(p, 0) == pytest.approx(19.46, abs=1e-2)
+        assert folded_vmax(p, 0) == pytest.approx(19.436, abs=1e-3)
 
     def test_doubling_tx_halves_vmax(self):
         lo = params_with(n_tx=4, n_rx=4)
@@ -75,7 +83,7 @@ class TestCrtMargin:
         for p in (default_params(), params_with(), params_with(adc_samples_per_chirp=64)):
             va, vb = folded_vmax(p, 0), folded_vmax(p, 1)
             assert crt_margin(p) == pytest.approx(abs(6 * va - 8 * vb))
-            assert crt_margin(p) == pytest.approx(0.909, abs=1e-3)
+            assert crt_margin(p) == pytest.approx(0.9074, abs=1e-4)  # 0.9088 at the carrier
             assert crt_margin(p) > max(va, vb) / p.chirps_per_tx_per_frame
 
     def test_offsets_reach_twice_the_candidate_order(self):

@@ -294,6 +294,36 @@ class TestSimulatedCube:
         assert not (tmp_path / "f.rdc").exists()
 
 
+@pytest.mark.parametrize("block", ["slot", "noise"])
+def test_simulated_bytes_do_not_depend_on_the_block_sizes(small_params, geometry, tmp_path,
+                                                         monkeypatch, block):
+    # each RX row's noise is one stream whatever block it is drawn in: 7-slot
+    # blocks (against 64) or 1000-value noise draws in simulate_frame (against
+    # 65,536) leave the bytes of the writer and of simulate_frame as they were
+    scenes = (Scene(targets=(PointTarget(12.0, 3.0, -10.0),), snr_db=15.0, rng_seed=11),
+              Scene(snr_db=15.0, rng_seed=11))
+
+    def digests():
+        out = []
+        for scene in scenes:
+            for frame, start in _frames(small_params):
+                write_simulated_cube(scene, small_params, geometry, frame, start,
+                                     tmp_path / "new.rdc")
+                write_cube(simulate_frame(scene, small_params, geometry, frame, start),
+                           tmp_path / "ref.rdc")
+                out += [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in ("new.rdc", "ref.rdc")]
+        return out
+
+    before = digests()
+    assert before[::2] == before[1::2]
+    patches = {"slot": [(simulate, "_SLOT_BLOCK", 7), (fileio, "_SLOT_BLOCK", 7)],
+               "noise": [(simulate, "_NOISE_BLOCK", 1000)]}[block]
+    for module, name, size in patches:
+        monkeypatch.setattr(module, name, size)
+    assert digests() == before
+
+
 class TestMapFormat:
     def _map(self):
         rng = np.random.default_rng(5)

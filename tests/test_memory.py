@@ -2,9 +2,8 @@
 and the peak RSS of CLI simulate, of CLI process and of repeated CLI units.
 Every per-frame scratch array stays within ``_SCRATCH_BYTES`` (2 MB), so glibc's
 dynamic mmap threshold (mallopt(3)) is never raised past it, and freed
-temporaries cannot stay resident by the tens of MB under the next unit's cubes:
-the writer's 38 MB of float32 real parts per frame and the reader's two 38 MB
-range/Doppler cubes."""
+temporaries cannot stay resident by the tens of MB under the next unit's cubes,
+the reader's two 38 MB range/Doppler cubes."""
 
 import json
 import platform
@@ -127,12 +126,11 @@ def cli_growth_mib(tmp_path_factory):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the peak RSS is read from Linux's /proc")
 def test_cli_simulate_holds_no_complex128_frame(cli_growth_mib):
-    # Each frame thread holds its float32 real parts, 36 MiB at default params,
-    # and stages the rest in its output file, plus 2 MB buffers.  Over the
-    # imports on a 2-core box: 284-288 MiB holding the two complex128 frames,
-    # 220 MiB holding 12 bytes a sample per frame, 80-85 MiB staging in the file.
-    held_mib = 2 * 4 * _frame_samples(default_params()) / 2**20
-    assert cli_growth_mib[0] <= held_mib + 24.0, cli_growth_mib
+    # Each frame thread holds only the writer's blocks, 5.5 MB (the test
+    # below), whatever the frame's size.  Over the imports on a 2-core box:
+    # 284-288 MiB holding the two complex128 frames, 84-86 MiB holding each
+    # frame's float32 real parts, 10.9-12.2 MiB writing block by block.
+    assert cli_growth_mib[0] <= 20.0, cli_growth_mib
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the peak RSS and pagemap are Linux's")
@@ -154,11 +152,11 @@ def test_simulated_cube_writer_holds_less_than_a_complex128_frame(tmp_path):
     scene = Scene.from_json(ROOT / "configs" / "scene_demo.json")
     _, peak = _traced(write_simulated_cube, scene, params, default_geometry(), 0, 0.0,
                       tmp_path / "a.rdc")
-    # the float32 real parts (37.7 MB), the two 2 MB buffers of the first and
-    # last passes, one 0.26 MB signal block read from the file and the signal
-    # blocks of 3 targets: 9.1 MB beyond the real parts; 12 bytes a sample
-    # held 118 MB
-    assert peak <= 4 * _frame_samples(params) + 5 * _SCRATCH_BYTES
+    # one complex128 and one complex64 slot block, the two sum blocks of
+    # _signal_sums and, while a block's chirp rows replace the last block's,
+    # two sets of the 3 targets' rows: 5.5 MB in all, whatever the frame's
+    # size; staging the float32 real parts held 46.9 MB, 12 bytes a sample 118 MB
+    assert peak <= 3 * _SCRATCH_BYTES
 
 
 def _traced(fn, *args, **kwargs):

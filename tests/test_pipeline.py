@@ -217,6 +217,19 @@ def test_unfolds_beyond_single_frame_vmax(pipeline_params, geometry):
         assert det.velocity_mps == pytest.approx(v_true, abs=half_bin + 1e-9)
 
 
+@pytest.mark.parametrize("v_true", [30.0, -30.0, 13.7])
+def test_default_params_velocity_has_no_scale_bias(geometry, v_true):
+    # Doppler is converted at the sampled band's centre; at the carrier these
+    # lone 20 dB targets read +0.049, -0.049 and +0.022 m/s off, the first two
+    # beyond velocity_ok's 0.040 m/s.  Each aliases in both frames.
+    params = default_params()
+    scene = single_target_scene(range_m=40.0, velocity_mps=v_true, azimuth_deg=10.0,
+                                snr_db=20.0, seed=7)
+    a, b = simulate_frame_pair(scene, params, geometry)
+    det = max(run_pipeline(a, b, params, geometry).detections, key=lambda d: d.power_db)
+    assert det.velocity_mps == pytest.approx(v_true, abs=0.01)
+
+
 def test_detection_azimuth_matches_map_peak(pipeline_params, geometry):
     # the per-detection and the per-map beamformer agree on every detection
     rng = np.random.default_rng(4)

@@ -97,14 +97,33 @@ def test_frames_draw_independent_noise(small_params, geometry):
 @pytest.mark.parametrize("chirps", [32, 4])
 @pytest.mark.parametrize("frame_index", [0, 3])
 def test_noise_matches_reference_stream(small_params, geometry, chirps, frame_index):
-    # 4 chirps per TX leaves a partial last noise block, 32 ends on a full one.
+    # RX row r's noise is sigma/sqrt(2) times standard_normal((n_slots, n_fast, 2))
+    # of the stream seeded [rng_seed, frame_index, r]: (re, im) pairs in (slot,
+    # fast) order.  4 chirps per TX leaves a partial last noise block, 32 ends
+    # on a full one.
     params = type(small_params)(**{**small_params.to_dict(), "chirps_per_tx_per_frame": chirps})
     scene = Scene(targets=(), snr_db=12.0, rng_seed=5)
     cube = simulate_frame(scene, params, geometry, frame_index)
-    sigma = np.sqrt(params.adc_samples_per_chirp / 10.0 ** (12.0 / 10.0))
-    n = np.random.default_rng([5, frame_index]).normal(scale=sigma / np.sqrt(2.0),
-                                                       size=(2,) + cube.samples.shape)
-    assert np.array_equal(cube.samples, n[0] + 1j * n[1])
+    scale = np.sqrt(params.adc_samples_per_chirp / 10.0 ** (12.0 / 10.0)) / np.sqrt(2.0)
+    for rx, row in enumerate(cube.samples):
+        n = np.random.default_rng([5, frame_index, rx]).standard_normal(row.shape + (2,)) * scale
+        assert np.array_equal(row, n[..., 0] + 1j * n[..., 1])
+
+
+def test_rx_rows_draw_independent_noise_of_the_scene_power(small_params, geometry):
+    # each of the 16 rows holds 288 x 128 samples, so its mean power has a
+    # standard error of 1/sqrt(36,864) = 0.52 % of sigma^2 and a cross-row
+    # correlation one of 0.52 %; both stay within 3 %, about 6 standard errors
+    cube = simulate_frame(Scene(targets=(), snr_db=12.0, rng_seed=5), small_params, geometry, 0)
+    sigma2 = small_params.adc_samples_per_chirp / 10.0 ** (12.0 / 10.0)
+    rows = cube.samples.reshape(small_params.n_rx, -1)
+    power = np.mean(np.abs(rows) ** 2, axis=1)
+    np.testing.assert_allclose(power, sigma2, rtol=0.03)
+    correlation = np.abs(rows @ rows.conj().T) / (rows.shape[1] * sigma2)
+    for i in range(small_params.n_rx):
+        for j in range(i):
+            assert not np.array_equal(rows[i], rows[j])
+            assert correlation[i, j] < 0.03, (i, j, correlation[i, j])
 
 
 def _twelve_targets(params):
